@@ -111,11 +111,7 @@ def cmd_stability(config: RunConfig, args) -> None:
 
 def _fit_from_args(config: RunConfig, args):
     data = read_case_series(args.data)
-    base = config.integrator
-    window = IntegratorConfig(
-        t0=0.0, t_end=float(len(data)), method=base.method, step=base.step,
-        rtol=base.rtol, atol=base.atol, sample_per_day=base.sample_per_day,
-        max_steps=base.max_steps)
+    window = replace(config.integrator, t0=0.0, t_end=float(len(data)))
     fit_config = replace(config.fit, integrator=window)
     return data, fit(config.spec, data, fit_config)
 
@@ -153,7 +149,10 @@ def cmd_sweep(config: RunConfig, args) -> None:
     scenario = config.scenario
     if len(scenario.rho_values) < 2:
         raise ConfigError("sweep needs at least two rho values")
-    sweep = rho_sweep((params, initial), scenario.rho_values, scenario.horizon)
+    # the sweep reads only day boundaries and the endpoint
+    base = config.integrator
+    window = replace(base, t_end=base.t0 + scenario.horizon, sample_per_day=1)
+    sweep = rho_sweep((params, initial), scenario.rho_values, scenario.horizon, window)
     decline = decline_percentages(sweep)
     out = _out_dir(args)
     write_csv(out / "sweep.csv",

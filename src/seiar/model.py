@@ -20,16 +20,19 @@ Dynamics (persons/day):
     dA  = epsilon*E1 - (gamma3 + mu)*A
     dR  = gamma1*I1 + gamma2*I2 + gamma3*A - mu*R
 
-This module holds the parameter and state containers, the vector field and
-its analytic Jacobian, the next-generation matrices with the control
-reproduction number R_c, and both equilibria (disease-free and endemic).
+This module holds the parameter and state containers, the table of grouped
+rates every closed form is built from (``ModelParameters.rates``), the vector
+field and its analytic Jacobian, the next-generation matrices with the
+control reproduction number R_c, and both equilibria (disease-free and
+endemic).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, Optional
+from functools import cached_property
+from typing import Callable, Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +45,31 @@ PARAMETER_NAMES = (
     "Lambda", "mu", "beta", "sigma", "epsilon", "alpha", "omega",
     "rho", "gamma1", "gamma2", "gamma3", "phi1", "phi2",
 )
+
+
+class RateTable(NamedTuple):
+    """Grouped rates of one parameter set, built only by ModelParameters.rates.
+
+    k_E1 = sigma+epsilon+mu, k_E2 = alpha+mu, k_I1 = gamma1+phi1+mu,
+    k_I2 = gamma2+phi2+mu and k_A = gamma3+mu are the outflow rates of the
+    infected compartments; in_I1 = rho*alpha and in_I2 = (1-rho)*alpha split
+    the E2 outflow between I1 and I2.  The bracket of R_c,
+
+        sigma/k_E2 + sigma*(1-rho)*alpha/(k_E2*k_I2) + epsilon*omega/k_A,
+
+    divided by k_E1 is the transmission-weighted time one E1 entrant spends
+    infectious, and r_c = beta*S0/k_E1 * bracket.
+    """
+
+    k_E1: float
+    k_E2: float
+    k_I1: float
+    k_I2: float
+    k_A: float
+    in_I1: float
+    in_I2: float
+    bracket: float
+    r_c: float
 
 
 @dataclass(frozen=True)
@@ -92,6 +120,28 @@ class ModelParameters:
     def S0(self) -> float:
         """Disease-free susceptible population Lambda/mu."""
         return self.Lambda / self.mu
+
+    @cached_property
+    def rates(self) -> RateTable:
+        """The grouped rates, computed once per instance.
+
+        Instances are frozen and :meth:`with_updates` builds a new one, so
+        the table never outlives the fields it was computed from.
+        """
+        p = self
+        k_E1 = p.sigma + p.epsilon + p.mu
+        k_E2 = p.alpha + p.mu
+        k_I2 = p.gamma2 + p.phi2 + p.mu
+        k_A = p.gamma3 + p.mu
+        # sigma*(1-rho)*alpha in the formula's own order, not sigma*in_I2:
+        # the two round differently, and R_c is reported to 17 digits
+        bracket = (p.sigma / k_E2
+                   + p.sigma * (1.0 - p.rho) * p.alpha / (k_E2 * k_I2)
+                   + p.epsilon * p.omega / k_A)
+        return RateTable(
+            k_E1=k_E1, k_E2=k_E2, k_I1=p.gamma1 + p.phi1 + p.mu, k_I2=k_I2,
+            k_A=k_A, in_I1=p.rho * p.alpha, in_I2=(1.0 - p.rho) * p.alpha,
+            bracket=bracket, r_c=p.beta * p.S0 / k_E1 * bracket)
 
     def with_updates(self, **changes) -> "ModelParameters":
         """Copy with the named fields replaced (re-validates)."""
@@ -156,27 +206,50 @@ def equilibrium_tolerance(params: ModelParameters) -> float:
     return 1e-8 * max(params.Lambda, 1.0)
 
 
+def extended_field(params: ModelParameters) -> Callable[[np.ndarray], np.ndarray]:
+    """The model's vector field, as a function f(y) of a state array.
+
+    f returns 10 components: the derivatives of the seven compartments, then
+    the inflows rho*alpha*E2 into I1, (1-rho)*alpha*E2 into I2 and
+    epsilon*E1 into A, whose integrals are a simulation's cumulative
+    counters.  Only y[0:7] is read.  Rates are bound to locals here, once,
+    because f runs in the integrators' inner loop.
+    """
+    L, mu, beta, omega = params.Lambda, params.mu, params.beta, params.omega
+    sigma, eps = params.sigma, params.epsilon
+    g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
+    k_e1, k_e2, k_i1, k_i2, k_a, in_i1, in_i2, _, _ = params.rates
+
+    def f(y: np.ndarray) -> np.ndarray:
+        S, E1, E2, I1, I2, A, R = y[0], y[1], y[2], y[3], y[4], y[5], y[6]
+        force = beta * S * (E2 + I2 + omega * A)
+        return np.array([
+            L - force - mu * S,
+            force - k_e1 * E1,
+            sigma * E1 - k_e2 * E2,
+            in_i1 * E2 - k_i1 * I1,
+            in_i2 * E2 - k_i2 * I2,
+            eps * E1 - k_a * A,
+            g1 * I1 + g2 * I2 + g3 * A - mu * R,
+            in_i1 * E2,
+            in_i2 * E2,
+            eps * E1,
+        ])
+
+    return f
+
+
 def rhs(state, params: ModelParameters) -> np.ndarray:
     """Time derivative of the seven compartments at ``state``.
 
-    The componentwise sum telescopes to the population balance
+    The first seven components of :func:`extended_field`.  The
+    componentwise sum telescopes to the population balance
     Lambda - mu*N - phi1*I1 - phi2*I2.
     """
     y = state_array(state)
     if not np.all(np.isfinite(y)):
         raise ValueError("state components must be finite")
-    S, E1, E2, I1, I2, A, R = y
-    p = params
-    force = p.beta * S * (E2 + I2 + p.omega * A)
-    return np.array([
-        p.Lambda - force - p.mu * S,
-        force - (p.sigma + p.epsilon + p.mu) * E1,
-        p.sigma * E1 - (p.alpha + p.mu) * E2,
-        p.rho * p.alpha * E2 - (p.gamma1 + p.phi1 + p.mu) * I1,
-        (1.0 - p.rho) * p.alpha * E2 - (p.gamma2 + p.phi2 + p.mu) * I2,
-        p.epsilon * E1 - (p.gamma3 + p.mu) * A,
-        p.gamma1 * I1 + p.gamma2 * I2 + p.gamma3 * A - p.mu * R,
-    ])
+    return extended_field(params)(y)[:7]
 
 
 def population_balance(state, params: ModelParameters) -> float:
@@ -201,6 +274,7 @@ def jacobian(state, params: ModelParameters) -> np.ndarray:
         raise ValueError("state components must be finite")
     S, E1, E2, I1, I2, A, R = y
     p = params
+    r = p.rates
     force = p.beta * (E2 + I2 + p.omega * A)  # force of infection per susceptible
     bS = p.beta * S
     J = np.zeros((7, 7))
@@ -209,18 +283,18 @@ def jacobian(state, params: ModelParameters) -> np.ndarray:
     J[0, 4] = -bS
     J[0, 5] = -p.omega * bS
     J[1, 0] = force
-    J[1, 1] = -(p.sigma + p.epsilon + p.mu)
+    J[1, 1] = -r.k_E1
     J[1, 2] = bS
     J[1, 4] = bS
     J[1, 5] = p.omega * bS
     J[2, 1] = p.sigma
-    J[2, 2] = -(p.alpha + p.mu)
-    J[3, 2] = p.rho * p.alpha
-    J[3, 3] = -(p.gamma1 + p.phi1 + p.mu)
-    J[4, 2] = (1.0 - p.rho) * p.alpha
-    J[4, 4] = -(p.gamma2 + p.phi2 + p.mu)
+    J[2, 2] = -r.k_E2
+    J[3, 2] = r.in_I1
+    J[3, 3] = -r.k_I1
+    J[4, 2] = r.in_I2
+    J[4, 4] = -r.k_I2
     J[5, 1] = p.epsilon
-    J[5, 5] = -(p.gamma3 + p.mu)
+    J[5, 5] = -r.k_A
     J[6, 3] = p.gamma1
     J[6, 4] = p.gamma2
     J[6, 5] = p.gamma3
@@ -236,16 +310,9 @@ def control_reproduction_number(params: ModelParameters) -> float:
           + epsilon*omega/(gamma3+mu) ]
 
     Linear in beta and strictly decreasing in rho (rho enters only through
-    the undetected-symptomatic term).
+    the undetected-symptomatic term).  Read from :attr:`ModelParameters.rates`.
     """
-    p = params
-    bracket = (
-        p.sigma / (p.alpha + p.mu)
-        + p.sigma * (1.0 - p.rho) * p.alpha
-        / ((p.alpha + p.mu) * (p.gamma2 + p.phi2 + p.mu))
-        + p.epsilon * p.omega / (p.gamma3 + p.mu)
-    )
-    return p.beta * p.S0 / (p.sigma + p.epsilon + p.mu) * bracket
+    return params.rates.r_c
 
 
 def next_generation_matrices(params: ModelParameters) -> tuple[np.ndarray, np.ndarray]:
@@ -256,54 +323,30 @@ def next_generation_matrices(params: ModelParameters) -> tuple[np.ndarray, np.nd
     outflow rates on the diagonal.
     """
     p = params
+    r = p.rates
     bS0 = p.beta * p.S0
     F = np.zeros((5, 5))
     F[0, 1] = bS0
     F[0, 3] = bS0
     F[0, 4] = p.omega * bS0
-    V = np.zeros((5, 5))
-    V[0, 0] = p.sigma + p.epsilon + p.mu
+    V = np.diag([r.k_E1, r.k_E2, r.k_I1, r.k_I2, r.k_A])
     V[1, 0] = -p.sigma
-    V[1, 1] = p.alpha + p.mu
-    V[2, 1] = -p.rho * p.alpha
-    V[2, 2] = p.gamma1 + p.phi1 + p.mu
-    V[3, 1] = -(1.0 - p.rho) * p.alpha
-    V[3, 3] = p.gamma2 + p.phi2 + p.mu
+    V[2, 1] = -r.in_I1
+    V[3, 1] = -r.in_I2
     V[4, 0] = -p.epsilon
-    V[4, 4] = p.gamma3 + p.mu
     return F, V
 
 
-def _solve_lower_triangular(V: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Forward substitution for V X = B with V lower triangular."""
-    B = np.atleast_2d(B.T).T  # promote vectors to single-column matrices
-    n = V.shape[0]
-    X = np.zeros_like(B, dtype=float)
-    for i in range(n):
-        if V[i, i] == 0.0:
-            raise np.linalg.LinAlgError("transition matrix V is singular")
-        X[i] = (B[i] - V[i, :i] @ X[:i]) / V[i, i]
-    return X
-
-
-def ngm_spectral_radius(F: np.ndarray, V: np.ndarray,
-                        method: str = "trace") -> float:
+def ngm_spectral_radius(F: np.ndarray, V: np.ndarray) -> float:
     """Spectral radius of the next-generation matrix F V^-1.
 
-    ``method="trace"`` exploits that F is rank one, so the single nonzero
-    eigenvalue of F V^-1 equals its trace; V^-1 comes from forward
-    substitution. ``method="dense"`` runs a general dense eigenvalue
-    computation and is kept as a cross-check.
+    A general dense eigenvalue computation, max |eig(F V^-1)|.  It assumes
+    nothing about the structure of F (for this model F has rank one), so it
+    is an independent check of the closed-form R_c.  A singular V raises
+    ``numpy.linalg.LinAlgError``.
     """
-    F = np.asarray(F, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if method == "trace":
-        Vinv = _solve_lower_triangular(V, np.eye(V.shape[0]))
-        return abs(float(np.trace(F @ Vinv)))
-    if method == "dense":
-        M = F @ np.linalg.inv(V)
-        return float(np.max(np.abs(np.linalg.eigvals(M))))
-    raise ValueError(f"unknown method {method!r}")
+    M = np.asarray(F, dtype=float) @ np.linalg.inv(np.asarray(V, dtype=float))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def disease_free_equilibrium(params: ModelParameters) -> EquilibriumPoint:
@@ -317,35 +360,23 @@ def endemic_equilibrium(params: ModelParameters) -> Optional[EquilibriumPoint]:
 
     E1* = Lambda*(R_c - 1)/((sigma+epsilon+mu)*R_c) -- the simplified form of
     the positive root of the equilibrium equation, which avoids the
-    cancellation in the raw -(mu*beta*S0 - Lambda*beta*R_c) numerator.  The
-    remaining components follow by the fixed outflow ratios, and the result
-    satisfies R_c = S0/S*.
+    cancellation in the raw -(mu*beta*S0 - Lambda*beta*R_c) numerator.  E2,
+    I1, I2 and A follow by the fixed outflow ratios, R* balances the
+    recoveries against mu*R, and S* = Lambda/(beta*E1*bracket + mu) with the
+    bracket of R_c, so the result satisfies R_c = S0/S*.
     """
     p = params
-    rc = control_reproduction_number(p)
-    if rc <= 1.0:
+    r = p.rates
+    if r.r_c <= 1.0:
         return None
-    conv = p.sigma + p.epsilon + p.mu
-    e1 = p.Lambda * (rc - 1.0) / (conv * rc)
-    e2 = p.sigma / (p.alpha + p.mu) * e1
-    i1 = p.sigma * p.rho * p.alpha / ((p.alpha + p.mu) * (p.gamma1 + p.phi1 + p.mu)) * e1
-    i2 = (p.sigma * (1.0 - p.rho) * p.alpha
-          / ((p.alpha + p.mu) * (p.gamma2 + p.phi2 + p.mu)) * e1)
-    a = p.epsilon / (p.gamma3 + p.mu) * e1
-    r = e1 / p.mu * (
-        p.sigma * p.rho * p.alpha * p.gamma1
-        / ((p.alpha + p.mu) * (p.gamma1 + p.phi1 + p.mu))
-        + p.sigma * (1.0 - p.rho) * p.alpha * p.gamma2
-        / ((p.alpha + p.mu) * (p.gamma2 + p.phi2 + p.mu))
-        + p.epsilon * p.gamma3 / (p.gamma3 + p.mu)
-    )
-    s = p.Lambda / (p.beta * e1 * (
-        p.sigma / (p.alpha + p.mu)
-        + p.sigma * (1.0 - p.rho) * p.alpha
-        / ((p.alpha + p.mu) * (p.gamma2 + p.phi2 + p.mu))
-        + p.epsilon * p.omega / (p.gamma3 + p.mu)
-    ) + p.mu)
-    point = EquilibriumPoint("endemic", StateVector(s, e1, e2, i1, i2, a, r))
+    e1 = p.Lambda * (r.r_c - 1.0) / (r.k_E1 * r.r_c)
+    e2 = p.sigma / r.k_E2 * e1
+    i1 = p.sigma * r.in_I1 / (r.k_E2 * r.k_I1) * e1
+    i2 = p.sigma * r.in_I2 / (r.k_E2 * r.k_I2) * e1
+    a = p.epsilon / r.k_A * e1
+    recovered = (p.gamma1 * i1 + p.gamma2 * i2 + p.gamma3 * a) / p.mu
+    s = p.Lambda / (p.beta * e1 * r.bracket + p.mu)
+    point = EquilibriumPoint("endemic", StateVector(s, e1, e2, i1, i2, a, recovered))
     residual = float(np.max(np.abs(rhs(point.state, p))))
     if residual > equilibrium_tolerance(p):
         raise ArithmeticError(

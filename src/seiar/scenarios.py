@@ -9,7 +9,7 @@ stable, unlike point prevalences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -156,11 +156,7 @@ def forecast(fit: FitResult, horizon: int) -> Forecast:
     if horizon < 1:
         raise ValueError("horizon must be at least 1 day")
     window = fit.integrator
-    config = IntegratorConfig(
-        t0=window.t0, t_end=window.t0 + fit.n_days + horizon,
-        method=window.method, step=window.step, rtol=window.rtol,
-        atol=window.atol, sample_per_day=window.sample_per_day,
-        max_steps=window.max_steps)
+    config = replace(window, t_end=window.t0 + fit.n_days + horizon)
     traj = integrate(fit.params, fit.initial, config)
     full = daily_incidence(traj)
     extension = IncidenceSeries(days=full.days[fit.n_days:fit.n_days + horizon].copy(),

@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationError
-from .model import ModelParameters, StateVector, state_array
+from .model import ModelParameters, StateVector, extended_field, state_array
 
 #: undershoot tolerance band, relative to the initial total population
 NEGATIVITY_BAND = 1e-9
@@ -173,42 +172,6 @@ class ClassBreakdown:
         return self.cum_I1 + self.cum_I2 + self.cum_A
 
 
-def _extended_rhs(params: ModelParameters) -> Callable[[np.ndarray], np.ndarray]:
-    """Derivative of the 10-component state (7 compartments + 3 counters)."""
-    L = params.Lambda
-    mu = params.mu
-    beta = params.beta
-    omega = params.omega
-    k_e1 = params.sigma + params.epsilon + params.mu
-    k_e2 = params.alpha + params.mu
-    k_i1 = params.gamma1 + params.phi1 + params.mu
-    k_i2 = params.gamma2 + params.phi2 + params.mu
-    k_a = params.gamma3 + params.mu
-    sigma = params.sigma
-    eps = params.epsilon
-    in_i1 = params.rho * params.alpha
-    in_i2 = (1.0 - params.rho) * params.alpha
-    g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
-
-    def f(y: np.ndarray) -> np.ndarray:
-        S, E1, E2, I1, I2, A, R = y[0], y[1], y[2], y[3], y[4], y[5], y[6]
-        force = beta * S * (E2 + I2 + omega * A)
-        return np.array([
-            L - force - mu * S,
-            force - k_e1 * E1,
-            sigma * E1 - k_e2 * E2,
-            in_i1 * E2 - k_i1 * I1,
-            in_i2 * E2 - k_i2 * I2,
-            eps * E1 - k_a * A,
-            g1 * I1 + g2 * I2 + g3 * A - mu * R,
-            in_i1 * E2,
-            in_i2 * E2,
-            eps * E1,
-        ])
-
-    return f
-
-
 def _output_grid(config: IntegratorConfig) -> np.ndarray:
     span = config.t_end - config.t0
     n_full = int(math.floor(span * config.sample_per_day + 1e-9))
@@ -239,7 +202,7 @@ def integrate(params: ModelParameters, initial,
     n0 = float(y0.sum())
     band = NEGATIVITY_BAND * max(n0, 1.0)
     atol = config.atol if config.atol is not None else 1e-10 * max(n0, 1.0)
-    f = _extended_rhs(params)
+    f = extended_field(params)
     out_times = _output_grid(config)
     y = np.concatenate([y0, np.zeros(3)])
     out = np.empty((len(out_times), 10))

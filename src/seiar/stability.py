@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     EquilibriumPoint,
@@ -98,12 +97,10 @@ def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
     the unexpanded product form at ten sample points (1e-9 relative).
     """
     p = params
-    B1 = p.alpha + p.mu
-    B2 = p.gamma2 + p.phi2 + p.mu
-    B3 = p.gamma3 + p.mu
-    C1 = p.sigma + p.epsilon + p.mu
+    r = p.rates
+    B1, B2, B3, C1 = r.k_E2, r.k_I2, r.k_A, r.k_E1
     C2 = p.sigma
-    C3 = p.sigma * (1.0 - p.rho) * p.alpha
+    C3 = p.sigma * r.in_I2
     C4 = p.epsilon * p.omega
     D = p.beta * p.S0
     a1 = B1 + B2 + B3 + C1
@@ -144,6 +141,10 @@ def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertif
     positive; the root inside is then refined by a standard bracketing
     root finder.
     """
+    # imported here: scipy.optimize is most of the package's import time,
+    # and this is its only use
+    from scipy.optimize import brentq
+
     if not coeffs.a4 < 0.0:
         return PositiveRootCertificate(exists=False)
     hi = max(1.0, coeffs.B1 + coeffs.B2 + coeffs.B3 + coeffs.C1)
@@ -179,17 +180,16 @@ def lyapunov_value(state, params: ModelParameters) -> float:
     if not S > 0:
         raise ValueError(f"lyapunov_value requires S > 0, got {S!r}")
     p = params
+    r = p.rates
     S0 = p.S0
     bS0 = p.beta * S0
-    rc = control_reproduction_number(p)
     return float(
         S0 * entropy_h(S / S0)
-        + rc * E1
-        + bS0 / (p.alpha + p.mu) * E2
-        + p.omega * bS0 / (p.gamma3 + p.mu) * A
-        + bS0 / (p.gamma2 + p.phi2 + p.mu) * ((1.0 - p.rho) * E2 + I2)
-        - bS0 * (1.0 - p.rho) * p.mu
-        / ((p.alpha + p.mu) * (p.gamma2 + p.phi2 + p.mu)) * E2
+        + r.r_c * E1
+        + bS0 / r.k_E2 * E2
+        + p.omega * bS0 / r.k_A * A
+        + bS0 / r.k_I2 * ((1.0 - p.rho) * E2 + I2)
+        - bS0 * (1.0 - p.rho) * p.mu / (r.k_E2 * r.k_I2) * E2
     )
 
 
@@ -205,9 +205,8 @@ def lyapunov_derivative(state, params: ModelParameters) -> float:
     if not S > 0:
         raise ValueError(f"lyapunov_derivative requires S > 0, got {S!r}")
     p = params
-    rc = control_reproduction_number(p)
     return float(-(p.mu / S) * (S - p.S0) ** 2
-                 + (rc - 1.0) * p.beta * S * (E2 + I2 + p.omega * A))
+                 + (p.rates.r_c - 1.0) * p.beta * S * (E2 + I2 + p.omega * A))
 
 
 #: V is allowed to increase between samples by this fraction of its scale
@@ -275,9 +274,8 @@ def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
 
 def _rate_scale(params: ModelParameters) -> float:
     p = params
-    return max(p.alpha + p.mu, p.gamma2 + p.phi2 + p.mu, p.gamma3 + p.mu,
-               p.sigma + p.epsilon + p.mu, p.gamma1 + p.phi1 + p.mu,
-               p.mu, p.beta * p.S0)
+    r = p.rates
+    return max(r.k_E1, r.k_E2, r.k_I1, r.k_I2, r.k_A, p.mu, p.beta * p.S0)
 
 
 #: verdict margin as a fraction of the dominant linearized rate

@@ -2,18 +2,23 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from seiar import ObservedSeries, peak
+import seiar
+from seiar import ObservedSeries, peak, rho_sweep
 from seiar.cli import main
 from seiar.config import load_config, parse_config
 from seiar.errors import ConfigError, DataError
 from seiar.io import read_case_series, write_case_series
 from seiar.presets import VARIANT_614G
-from seiar.simulate import IncidenceSeries
+from seiar.simulate import IncidenceSeries, IntegratorConfig
 
 P = VARIANT_614G
 
@@ -319,12 +324,43 @@ class TestSweepCommand:
         assert decline["total"] > 0.0
         assert decline["asymptomatic"] > 0.0
 
+    def test_honours_integrator_section(self, tmp_path):
+        cfg = base_config()
+        cfg["scenario"] = {"horizon": 60.0}
+        default_path = write_config(tmp_path / "default.yaml", cfg)
+        cfg["integrator"].update(method="rk4", step=0.5)
+        rk4_path = write_config(tmp_path / "rk4.yaml", cfg)
+        for name, path in (("default", default_path), ("rk4", rk4_path)):
+            assert main(["sweep", "--config", path, "--out", str(tmp_path / name)]) == 0
+
+        base = load_config(rk4_path).fixed_parameters()
+        window = IntegratorConfig(t_end=60.0, method="rk4", step=0.5, sample_per_day=1)
+        expected = rho_sweep(base, (0.2, 0.4, 0.6, 0.8), 60.0, window)
+        rows = [[float(v) for v in row]
+                for row in read_rows(tmp_path / "rk4" / "sweep.csv")[1:]]
+        assert rows == [[s.rho, s.cum_total, s.cum_I1, s.cum_I2, s.cum_A,
+                         s.cum_proportions[2], s.prevalence_proportions[2]]
+                        for s in expected.scenarios]
+        assert ((tmp_path / "rk4" / "sweep.csv").read_bytes()
+                != (tmp_path / "default" / "sweep.csv").read_bytes())
+
     def test_single_rho_is_config_error(self, tmp_path):
         cfg = base_config()
         cfg["scenario"] = {"rho_values": [0.5], "horizon": 30.0}
         cfg_path = write_config(tmp_path / "run.yaml", cfg)
         assert main(["sweep", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(seiar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, seiar.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "False"
 
 
 class TestPredictCommand:

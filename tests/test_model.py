@@ -23,6 +23,7 @@ from seiar import (
     population_balance,
     rhs,
 )
+from seiar.model import extended_field
 from seiar.presets import VARIANTS
 
 
@@ -78,6 +79,43 @@ class TestRhs:
     def test_accepts_state_vector_instances(self, params_614g):
         sv = StateVector(1e6, 10.0, 5.0, 1.0, 2.0, 3.0, 0.0)
         assert np.array_equal(rhs(sv, params_614g), rhs(sv.as_array(), params_614g))
+
+
+class TestRateTable:
+    def test_entries_equal_their_sums(self, rng):
+        for _ in range(100):
+            p = draw_params(rng)
+            r = p.rates
+            assert r.k_E1 == p.sigma + p.epsilon + p.mu
+            assert r.k_E2 == p.alpha + p.mu
+            assert r.k_I1 == p.gamma1 + p.phi1 + p.mu
+            assert r.k_I2 == p.gamma2 + p.phi2 + p.mu
+            assert r.k_A == p.gamma3 + p.mu
+            assert r.in_I1 == p.rho * p.alpha
+            assert r.in_I2 == (1.0 - p.rho) * p.alpha
+            assert r.r_c == p.beta * p.S0 / r.k_E1 * r.bracket
+
+    def test_with_updates_gets_a_fresh_table(self, params_614g):
+        p = params_614g
+        before = p.rates
+        q = p.with_updates(rho=0.8)
+        assert q.rates.in_I1 == 0.8 * p.alpha
+        assert q.rates.in_I2 == (1.0 - 0.8) * p.alpha
+        assert q.rates.r_c < before.r_c
+        assert p.rates is before
+        assert q == p.with_updates(rho=0.8)  # the table takes no part in equality
+
+    def test_extended_field_counters_and_compartments(self, rng):
+        for _ in range(20):
+            p = draw_params(rng)
+            y = random_state(rng)
+            full = extended_field(p)(y)
+            E1, E2 = y[1], y[2]
+            assert full.shape == (10,)
+            assert full[7] == p.rates.in_I1 * E2
+            assert full[8] == p.rates.in_I2 * E2
+            assert full[9] == p.epsilon * E1
+            assert np.array_equal(full[:7], rhs(y, p))
 
 
 class TestPopulationBalance:
@@ -153,7 +191,6 @@ class TestNgmSpectralRadius:
         F = np.zeros((5, 5))
         F[0, 1] = 3.7
         assert ngm_spectral_radius(F, np.eye(5)) == 0.0
-        assert ngm_spectral_radius(F, np.eye(5), method="dense") == 0.0
 
     def test_matches_closed_form_on_variants(self, variant):
         _, p = variant
@@ -161,15 +198,12 @@ class TestNgmSpectralRadius:
         rc = control_reproduction_number(p)
         assert ngm_spectral_radius(F, V) == pytest.approx(rc, rel=1e-12)
 
-    def test_trace_and_dense_routes_agree(self, rng):
+    def test_matches_closed_form_on_random_draws(self, rng):
         for _ in range(200):
             p = draw_params(rng)
             F, V = next_generation_matrices(p)
-            trace = ngm_spectral_radius(F, V)
-            dense = ngm_spectral_radius(F, V, method="dense")
             rc = control_reproduction_number(p)
-            assert trace == pytest.approx(rc, rel=1e-10)
-            assert dense == pytest.approx(rc, rel=1e-10)
+            assert ngm_spectral_radius(F, V) == pytest.approx(rc, rel=1e-10)
 
     def test_singular_v_raises(self):
         with pytest.raises(np.linalg.LinAlgError):

@@ -14,11 +14,11 @@ from seiar import (
     synthesize_data,
 )
 from seiar.calibrate import ParameterSpec
+from seiar.model import extended_field
 from seiar.scenarios import RhoScenario, SweepResult
 from seiar.presets import VARIANT_614G, VARIANTS
 from seiar.simulate import (
     IntegratorConfig,
-    _extended_rhs,
     daily_incidence,
     integrate,
 )
@@ -107,7 +107,7 @@ class TestRhoSweep:
         sweep = rho_sweep((p, y0), rho_values=(0.2, 0.8), horizon=365.0)
         end = {}
         for rho in (0.2, 0.8):
-            f = _extended_rhs(p.with_updates(rho=rho))
+            f = extended_field(p.with_updates(rho=rho))
             sol = solve_ivp(lambda t, y: f(y), (0.0, 365.0),
                             np.concatenate([y0, np.zeros(3)]),
                             method="DOP853", rtol=1e-13, atol=1e-6)
