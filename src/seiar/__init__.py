@@ -52,6 +52,7 @@ from .simulate import (
     cumulative_by_class,
     daily_incidence,
     integrate,
+    integrate_ensemble,
     peak,
 )
 from .stability import (
@@ -65,6 +66,7 @@ from .stability import (
     lyapunov_audit,
     lyapunov_derivative,
     lyapunov_value,
+    lyapunov_values,
     positive_root_certificate,
     quartic_coefficients,
     quartic_value,

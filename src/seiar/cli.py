@@ -53,11 +53,11 @@ def cmd_simulate(config: RunConfig, args) -> None:
     traj = integrate(params, initial, window)
     incidence = daily_incidence(traj)
     out = _out_dir(args)
+    # rows of Python floats and ints format much faster than numpy scalars
     write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
-              ((traj.times[i], *traj.states[i], *traj.cumulative_inflows[i])
-               for i in range(len(traj.times))))
+              np.column_stack((traj.times, traj.states, traj.cumulative_inflows)).tolist())
     write_csv(out / "incidence.csv", ("day", "new_confirmed"),
-              zip(incidence.days, incidence.values))
+              zip(incidence.days.tolist(), incidence.values.tolist()))
 
 
 def _eigen_rows(prefix: str, eigenvalues: np.ndarray):

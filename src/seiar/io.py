@@ -28,6 +28,9 @@ def format_float(value: float) -> str:
 
 
 def _cell(value) -> str:
+    # plain floats, most cells by far, skip the chain of isinstance checks
+    if type(value) is float:
+        return format_float(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -56,7 +59,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     def writer(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
     _atomic_write(Path(path), writer)
 

@@ -11,7 +11,9 @@ Two steppers are provided: an embedded Fehlberg 4(5) pair with proportional
 step control (default) and a fixed-step classical 4th-order Runge-Kutta kept
 for convergence checks.  Both abort, rather than clip, when a compartment
 undershoots below -1e-9 * N(0); clipping would silently break the population
-balance.
+balance.  Both step a component-major state of shape (10,) for one run or
+(10, m) for an ensemble of m runs that share every step
+(:func:`integrate_ensemble`).
 """
 
 from __future__ import annotations
@@ -181,12 +183,38 @@ def _output_grid(config: IntegratorConfig) -> np.ndarray:
     return times
 
 
-def _check_state(y: np.ndarray, t: float, band: float) -> None:
-    if not np.all(np.isfinite(y)):
+def _check_state(y: np.ndarray, t: float, band) -> None:
+    if not np.isfinite(y).all():
         raise IntegrationError("state became non-finite", t)
-    if np.min(y[:7]) < -band:
+    low = y[:7].min(axis=0)
+    if (low < -band).any():
         raise IntegrationError(
-            f"compartment undershot the nonnegativity band by {-np.min(y[:7]):.3e}", t)
+            f"compartment undershot the nonnegativity band by {-low.min():.3e}", t)
+
+
+def _solve(params: ModelParameters, y0: np.ndarray,
+           config: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate from component-major initial compartments of shape (7,) or
+    (7, m); return the output times and the stored (n, 10) or (n, 10, m) block.
+
+    Every member gets its own atol and negativity band from its own N(0).
+    """
+    if np.any(y0 < 0):
+        raise ValueError("initial state must be nonnegative")
+    n0 = np.maximum(y0.sum(axis=0), 1.0)
+    band = NEGATIVITY_BAND * n0
+    atol = config.atol if config.atol is not None else 1e-10 * n0
+    f = extended_field(params)
+    out_times = _output_grid(config)
+    y = np.concatenate([y0, np.zeros((3,) + y0.shape[1:])])
+    out = np.empty((len(out_times),) + y.shape)
+    out[0] = y
+
+    if config.method == "rk4":
+        _run_rk4(f, y, out_times, out, config.step, band, config.max_steps)
+    else:
+        _run_fehlberg(f, y, out_times, out, config.rtol, atol, band, config.max_steps)
+    return out_times, out
 
 
 def integrate(params: ModelParameters, initial,
@@ -196,25 +224,25 @@ def integrate(params: ModelParameters, initial,
     The three cumulative inflow counters start at zero and are integrated
     alongside the compartments as extra quadrature states.
     """
-    y0 = state_array(initial)
-    if np.any(y0 < 0):
-        raise ValueError("initial state must be nonnegative")
-    n0 = float(y0.sum())
-    band = NEGATIVITY_BAND * max(n0, 1.0)
-    atol = config.atol if config.atol is not None else 1e-10 * max(n0, 1.0)
-    f = extended_field(params)
-    out_times = _output_grid(config)
-    y = np.concatenate([y0, np.zeros(3)])
-    out = np.empty((len(out_times), 10))
-    out[0] = y
+    times, out = _solve(params, state_array(initial), config)
+    return Trajectory(times=times, states=out[:, :7], cumulative_inflows=out[:, 7:])
 
-    if config.method == "rk4":
-        _run_rk4(f, y, out_times, out, config.step, band, config.max_steps)
-    else:
-        _run_fehlberg(f, y, out_times, out, config.rtol, atol, band, config.max_steps)
 
-    return Trajectory(times=out_times, states=out[:, :7].copy(),
-                      cumulative_inflows=out[:, 7:].copy())
+def integrate_ensemble(params: ModelParameters, initials,
+                       config: IntegratorConfig) -> list[Trajectory]:
+    """Solve the model from each of ``initials`` in one stepping loop.
+
+    All members share every step; the step controller takes the worst
+    member's RMS error, so every accepted step meets every member's
+    tolerance.  The trajectories are views into one
+    stored (n, 10, m) block.  A member that undershoots its band or turns
+    non-finite fails the whole call, and ``max_steps`` counts shared steps.
+    """
+    y0 = np.stack([state_array(s) for s in initials], axis=1)
+    times, out = _solve(params, y0, config)
+    return [Trajectory(times=times, states=out[:, :7, i],
+                       cumulative_inflows=out[:, 7:, i])
+            for i in range(y0.shape[1])]
 
 
 def _rk4_step(f, y, h):
@@ -247,18 +275,26 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, max_steps):
     next_out = 1
     h_prop = min(0.25, out_times[-1] - t)
     hmin = 1e-12 * max(1.0, abs(out_times[-1] - out_times[0]))
-    k = np.empty((6, y.size))
+    # stages are kept flat, (6, 10*m), so that each combination of them is
+    # one matrix-vector product into a preallocated buffer for any m
+    k = np.empty((6,) + y.shape)
+    k_flat = k.reshape(6, -1)
+    comb = np.empty(y.shape)
+    comb_flat = comb.reshape(-1)
     taken = 0
     while next_out < len(out_times):
         h = min(h_prop, out_times[next_out] - t)
         clamped = h < h_prop
         k[0] = f(y)
         for s in range(1, 6):
-            k[s] = f(y + h * (_A_ROWS[s] @ k[:s]))
-        y5 = y + h * (_B5 @ k)
-        err_vec = h * (_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            np.dot(_A_ROWS[s], k_flat[:s], out=comb_flat)
+            k[s] = f(y + h * comb)
+        np.dot(_B5, k_flat, out=comb_flat)
+        y5 = y + h * comb
+        np.dot(_ERR, k_flat, out=comb_flat)
+        q = h * comb / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        # RMS over the 10 components of each member; the worst member decides
+        err = math.sqrt((q * q).sum(axis=0).max() / len(y))
         if not math.isfinite(err):
             raise IntegrationError("error estimate became non-finite", t)
         if err <= 1.0:

@@ -12,7 +12,6 @@ Three kinds of evidence are produced, none of them symbolic proofs:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .model import (
     rhs,
     state_array,
 )
-from .simulate import IntegratorConfig, integrate
+from .simulate import IntegratorConfig, integrate, integrate_ensemble
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,36 @@ def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertif
     return PositiveRootCertificate(exists=True, bracket=(0.0, hi), root=root)
 
 
-def entropy_h(x: float) -> float:
-    """h(x) = x - 1 - ln x for x > 0; nonnegative, zero only at x = 1."""
-    if not x > 0:
-        raise ValueError(f"entropy_h requires x > 0, got {x!r}")
-    return x - 1.0 - math.log(x)
+def entropy_h(x):
+    """h(x) = x - 1 - ln x for x > 0, elementwise; nonnegative, zero only at x = 1."""
+    if not np.all(x > 0):
+        raise ValueError(f"entropy_h requires x > 0, got {float(np.min(x))!r}")
+    return x - 1.0 - np.log(x)
+
+
+def lyapunov_values(states, params: ModelParameters) -> np.ndarray:
+    """Energy function V at every state of an array whose last axis holds
+    the seven compartments (S, E1, E2, I1, I2, A, R); see
+    :func:`lyapunov_value` for the formula.
+
+    Raises ValueError if any state has S <= 0.
+    """
+    states = np.asarray(states, dtype=float)
+    S, E1, E2, I2, A = (states[..., i] for i in (0, 1, 2, 4, 5))
+    if not np.all(S > 0):
+        raise ValueError(f"lyapunov_value requires S > 0, got {float(np.min(S))!r}")
+    p = params
+    r = p.rates
+    S0 = p.S0
+    bS0 = p.beta * S0
+    return (
+        S0 * entropy_h(S / S0)
+        + r.r_c * E1
+        + bS0 / r.k_E2 * E2
+        + p.omega * bS0 / r.k_A * A
+        + bS0 / r.k_I2 * ((1.0 - p.rho) * E2 + I2)
+        - bS0 * (1.0 - p.rho) * p.mu / (r.k_E2 * r.k_I2) * E2
+    )
 
 
 def lyapunov_value(state, params: ModelParameters) -> float:
@@ -175,22 +199,7 @@ def lyapunov_value(state, params: ModelParameters) -> float:
     The three E2 terms combine to a strictly positive net coefficient, so V
     vanishes only at the disease-free point.
     """
-    y = state_array(state)
-    S, E1, E2, _, I2, A, _ = y
-    if not S > 0:
-        raise ValueError(f"lyapunov_value requires S > 0, got {S!r}")
-    p = params
-    r = p.rates
-    S0 = p.S0
-    bS0 = p.beta * S0
-    return float(
-        S0 * entropy_h(S / S0)
-        + r.r_c * E1
-        + bS0 / r.k_E2 * E2
-        + p.omega * bS0 / r.k_A * A
-        + bS0 / r.k_I2 * ((1.0 - p.rho) * E2 + I2)
-        - bS0 * (1.0 - p.rho) * p.mu / (r.k_E2 * r.k_I2) * E2
-    )
+    return float(lyapunov_values(state_array(state), params))
 
 
 def lyapunov_derivative(state, params: ModelParameters) -> float:
@@ -222,34 +231,8 @@ def lyapunov_audit(params: ModelParameters, initial, horizon: float,
 
     Refuses (raises ValueError) when R_c >= 1, where no decrease is claimed.
     """
-    rc = control_reproduction_number(params)
-    if rc >= 1.0:
-        raise ValueError(
-            f"lyapunov audit requires R_c < 1 (got R_c = {rc:.6g}); "
-            "the decrease property does not hold otherwise")
-    if config is None:
-        config = IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10,
-                                  sample_per_day=1)
-    traj = integrate(params, initial, config)
-    v = np.array([lyapunov_value(s, params) for s in traj.states])
-    vref = max(float(np.max(np.abs(v))), 1.0)
-    increases = np.diff(v)
-    max_violation = float(np.max(increases, initial=0.0)) / vref
-    p0 = disease_free_equilibrium(params).state.as_array()
-    n0 = max(float(state_array(initial).sum()), 1.0)
-    final_distance = float(np.max(np.abs(traj.states[-1] - p0))) / n0
-    monotone_ok = max_violation <= AUDIT_WIGGLE
-    converged = final_distance < AUDIT_DISTANCE
-    reason = None
-    if not monotone_ok:
-        reason = f"V increased by {max_violation:.3e} (relative) between samples"
-    elif not converged:
-        reason = (f"state ended {final_distance:.3e} * N(0) away from the "
-                  "disease-free point; horizon may be too short")
-    return LyapunovAudit(passed=monotone_ok and converged,
-                         max_violation=max_violation,
-                         final_distance=final_distance,
-                         horizon=horizon, reason=reason)
+    config = _audit_window(params, horizon, config)
+    return _judge_runs(params, [integrate(params, initial, config)], horizon)[0]
 
 
 def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
@@ -261,14 +244,54 @@ def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
     infected compartments drawn uniformly from [0, seed_scale * N(0)];
     seedings are kept small enough that the slow (rate mu) demographic
     relaxation of S and R back to the disease-free point fits the horizon.
+    All seedings are integrated together, as one ensemble.
     """
+    config = _audit_window(params, horizon)
     rng = np.random.default_rng(seed)
     s0 = params.S0
+    initials = [np.array([s0, *rng.uniform(0.0, seed_scale * s0, size=5), 0.0])
+                for _ in range(n_seeds)]
+    return _judge_runs(params, integrate_ensemble(params, initials, config), horizon)
+
+
+def _audit_window(params: ModelParameters, horizon: float,
+                  config: IntegratorConfig | None = None) -> IntegratorConfig:
+    """The audit's integration settings; refuses R_c >= 1."""
+    rc = control_reproduction_number(params)
+    if rc >= 1.0:
+        raise ValueError(
+            f"lyapunov audit requires R_c < 1 (got R_c = {rc:.6g}); "
+            "the decrease property does not hold otherwise")
+    if config is None:
+        config = IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10,
+                                  sample_per_day=1)
+    return config
+
+
+def _judge_runs(params: ModelParameters, trajs,
+                horizon: float) -> list[LyapunovAudit]:
+    """Judge runs stored on one time grid: V must not increase between
+    samples, and each run must end near the disease-free point P0."""
+    v = np.stack([lyapunov_values(traj.states, params) for traj in trajs], axis=1)
+    vref = np.maximum(np.abs(v).max(axis=0), 1.0)
+    max_violation = np.diff(v, axis=0).max(axis=0, initial=0.0) / vref
+    p0 = disease_free_equilibrium(params).state.as_array()
     audits = []
-    for _ in range(n_seeds):
-        infected = rng.uniform(0.0, seed_scale * s0, size=5)
-        initial = np.array([s0, *infected, 0.0])
-        audits.append(lyapunov_audit(params, initial, horizon))
+    for traj, violation in zip(trajs, max_violation.tolist()):
+        n0 = max(float(traj.states[0].sum()), 1.0)
+        final_distance = float(np.max(np.abs(traj.states[-1] - p0))) / n0
+        monotone_ok = violation <= AUDIT_WIGGLE
+        converged = final_distance < AUDIT_DISTANCE
+        reason = None
+        if not monotone_ok:
+            reason = f"V increased by {violation:.3e} (relative) between samples"
+        elif not converged:
+            reason = (f"state ended {final_distance:.3e} * N(0) away from the "
+                      "disease-free point; horizon may be too short")
+        audits.append(LyapunovAudit(passed=monotone_ok and converged,
+                                    max_violation=violation,
+                                    final_distance=final_distance,
+                                    horizon=horizon, reason=reason))
     return audits
 
 

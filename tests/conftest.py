@@ -62,6 +62,15 @@ def draw_params_at_rc(rng, rc_target: float) -> ModelParameters:
     return p.with_updates(beta=p.beta * rc_target / rc)
 
 
+def audit_seedings(params: ModelParameters, n_seeds: int = 20, seed: int = 0,
+                   seed_scale: float = 2e-6) -> list[np.ndarray]:
+    """The initial states global_stability_certificate draws, in order."""
+    rng = np.random.default_rng(seed)
+    s0 = params.S0
+    return [np.array([s0, *rng.uniform(0.0, seed_scale * s0, size=5), 0.0])
+            for _ in range(n_seeds)]
+
+
 def scale_to_rc(params: ModelParameters, rc_target: float) -> ModelParameters:
     rc = control_reproduction_number(params)
     return params.with_updates(beta=params.beta * rc_target / rc)

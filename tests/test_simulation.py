@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import scale_to_rc
+from conftest import audit_seedings, scale_to_rc
+from scipy.integrate import solve_ivp
 
 from seiar import (
     IncidenceSeries,
@@ -14,10 +15,12 @@ from seiar import (
     daily_incidence,
     disease_free_equilibrium,
     integrate,
+    integrate_ensemble,
     peak,
     population_balance,
 )
-from seiar.presets import VARIANT_614G
+from seiar.model import extended_field
+from seiar.presets import VARIANT_614G, VARIANTS
 from seiar.simulate import _FEHLBERG_A, _FEHLBERG_B4, _FEHLBERG_B5, _check_state
 
 
@@ -26,6 +29,15 @@ def seeded_state(params, e1=100.0):
     y0[0] = params.S0 - e1
     y0[1] = e1
     return y0
+
+
+def fast_614g():
+    """614G with every rate times 40: the same epidemic 40 times faster, so
+    the tolerance rather than the one-day output grid limits the step."""
+    rates = ("Lambda", "mu", "beta", "sigma", "epsilon", "alpha",
+             "gamma1", "gamma2", "gamma3", "phi1", "phi2")
+    return VARIANT_614G.with_updates(
+        **{name: 40.0 * getattr(VARIANT_614G, name) for name in rates})
 
 
 def _exact_dot(u, v):
@@ -178,6 +190,91 @@ class TestIntegrate:
                          IntegratorConfig(t_end=7.0, sample_per_day=3))
         assert np.all(np.diff(traj.times) > 0.0)
         assert len(traj.day_boundary_indices()) == 8
+
+    def test_adaptive_error_falls_with_tolerance(self):
+        p = fast_614g()
+        y0 = seeded_state(p)
+        n0 = float(y0.sum())
+        cfg = IntegratorConfig(t_end=365.0 / 40.0, sample_per_day=1)
+        f = extended_field(p)
+        times = integrate(p, y0, cfg).times
+        ref = solve_ivp(lambda t, y: f(y), (cfg.t0, cfg.t_end),
+                        np.concatenate([y0, np.zeros(3)]), method="DOP853",
+                        rtol=1e-13, atol=1e-6, t_eval=times).y.T
+        errors = []
+        for tol in (1e-8, 1e-9, 1e-10, 1e-11):
+            traj = integrate(p, y0, IntegratorConfig(
+                t_end=cfg.t_end, sample_per_day=1, rtol=tol, atol=1e-2 * tol * n0))
+            solution = np.hstack([traj.states, traj.cumulative_inflows])
+            errors.append(float(np.max(np.abs(solution - ref))) / n0)
+        assert all(tighter < looser / 4.0 for looser, tighter in zip(errors, errors[1:]))
+        assert errors[-1] < errors[0] / 300.0
+
+
+class TestIntegrateEnsemble:
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_ensemble_of_one_equals_integrate(self, method):
+        p = VARIANT_614G
+        cfg = IntegratorConfig(t_end=120.0, method=method, step=0.1, sample_per_day=3)
+        solo = integrate(p, seeded_state(p), cfg)
+        [member] = integrate_ensemble(p, [seeded_state(p)], cfg)
+        assert np.array_equal(member.times, solo.times)
+        assert np.array_equal(member.states, solo.states)
+        assert np.array_equal(member.cumulative_inflows, solo.cumulative_inflows)
+
+    def test_audit_members_match_solo_runs(self):
+        p = VARIANTS["Omicron"].with_updates(rho=0.8)
+        initials = audit_seedings(p)
+        cfg = IntegratorConfig(t_end=2000.0, rtol=1e-10, sample_per_day=1)
+        members = integrate_ensemble(p, initials, cfg)
+        assert len(members) == len(initials)
+        for member, y0 in zip(members, initials):
+            solo = integrate(p, y0, cfg)
+            n0 = float(y0.sum())
+            assert np.max(np.abs(member.states - solo.states)) <= 1e-9 * n0
+            assert np.max(np.abs(member.cumulative_inflows
+                                 - solo.cumulative_inflows)) <= 1e-9 * n0
+
+    def test_worst_member_sets_the_shared_step(self):
+        # the idle member alone would stride a whole output interval per step
+        p = fast_614g()
+        cfg = IntegratorConfig(t_end=365.0 / 40.0, sample_per_day=1)
+        dfe = disease_free_equilibrium(p).state.as_array()
+        solo = integrate(p, seeded_state(p), cfg)
+        idle, member = integrate_ensemble(p, [dfe, seeded_state(p)], cfg)
+        assert np.all(idle.states == dfe)
+        n0 = float(seeded_state(p).sum())
+        assert np.max(np.abs(member.states - solo.states)) <= 1e-9 * n0
+
+    def test_one_undershooting_member_fails_the_call(self):
+        # RK4 at a one-day step is unstable for a decay rate of 5/day; the
+        # uninfected member has no A to oscillate and would finish alone
+        p = VARIANT_614G.with_updates(gamma3=5.0)
+        cfg = IntegratorConfig(t_end=30.0, method="rk4", step=1.0, sample_per_day=1)
+        dfe = disease_free_equilibrium(p).state.as_array()
+        integrate(p, dfe, cfg)
+        with pytest.raises(IntegrationError, match="undershot"):
+            integrate_ensemble(p, [dfe, seeded_state(p)], cfg)
+
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_one_non_finite_member_fails_the_call(self, method):
+        p = VARIANT_614G
+        broken = seeded_state(p)
+        broken[2] = float("nan")
+        cfg = IntegratorConfig(t_end=10.0, method=method, sample_per_day=1)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_ensemble(p, [seeded_state(p), broken], cfg)
+
+    def test_max_steps_counts_shared_steps(self):
+        p = VARIANT_614G
+        initials = [seeded_state(p, e1) for e1 in (10.0, 100.0, 1000.0)]
+        # 20 fixed steps of 0.5 days, taken once for all three members
+        budget = IntegratorConfig(t_end=10.0, method="rk4", step=0.5,
+                                  sample_per_day=1, max_steps=20)
+        assert len(integrate_ensemble(p, initials, budget)) == 3
+        with pytest.raises(IntegrationError, match="budget"):
+            integrate_ensemble(p, initials, IntegratorConfig(
+                t_end=10.0, method="rk4", step=0.5, sample_per_day=1, max_steps=19))
 
 
 class TestDailyIncidence:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import draw_params, draw_params_at_rc, scale_to_rc
+from conftest import audit_seedings, draw_params, draw_params_at_rc, scale_to_rc
 
 from seiar import (
     classify_equilibrium,
@@ -14,6 +14,7 @@ from seiar import (
     lyapunov_audit,
     lyapunov_derivative,
     lyapunov_value,
+    lyapunov_values,
     positive_root_certificate,
     quartic_coefficients,
     quartic_value,
@@ -158,6 +159,24 @@ class TestLyapunovValue:
         with pytest.raises(ValueError, match="S > 0"):
             lyapunov_value(state, params_614g)
 
+    def test_array_form_matches_state_by_state(self, rng):
+        for _ in range(20):
+            p = draw_params(rng)
+            states = rng.uniform(0.0, 1e-3 * p.S0, size=(30, 4, 7))
+            states[..., 0] = rng.uniform(0.1 * p.S0, 2.0 * p.S0, size=(30, 4))
+            values = lyapunov_values(states, p)
+            assert values.shape == (30, 4)
+            for index in np.ndindex(values.shape):
+                assert values[index] == pytest.approx(
+                    lyapunov_value(states[index], p), rel=1e-13)
+
+    def test_array_form_rejects_any_nonpositive_s(self, params_614g):
+        p = params_614g
+        states = np.tile(disease_free_equilibrium(p).state.as_array(), (5, 1))
+        states[3, 0] = 0.0
+        with pytest.raises(ValueError, match="S > 0"):
+            lyapunov_values(states, p)
+
 
 class TestLyapunovDerivative:
     def test_zero_at_disease_free_point(self, params_614g):
@@ -225,6 +244,18 @@ class TestLyapunovAudit:
         y0 = np.array([p.S0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="R_c < 1"):
             lyapunov_audit(p, y0, horizon=100.0)
+
+    @pytest.mark.parametrize("variant_name, rho", [("Omicron", 0.8), ("614G", 0.95)])
+    def test_certificate_matches_per_seed_audits(self, variant_name, rho):
+        p = VARIANTS[variant_name].with_updates(rho=rho)
+        audits = global_stability_certificate(p)
+        assert len(audits) == 20
+        for audit, initial in zip(audits, audit_seedings(p)):
+            solo = lyapunov_audit(p, initial, horizon=2000.0)
+            assert audit.passed == solo.passed
+            assert audit.reason == solo.reason
+            assert audit.max_violation == solo.max_violation
+            assert audit.final_distance == pytest.approx(solo.final_distance, rel=1e-9)
 
     def test_certificate_over_seeded_initials(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
