@@ -2,9 +2,9 @@
 
 Generates 60 days of synthetic detected-case data from known parameters with
 5% multiplicative log-normal noise, then fits beta, epsilon and rho with the
-bounded simplex search starting from deliberately wrong guesses. Individual
-rates trade off against each other, so the meaningful score is the recovered
-reproduction number.
+Nelder–Mead simplex (scipy's, over bounded sine coordinates) starting from
+deliberately wrong guesses. Individual rates trade off against each other, so
+the meaningful score is the recovered reproduction number.
 """
 
 import numpy as np

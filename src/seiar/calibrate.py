@@ -2,12 +2,13 @@
 
 The observable is the model's daily inflow into the detected compartment I1,
 compared with observed counts by an unweighted sum of squared residuals.
-Search is a bounded derivative-free simplex method: internally unconstrained
-coordinates are mapped onto each [lo, hi] box through a smooth sine
-bijection, so returned points satisfy their bounds exactly and no gradient
-is ever needed.  Multi-start restarts jitter the initial guess; the best
-replicate wins, ties resolved toward the earlier replicate so results are
-reproducible bit for bit under a fixed seed.
+Search is scipy's Nelder-Mead simplex (``scipy.optimize.minimize``) over
+unconstrained sine coordinates: each coordinate is mapped onto its [lo, hi]
+box through a smooth sine bijection, so the search is independent of the
+parameters' scales, returned points satisfy their bounds exactly and no
+gradient is ever needed.  Multi-start restarts jitter the initial guess; the
+best replicate wins, ties resolved toward the earlier replicate so results
+are reproducible bit for bit under a fixed seed.
 """
 
 from __future__ import annotations
@@ -166,6 +167,13 @@ class ObservedSeries:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Search settings for each restart.
+
+    ``max_evals`` caps objective evaluations per restart (scipy's ``maxfev``);
+    a restart converges once every simplex vertex lies within
+    ``diameter_tol`` of the best one in the sine coordinates (``xatol``).
+    """
+
     restarts: int = 5
     max_evals: int = 2000
     diameter_tol: float = 1e-8
@@ -238,74 +246,6 @@ def _from_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arcsin(u)
 
 
-def _nelder_mead(fun, z0: np.ndarray, max_evals: int, diameter_tol: float):
-    """Standard reflect/expand/contract/shrink simplex with elitist ordering.
-
-    Returns (z_best, f_best, history, n_evals, iterations, converged) where
-    ``history`` holds the best objective after each iteration and is
-    nonincreasing by construction.
-    """
-    n = len(z0)
-    simplex = [z0.copy()]
-    for i in range(n):
-        vertex = z0.copy()
-        vertex[i] += 0.5
-        simplex.append(vertex)
-    values = [fun(z) for z in simplex]
-    n_evals = n + 1
-    history = []
-    iterations = 0
-    converged = False
-
-    def order():
-        idx = sorted(range(len(values)), key=lambda i: (values[i], i))
-        return [simplex[i] for i in idx], [values[i] for i in idx]
-
-    while n_evals < max_evals:
-        simplex, values = order()
-        iterations += 1
-        history.append(values[0])
-        diameter = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
-        if diameter <= diameter_tol * (1.0 + float(np.max(np.abs(simplex[0])))):
-            converged = True
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = fun(reflected)
-        n_evals += 1
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = fun(expanded)
-            n_evals += 1
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-            f_contracted = fun(contracted)
-            n_evals += 1
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                best = simplex[0]
-                for i in range(1, len(simplex)):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    values[i] = fun(simplex[i])
-                    n_evals += 1
-                    if n_evals >= max_evals:
-                        break
-    simplex, values = order()
-    history.append(values[0])
-    return simplex[0], values[0], history, n_evals, iterations, converged
-
-
 def fit(spec: ParameterSpec, data: ObservedSeries,
         fit_config: FitConfig | None = None) -> FitResult:
     """Minimize the SSE objective over the spec's free coordinates.
@@ -345,9 +285,15 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
             raise FitError("fixed configuration does not integrate")
         return package(np.array([]), objective, 0, 1, True, [objective])
 
+    from scipy.optimize import minimize
+
     lo, hi = spec.bounds()
     guess = spec.guesses()
     rng = np.random.default_rng(cfg.seed)
+
+    def objective(z):
+        return sse_objective(_to_box(z, lo, hi), spec, data, integrator)
+
     best = None
     for replicate in range(cfg.restarts):
         if replicate == 0:
@@ -356,16 +302,21 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
             offset = cfg.jitter * (hi - lo) * rng.uniform(-1.0, 1.0, size=len(names))
             x_start = np.clip(guess + offset, lo, hi)
         z0 = _from_box(x_start, lo, hi)
-        result = _nelder_mead(
-            lambda z: sse_objective(_to_box(z, lo, hi), spec, data, integrator),
-            z0, cfg.max_evals, cfg.diameter_tol)
-        if best is None or result[1] < best[1]:
-            best = result
-    z_best, f_best, history, n_evals, iterations, converged = best
-    if f_best >= INTEGRATION_FAILURE_PENALTY:
+        history = []
+        result = minimize(
+            objective, z0, method="Nelder-Mead",
+            callback=lambda intermediate_result: history.append(intermediate_result.fun),
+            options={"initial_simplex": np.vstack([z0, z0 + 0.5 * np.eye(len(z0))]),
+                     "maxfev": cfg.max_evals, "xatol": cfg.diameter_tol,
+                     "fatol": np.inf})
+        history.append(result.fun)
+        if best is None or result.fun < best[0].fun:
+            best = result, history
+    result, history = best
+    if result.fun >= INTEGRATION_FAILURE_PENALTY:
         raise FitError("every restart failed to integrate; check bounds and data")
-    x_best = _to_box(z_best, lo, hi)
-    return package(x_best, f_best, iterations, n_evals, converged, history)
+    return package(_to_box(result.x, lo, hi), result.fun, result.nit, result.nfev,
+                   result.status == 0, history)
 
 
 def synthesize_data(params: ModelParameters, initial, days: int,

@@ -9,10 +9,12 @@ edges is involved).
 
 Two steppers are provided: an embedded Fehlberg 4(5) pair with proportional
 step control (default) and a fixed-step classical 4th-order Runge-Kutta kept
-for convergence checks.  Both abort, rather than clip, when a compartment
-undershoots below -1e-9 * N(0); clipping would silently break the population
-balance.  Both step a component-major state of shape (10,) for one run or
-(10, m) for an ensemble of m runs that share every step
+for convergence checks.  Neither clips a compartment that undershoots below
+-1e-9 * N(0), since clipping would silently break the population balance.
+The Fehlberg stepper rejects such a step and retries it at half the length,
+failing only when the step underflows; RK4, whose step is fixed, aborts.
+Both abort on a non-finite state.  Both step a component-major state of shape
+(10,) for one run or (10, m) for an ensemble of m runs that share every step
 (:func:`integrate_ensemble`).
 """
 
@@ -235,8 +237,10 @@ def integrate_ensemble(params: ModelParameters, initials,
     All members share every step; the step controller takes the worst
     member's RMS error, so every accepted step meets every member's
     tolerance.  The trajectories are views into one
-    stored (n, 10, m) block.  A member that undershoots its band or turns
-    non-finite fails the whole call, and ``max_steps`` counts shared steps.
+    stored (n, 10, m) block.  A step that leaves any member below its band
+    is rejected and retried shorter by the adaptive stepper and fails the
+    whole call under RK4; a member that turns non-finite fails the whole
+    call under either, and ``max_steps`` counts shared steps.
     """
     y0 = np.stack([state_array(s) for s in initials], axis=1)
     times, out = _solve(params, y0, config)
@@ -297,15 +301,21 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, max_steps):
         err = math.sqrt((q * q).sum(axis=0).max() / len(y))
         if not math.isfinite(err):
             raise IntegrationError("error estimate became non-finite", t)
-        if err <= 1.0:
-            t = t + h
-            y = y5
-            _check_state(y, t, band)
-            if abs(t - out_times[next_out]) <= 1e-12 * max(1.0, abs(t)):
-                out[next_out] = y
-                t = out_times[next_out]
-                next_out += 1
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        if err <= 1.0:
+            if not np.isfinite(y5).all():
+                raise IntegrationError("state became non-finite", t + h)
+            if (y5[:7].min(axis=0) < -band).any():
+                # the error test passed, but a compartment fell below its
+                # band: reject the step and retry it at half the length
+                factor = 0.5
+            else:
+                t = t + h
+                y = y5
+                if abs(t - out_times[next_out]) <= 1e-12 * max(1.0, abs(t)):
+                    out[next_out] = y
+                    t = out_times[next_out]
+                    next_out += 1
         candidate = h * factor
         # a step shortened only to land on the output grid must not drag the
         # controller's proposal down with it

@@ -184,6 +184,22 @@ class TestFit:
         result = fit(recovery_spec(truth), data,
                      FitConfig(restarts=1, max_evals=150, seed=2))
         assert np.all(np.diff(result.history) <= 0.0)
+        assert result.n_evals <= 150
+
+    def test_converged_only_when_search_stops_before_budget(self, truth, seeded_initial):
+        entries = truth.as_dict()
+        entries["beta"] = FreeValue(lo=truth.beta / 4, hi=truth.beta * 4,
+                                    guess=truth.beta * 1.5)
+        spec = ParameterSpec(params=entries,
+                             initial={"S": truth.S0 - 1000.0, "E1": 1000.0})
+        data = synthesize_data(truth, seeded_initial, days=30)
+        result = fit(spec, data, FitConfig(restarts=1, max_evals=400))
+        assert result.converged
+        assert result.n_evals < 400
+        assert result.free_values[0] == pytest.approx(truth.beta, rel=1e-6)
+        bound = fit(spec, data, FitConfig(restarts=1, max_evals=20))
+        assert not bound.converged
+        assert bound.n_evals == 20
 
     def test_bitwise_deterministic(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=30,
