@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -172,6 +172,8 @@ class FitConfig:
     ``max_evals`` caps objective evaluations per restart (scipy's ``maxfev``);
     a restart converges once every simplex vertex lies within
     ``diameter_tol`` of the best one in the sine coordinates (``xatol``).
+    ``integrator`` sets the method, tolerances and samples per day of every
+    run; :func:`fit` sets its window to the data's days.
     """
 
     restarts: int = 5
@@ -250,11 +252,14 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         fit_config: FitConfig | None = None) -> FitResult:
     """Minimize the SSE objective over the spec's free coordinates.
 
+    Every run integrates over the data window, days 0 to ``len(data)``,
+    with ``fit_config.integrator``'s other settings (1 sample/day if unset).
     With no free coordinates this degenerates to a single evaluation of the
     fixed configuration.
     """
     cfg = fit_config or FitConfig()
-    integrator = cfg.integrator or _default_integrator(len(data))
+    integrator = replace(cfg.integrator or _default_integrator(len(data)),
+                         t0=0.0, t_end=float(len(data)))
     names = spec.free_names
 
     def package(free_values, objective, iterations, n_evals, converged, history):

@@ -111,9 +111,7 @@ def cmd_stability(config: RunConfig, args) -> None:
 
 def _fit_from_args(config: RunConfig, args):
     data = read_case_series(args.data)
-    window = replace(config.integrator, t0=0.0, t_end=float(len(data)))
-    fit_config = replace(config.fit, integrator=window)
-    return data, fit(config.spec, data, fit_config)
+    return data, fit(config.spec, data, replace(config.fit, integrator=config.integrator))
 
 
 def cmd_fit(config: RunConfig, args) -> None:
@@ -149,10 +147,8 @@ def cmd_sweep(config: RunConfig, args) -> None:
     scenario = config.scenario
     if len(scenario.rho_values) < 2:
         raise ConfigError("sweep needs at least two rho values")
-    # the sweep reads only day boundaries and the endpoint
-    base = config.integrator
-    window = replace(base, t_end=base.t0 + scenario.horizon, sample_per_day=1)
-    sweep = rho_sweep((params, initial), scenario.rho_values, scenario.horizon, window)
+    sweep = rho_sweep((params, initial), scenario.rho_values, scenario.horizon,
+                      config.integrator)
     decline = decline_percentages(sweep)
     out = _out_dir(args)
     write_csv(out / "sweep.csv",
@@ -168,7 +164,7 @@ def cmd_sweep(config: RunConfig, args) -> None:
 
 def cmd_predict(config: RunConfig, args) -> None:
     _, result = _fit_from_args(config, args)
-    prediction = forecast(result, config.forecast_horizon)
+    prediction = forecast(result, config.forecast.horizon)
     out = _out_dir(args)
     write_csv(out / "forecast.csv", ("day", "predicted_new_confirmed"),
               zip(prediction.incidence.days, prediction.incidence.values))

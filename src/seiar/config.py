@@ -1,12 +1,20 @@
 """Run configuration: a single YAML document parsed into typed blocks.
 
-Unknown keys are rejected everywhere — a silently ignored typo in a rate
-name is the dominant user error this layer exists to prevent.  All numeric
-fields reject booleans and strings.
+Every settings block (``integrator``, ``fit``, ``scenario``, ``stability``,
+``forecast``) is read by one function, :func:`_parse_block`, from the
+dataclass it fills: the block's keys are the class's fields (less the few in
+``_NOT_KEYS``), each value must have the type of the field's default, and
+the class's ``__post_init__`` does the rest of the validation.  Unknown keys
+are rejected everywhere — a silently ignored typo in a rate name is the
+dominant user error this layer exists to prevent.  Numeric fields reject
+booleans, strings and non-finite values.  Integration windows are not set
+here: each library call derives its own from the ``integrator`` block.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -18,9 +26,6 @@ from .errors import ConfigError
 from .model import COMPARTMENTS, PARAMETER_NAMES, ModelParameters
 from .simulate import IntegratorConfig
 
-_TOP_LEVEL_KEYS = ("parameters", "initial", "integrator", "fit", "scenario",
-                   "forecast", "stability")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -29,11 +34,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not self.rho_values:
-            raise ConfigError("scenario.rho_values must be nonempty")
+            raise ValueError("rho_values must be nonempty")
         if any(not 0.0 <= r <= 1.0 for r in self.rho_values):
-            raise ConfigError("scenario.rho_values must lie in [0, 1]")
+            raise ValueError("rho_values must lie in [0, 1]")
         if self.horizon < 1.0:
-            raise ConfigError("scenario.horizon must be at least one day")
+            raise ValueError("horizon must be at least one day")
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,26 @@ class StabilityConfig:
 
     def __post_init__(self):
         if self.audit_seeds < 1:
-            raise ConfigError("stability.audit_seeds must be positive")
+            raise ValueError("audit_seeds must be positive")
         if self.audit_horizon <= 0 or self.seed_scale <= 0:
-            raise ConfigError("stability horizon and seed_scale must be positive")
+            raise ValueError("audit_horizon and seed_scale must be positive")
+
+
+@dataclass(frozen=True)
+class ForecastConfig:
+    horizon: int = 120
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1 day")
+
+
+_BLOCKS = {"integrator": IntegratorConfig, "fit": FitConfig,
+           "scenario": ScenarioConfig, "stability": StabilityConfig,
+           "forecast": ForecastConfig}
+#: dataclass fields that a config cannot set
+_NOT_KEYS = {IntegratorConfig: ("max_steps",), FitConfig: ("integrator",)}
+_TOP_LEVEL_KEYS = ("parameters", "initial", *_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -57,7 +79,7 @@ class RunConfig:
     fit: FitConfig
     scenario: ScenarioConfig
     stability: StabilityConfig
-    forecast_horizon: int = 120
+    forecast: ForecastConfig
 
     def fixed_parameters(self) -> tuple[ModelParameters, Any]:
         """The fully pinned (parameters, initial state) of this config.
@@ -85,15 +107,14 @@ def _reject_unknown(mapping: Mapping, allowed, where: str) -> None:
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _entry(value, where: str):
@@ -134,87 +155,38 @@ def _parse_spec(raw: Mapping) -> ParameterSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_integrator(raw: Mapping) -> IntegratorConfig:
-    block = raw.get("integrator", {}) or {}
-    block = _require_mapping(block, "integrator")
-    allowed = ("method", "step", "rtol", "atol", "sample_per_day", "t0", "t_end")
-    _reject_unknown(block, allowed, "integrator")
-    kwargs: dict[str, Any] = {}
-    if "method" in block:
-        if block["method"] not in ("adaptive", "rk4"):
-            raise ConfigError("integrator.method must be 'adaptive' or 'rk4'")
-        kwargs["method"] = block["method"]
-    for key in ("step", "rtol", "t0", "t_end"):
-        if key in block:
-            kwargs[key] = _number(block[key], f"integrator.{key}")
-    if "atol" in block and block["atol"] is not None:
-        kwargs["atol"] = _number(block["atol"], "integrator.atol")
-    if "sample_per_day" in block:
-        kwargs["sample_per_day"] = _integer(block["sample_per_day"],
-                                            "integrator.sample_per_day")
+_KINDS = {str: "a string", int: "an integer", tuple: "a list"}
+
+
+def _value(default, value, where: str):
+    """``value`` checked against the type of a field whose default is
+    ``default``; a ``None`` default marks an optional number."""
+    kind = type(default)
+    if kind is float or default is None:
+        return None if value is None and default is None else _number(value, where)
+    if kind is tuple and isinstance(value, (list, tuple)):
+        return tuple(_number(v, where) for v in value)
+    if kind in (str, int) and isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _parse_block(raw: Mapping, name: str):
+    """The ``name`` block, read into its dataclass: the keys are the class's
+    fields, less those in ``_NOT_KEYS``, and each value must have the type
+    of the field's default (``None`` marks an optional number)."""
+    cls = _BLOCKS[name]
+    block = raw.get(name)
+    block = _require_mapping({} if block is None else block, name)
+    fields = {f.name: f.default for f in dataclasses.fields(cls)
+              if f.name not in _NOT_KEYS.get(cls, ())}
+    _reject_unknown(block, fields, name)
+    kwargs = {key: _value(fields[key], value, f"{name}.{key}")
+              for key, value in block.items()}
     try:
-        return IntegratorConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
-
-
-def _parse_fit(raw: Mapping) -> FitConfig:
-    block = raw.get("fit", {}) or {}
-    block = _require_mapping(block, "fit")
-    allowed = ("restarts", "max_evals", "diameter_tol", "jitter", "seed")
-    _reject_unknown(block, allowed, "fit")
-    kwargs: dict[str, Any] = {}
-    for key in ("restarts", "max_evals", "seed"):
-        if key in block:
-            kwargs[key] = _integer(block[key], f"fit.{key}")
-    for key in ("diameter_tol", "jitter"):
-        if key in block:
-            kwargs[key] = _number(block[key], f"fit.{key}")
-    try:
-        return FitConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"fit: {exc}") from exc
-
-
-def _parse_scenario(raw: Mapping) -> ScenarioConfig:
-    block = raw.get("scenario", {}) or {}
-    block = _require_mapping(block, "scenario")
-    _reject_unknown(block, ("rho_values", "horizon"), "scenario")
-    kwargs: dict[str, Any] = {}
-    if "rho_values" in block:
-        values = block["rho_values"]
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError("scenario.rho_values must be a list")
-        kwargs["rho_values"] = tuple(
-            _number(v, "scenario.rho_values") for v in values)
-    if "horizon" in block:
-        kwargs["horizon"] = _number(block["horizon"], "scenario.horizon")
-    return ScenarioConfig(**kwargs)
-
-
-def _parse_stability(raw: Mapping) -> StabilityConfig:
-    block = raw.get("stability", {}) or {}
-    block = _require_mapping(block, "stability")
-    allowed = ("audit_seeds", "audit_horizon", "seed", "seed_scale")
-    _reject_unknown(block, allowed, "stability")
-    kwargs: dict[str, Any] = {}
-    for key in ("audit_seeds", "seed"):
-        if key in block:
-            kwargs[key] = _integer(block[key], f"stability.{key}")
-    for key in ("audit_horizon", "seed_scale"):
-        if key in block:
-            kwargs[key] = _number(block[key], f"stability.{key}")
-    return StabilityConfig(**kwargs)
-
-
-def _parse_forecast(raw: Mapping) -> int:
-    block = raw.get("forecast", {}) or {}
-    block = _require_mapping(block, "forecast")
-    _reject_unknown(block, ("horizon",), "forecast")
-    horizon = _integer(block.get("horizon", 120), "forecast.horizon")
-    if horizon < 1:
-        raise ConfigError("forecast.horizon must be at least 1 day")
-    return horizon
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def parse_config(raw: Any) -> RunConfig:
@@ -222,24 +194,18 @@ def parse_config(raw: Any) -> RunConfig:
     _reject_unknown(raw, _TOP_LEVEL_KEYS, "configuration")
     if "parameters" not in raw:
         raise ConfigError("configuration is missing the 'parameters' block")
-    return RunConfig(
-        spec=_parse_spec(raw),
-        integrator=_parse_integrator(raw),
-        fit=_parse_fit(raw),
-        scenario=_parse_scenario(raw),
-        stability=_parse_stability(raw),
-        forecast_horizon=_parse_forecast(raw),
-    )
+    return RunConfig(spec=_parse_spec(raw),
+                     **{name: _parse_block(raw, name) for name in _BLOCKS})
 
 
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return parse_config(raw)

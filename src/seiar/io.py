@@ -78,48 +78,57 @@ def read_case_series(path) -> ObservedSeries:
     Dates must be valid ISO-8601 calendar dates advancing by exactly one day;
     counts must be nonnegative numbers (observed series carry integers, but
     exact decimal counts are accepted so synthetic round trips stay lossless).
-    Violations raise DataError carrying the 1-based line number.
+    Violations raise DataError carrying the 1-based line number; so does a
+    file that cannot be read or is not UTF-8 CSV.
     """
     path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_case_series(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read case series {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV: {exc}") from exc
+
+
+def _parse_case_series(reader) -> ObservedSeries:
     counts: list[float] = []
     start: datetime.date | None = None
     previous: datetime.date | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("file is empty; expected a header row", line=1) from None
+    if tuple(h.strip() for h in header) != CASE_SERIES_HEADER:
+        raise DataError(
+            f"header must be {','.join(CASE_SERIES_HEADER)!r}, got {','.join(header)!r}",
+            line=1)
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"expected 2 fields, got {len(row)}", line=line_no)
+        date_text, count_text = row[0].strip(), row[1].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("file is empty; expected a header row", line=1) from None
-        if tuple(h.strip() for h in header) != CASE_SERIES_HEADER:
+            date = datetime.date.fromisoformat(date_text)
+        except ValueError:
+            raise DataError(f"invalid ISO date {date_text!r}", line=line_no) from None
+        if previous is not None and date != previous + datetime.timedelta(days=1):
             raise DataError(
-                f"header must be {','.join(CASE_SERIES_HEADER)!r}, got {','.join(header)!r}",
-                line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"expected 2 fields, got {len(row)}", line=line_no)
-            date_text, count_text = row[0].strip(), row[1].strip()
-            try:
-                date = datetime.date.fromisoformat(date_text)
-            except ValueError:
-                raise DataError(f"invalid ISO date {date_text!r}", line=line_no) from None
-            if previous is not None and date != previous + datetime.timedelta(days=1):
-                raise DataError(
-                    f"dates must advance by exactly one day; {date.isoformat()} "
-                    f"follows {previous.isoformat()}", line=line_no)
-            try:
-                count = float(count_text)
-            except ValueError:
-                raise DataError(f"count must be a number, got {count_text!r}",
-                                line=line_no) from None
-            if not 0.0 <= count < float("inf"):
-                raise DataError(f"count must be finite and nonnegative, got {count_text}",
-                                line=line_no)
-            if start is None:
-                start = date
-            previous = date
-            counts.append(count)
+                f"dates must advance by exactly one day; {date.isoformat()} "
+                f"follows {previous.isoformat()}", line=line_no)
+        try:
+            count = float(count_text)
+        except ValueError:
+            raise DataError(f"count must be a number, got {count_text!r}",
+                            line=line_no) from None
+        if not 0.0 <= count < float("inf"):
+            raise DataError(f"count must be finite and nonnegative, got {count_text}",
+                            line=line_no)
+        if start is None:
+            start = date
+        previous = date
+        counts.append(count)
     if not counts:
         raise DataError("no data rows found")
     return ObservedSeries(counts=np.array(counts), start_date=start)

@@ -88,7 +88,10 @@ def rho_sweep(base: Baseline, rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8)
               integrator: IntegratorConfig | None = None) -> SweepResult:
     """One simulation per rho over ``horizon`` days, metrics per scenario.
 
-    Results follow the input order of ``rho_values``.
+    Each run integrates with ``integrator``'s method and tolerances from its
+    ``t0`` to ``t0 + horizon``, stored at 1 sample/day: the metrics read only
+    day boundaries and the endpoint.  Results follow the input order of
+    ``rho_values``.
     """
     rho_values = list(rho_values)
     if not rho_values:
@@ -96,8 +99,8 @@ def rho_sweep(base: Baseline, rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8)
     if any(not 0.0 <= r <= 1.0 for r in rho_values):
         raise ValueError("every rho must lie in [0, 1]")
     params, initial = _baseline(base)
-    config = integrator or IntegratorConfig(t0=0.0, t_end=float(horizon),
-                                            sample_per_day=1)
+    base = integrator or IntegratorConfig()
+    config = replace(base, t_end=base.t0 + float(horizon), sample_per_day=1)
     scenarios = []
     for rho in rho_values:
         scenario_params = params.with_updates(rho=float(rho))

@@ -225,13 +225,12 @@ AUDIT_WIGGLE = 1e-9
 AUDIT_DISTANCE = 1e-4
 
 
-def lyapunov_audit(params: ModelParameters, initial, horizon: float,
-                   config: IntegratorConfig | None = None) -> LyapunovAudit:
+def lyapunov_audit(params: ModelParameters, initial, horizon: float) -> LyapunovAudit:
     """Simulate from ``initial`` and check V decreases and the state reaches P0.
 
     Refuses (raises ValueError) when R_c >= 1, where no decrease is claimed.
     """
-    config = _audit_window(params, horizon, config)
+    config = _audit_window(params, horizon)
     return _judge_runs(params, [integrate(params, initial, config)], horizon)[0]
 
 
@@ -254,18 +253,14 @@ def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
     return _judge_runs(params, integrate_ensemble(params, initials, config), horizon)
 
 
-def _audit_window(params: ModelParameters, horizon: float,
-                  config: IntegratorConfig | None = None) -> IntegratorConfig:
+def _audit_window(params: ModelParameters, horizon: float) -> IntegratorConfig:
     """The audit's integration settings; refuses R_c >= 1."""
     rc = control_reproduction_number(params)
     if rc >= 1.0:
         raise ValueError(
             f"lyapunov audit requires R_c < 1 (got R_c = {rc:.6g}); "
             "the decrease property does not hold otherwise")
-    if config is None:
-        config = IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10,
-                                  sample_per_day=1)
-    return config
+    return IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10, sample_per_day=1)
 
 
 def _judge_runs(params: ModelParameters, trajs,

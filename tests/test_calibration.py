@@ -169,6 +169,15 @@ class TestFit:
         assert result.params == truth
         assert result.converged
 
+    def test_window_is_the_data_window(self, truth, seeded_initial):
+        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
+        data = synthesize_data(truth, seeded_initial, days=25)
+        short = FitConfig(integrator=IntegratorConfig(t0=3.0, t_end=5.0, sample_per_day=2))
+        result = fit(spec, data, short)
+        assert (result.integrator.t0, result.integrator.t_end) == (0.0, 25.0)
+        assert result.integrator.sample_per_day == 2
+        assert result.objective < 1e-6  # data were synthesized at 1 sample/day
+
     def test_synthetic_recovery_identifies_rc(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=60,
                                noise="lognormal", sigma=0.05, seed=0)

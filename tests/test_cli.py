@@ -91,6 +91,12 @@ class TestCaseSeriesIO:
         with pytest.raises(DataError, match="empty"):
             read_case_series(f)
 
+    def test_field_over_csv_limit_rejected(self, tmp_path):
+        f = tmp_path / "cases.csv"
+        f.write_text("date,new_confirmed\n2020-01-01," + "9" * 200_000 + "\n")
+        with pytest.raises(DataError, match="malformed CSV"):
+            read_case_series(f)
+
 
 class TestConfigParsing:
     def test_minimal_config_parses(self):
@@ -121,6 +127,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="number"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("block", ["fit", "scenario", "stability", "forecast"])
+    def test_unknown_key_in_each_block(self, block):
+        with pytest.raises(ConfigError, match=f"unknown keys in {block}: horizn"):
+            parse_config(base_config(**{block: {"horizn": 1}}))
+
+    @pytest.mark.parametrize("block, key", [
+        ("integrator", "rtol"), ("fit", "restarts"), ("fit", "jitter"),
+        ("scenario", "horizon"), ("scenario", "rho_values"),
+        ("stability", "audit_seeds"), ("stability", "seed_scale"),
+        ("forecast", "horizon"),
+    ])
+    def test_booleans_rejected_in_each_block(self, block, key):
+        value = [0.2, True] if key == "rho_values" else True
+        with pytest.raises(ConfigError, match=f"{block}.{key} must be"):
+            parse_config(base_config(**{block: {key: value}}))
+
+    def test_forecast_horizon_below_one_day(self):
+        with pytest.raises(ConfigError, match="forecast.*horizon"):
+            parse_config(base_config(forecast={"horizon": 0}))
+
+    def test_empty_blocks_take_defaults(self):
+        config = parse_config(base_config(fit=None, forecast=None, stability={}))
+        assert config.forecast.horizon == 120
+        assert config.stability.audit_seeds == 20
+
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "text"])
+    def test_block_must_be_a_mapping(self, value):
+        with pytest.raises(ConfigError, match="fit must be a mapping"):
+            parse_config(base_config(fit=value))
+
     def test_free_block_requires_all_fields(self):
         cfg = base_config()
         cfg["parameters"]["beta"] = {"free": {"lo": 0.0, "hi": 1e-8}}
@@ -145,6 +181,12 @@ class TestConfigParsing:
     def test_invalid_yaml(self, tmp_path):
         f = tmp_path / "bad.yaml"
         f.write_text("parameters: [unclosed")
+        with pytest.raises(ConfigError, match="YAML"):
+            load_config(f)
+
+    def test_integer_too_long_for_yaml(self, tmp_path):
+        f = tmp_path / "long.yaml"
+        f.write_text("parameters: {beta: 1" + "0" * 5000 + "}")
         with pytest.raises(ConfigError, match="YAML"):
             load_config(f)
 
@@ -216,6 +258,27 @@ class TestSimulateCommand:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, block, key, value", [
+    ("simulate", "integrator", "t_end", float("inf")),
+    ("simulate", "integrator", "rtol", float("nan")),
+    ("simulate", "integrator", "atol", float("nan")),
+    ("sweep", "scenario", "horizon", float("inf")),
+    ("stability", "stability", "audit_horizon", float("inf")),
+    ("stability", "stability", "seed_scale", float("nan")),
+    ("simulate", "initial", "E1", float("nan")),
+    pytest.param("simulate", "integrator", "t_end", 10**400, id="integrator-t_end-10**400"),
+])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, command, block, key, value):
+    cfg = base_config()
+    cfg["parameters"]["rho"] = 0.95  # R_c < 1, so `stability` runs the audit
+    cfg.setdefault(block, {})[key] = value
+    cfg_path = write_config(tmp_path / "run.yaml", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{block}.{key} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestStabilityCommand:
@@ -305,6 +368,18 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg_path, "--data", str(bad),
                      "--out", str(tmp_path / "x")]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_data_exits_3(self, tmp_path, capsys, kind):
+        cfg_path = write_config(tmp_path / "run.yaml", base_config())
+        data = tmp_path / "cases.csv"
+        if kind == "directory":
+            data.mkdir()
+        elif kind == "not-utf8":
+            data.write_bytes(b"date,new_confirmed\n2020-01-01,\xff5\n")
+        assert main(["fit", "--config", cfg_path, "--data", str(data),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "cannot read case series" in capsys.readouterr().err
 
 
 class TestSweepCommand:

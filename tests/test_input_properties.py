@@ -1,0 +1,110 @@
+"""Property tests of the inputs: a config either parses or is a ConfigError,
+and a case-series file either reads or is a DataError, whatever they hold.
+
+Examples are drawn deterministically (``derandomize=True``), so every run
+checks the same inputs.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from seiar.calibrate import ObservedSeries
+from seiar.config import RunConfig, load_config, parse_config
+from seiar.errors import ConfigError, DataError
+from seiar.io import read_case_series
+from seiar.presets import VARIANT_614G
+
+INPUTS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+TOP_LEVEL = ("parameters", "initial", "integrator", "fit", "scenario", "stability",
+             "forecast", "simulation")
+
+
+def valid_config() -> dict:
+    return {
+        "parameters": VARIANT_614G.as_dict(),
+        "initial": {"E1": 100.0},
+        "integrator": {"t0": 0.0, "t_end": 40.0, "method": "rk4", "step": 0.5,
+                       "rtol": 1e-6, "atol": None, "sample_per_day": 2},
+        "fit": {"restarts": 2, "max_evals": 100, "diameter_tol": 1e-8,
+                "jitter": 0.1, "seed": 3},
+        "scenario": {"rho_values": [0.2, 0.8], "horizon": 60.0},
+        "stability": {"audit_seeds": 3, "audit_horizon": 500.0, "seed": 1,
+                      "seed_scale": 1e-6},
+        "forecast": {"horizon": 30},
+    }
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0, 10**400]))
+junk = st.one_of(scalars, st.lists(scalars, max_size=3),
+                 st.dictionaries(st.text(max_size=4), scalars, max_size=2))
+
+
+@st.composite
+def mutated_configs(draw) -> dict:
+    """A valid config with one to three of: a block replaced by junk, a key
+    set to junk, a key deleted, an entry made a (possibly malformed) free
+    block.  Keys include unknown ones."""
+    cfg = valid_config()
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(TOP_LEVEL))
+        action = draw(st.sampled_from(("block", "set", "delete", "free")))
+        if action == "block":
+            cfg[name] = draw(junk)
+            continue
+        block = cfg.setdefault(name, {})
+        if not isinstance(block, dict):
+            continue
+        key = draw(st.sampled_from(sorted(block) + ["bogus"]))
+        if action == "set":
+            block[key] = draw(junk)
+        elif action == "delete":
+            block.pop(key, None)
+        else:
+            block[key] = {"free": draw(st.dictionaries(
+                st.sampled_from(("lo", "hi", "guess", "mid")), junk, max_size=4))}
+    return cfg
+
+
+@INPUTS
+@given(mutated_configs())
+def test_mutated_config_parses_or_is_a_config_error(cfg):
+    try:
+        assert isinstance(parse_config(cfg), RunConfig)
+    except ConfigError:
+        pass
+
+
+@INPUTS
+@given(st.binary(max_size=300))
+def test_config_file_loads_or_is_a_config_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_bytes(content)
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except ConfigError:
+        pass
+
+
+rows = st.one_of(
+    st.text(max_size=24),
+    st.builds(lambda day, count: f"{day.isoformat()},{count}", st.dates(),
+              st.one_of(st.integers(), st.floats(), st.text(max_size=4))))
+case_files = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda body: ("date,new_confirmed\n" + "\n".join(body)).encode(),
+              st.lists(rows, max_size=5)))
+
+
+@INPUTS
+@given(case_files)
+def test_case_series_reads_or_is_a_data_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        assert isinstance(read_case_series(path), ObservedSeries)
+    except DataError:
+        pass

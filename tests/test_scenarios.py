@@ -48,6 +48,15 @@ class TestRhoSweep:
         with pytest.raises(ValueError, match="0, 1"):
             rho_sweep((VARIANT_614G, seeded(VARIANT_614G)), rho_values=(0.2, 1.2))
 
+    def test_integrates_horizon_days_whatever_the_integrator_window(self):
+        p = VARIANT_614G
+        default = rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0)
+        other = rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0,
+                          IntegratorConfig(t_end=100.0, sample_per_day=10))
+        assert [s.cum_total for s in other.scenarios] == \
+            [s.cum_total for s in default.scenarios]
+        assert other.horizon == 365.0
+
     def test_repeated_rho_gives_identical_metrics(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), rho_values=(0.4, 0.4), horizon=60.0)
