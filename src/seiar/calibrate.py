@@ -82,8 +82,10 @@ class ParameterSpec:
             lo = entry.lo if isinstance(entry, FreeValue) else entry
             if lo < 0:
                 raise ValueError(f"initial {name} must be nonnegative")
-        # fixed values and guesses must already form a valid parameter set
-        self.assemble(self.guesses())
+        # fixed values with the guesses, and with each end of the boxes, must
+        # already form a valid parameter set: the search visits the boxes
+        for free_values in (self.guesses(), *self.bounds()):
+            self.assemble(free_values)
 
     @property
     def free_names(self) -> tuple[str, ...]:

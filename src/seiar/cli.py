@@ -72,7 +72,7 @@ def cmd_stability(config: RunConfig, args) -> None:
     r_c = control_reproduction_number(params)
     dfe = disease_free_equilibrium(params)
     dfe_report = stability_mod.classify_equilibrium(params, dfe)
-    quartic = dfe_report.quartic
+    quartic = stability_mod.quartic_coefficients(params)
     certificate = stability_mod.positive_root_certificate(quartic)
     endemic = endemic_equilibrium(params)
 

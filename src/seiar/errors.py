@@ -4,11 +4,17 @@ from __future__ import annotations
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration failed; ``t`` is the time of failure."""
+    """Numerical integration failed; ``t`` is the time of failure.
+
+    ``args[0]`` is the message alone; ``str`` appends the time.
+    """
 
     def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (at t = {t:g})")
+        super().__init__(message)
         self.t = t
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at t = {self.t:g})"
 
 
 class ConfigError(ValueError):

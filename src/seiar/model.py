@@ -22,9 +22,9 @@ Dynamics (persons/day):
 
 This module holds the parameter and state containers, the table of grouped
 rates every closed form is built from (``ModelParameters.rates``), the vector
-field and its analytic Jacobian, the next-generation matrices with the
-control reproduction number R_c, and both equilibria (disease-free and
-endemic).
+field (``extended_field``), the Jacobian and the next-generation matrices
+read off that field rather than written out a second time, the control
+reproduction number R_c, and both equilibria (disease-free and endemic).
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ class ModelParameters:
                 raise ValueError(f"parameter {name} must be nonnegative, got {value!r}")
         if self.mu <= 0:
             raise ValueError("mu must be positive (S0 = Lambda/mu is undefined otherwise)")
+        if not math.isfinite(self.S0):
+            raise ValueError(f"S0 = Lambda/mu must be finite, got {self.S0!r}")
         for name in ("rho", "omega"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -172,11 +174,6 @@ class StateVector:
         if y.shape != (7,):
             raise ValueError(f"state must have 7 components, got shape {y.shape}")
         return cls(*(float(v) for v in y))
-
-    @property
-    def total(self) -> float:
-        """Total population N."""
-        return self.S + self.E1 + self.E2 + self.I1 + self.I2 + self.A + self.R
 
 
 EquilibriumKind = Literal["disease_free", "endemic"]
@@ -265,41 +262,21 @@ def population_balance(state, params: ModelParameters) -> float:
 
 
 def jacobian(state, params: ModelParameters) -> np.ndarray:
-    """Analytic 7x7 Jacobian of :func:`rhs` at ``state``.
+    """7x7 Jacobian of :func:`rhs` at ``state``, read off :func:`extended_field`.
 
-    Rows and columns follow :data:`COMPARTMENTS` order.
+    Rows and columns follow :data:`COMPARTMENTS` order.  Column j is the
+    imaginary part of the field at the complex probe y + i*e_j, all seven
+    probes in one call (the complex step of Squire & Trapp 1998).  The
+    result is exact, not an approximation: the field is at most quadratic,
+    so the imaginary part carries no truncation term, whatever the step,
+    and it is computed by the same products and sums as the partial
+    derivatives written out.  A unit step needs no rescaling, and no
+    product of small rates underflows.
     """
     y = state_array(state)
     if not np.all(np.isfinite(y)):
         raise ValueError("state components must be finite")
-    S, E1, E2, I1, I2, A, R = y
-    p = params
-    r = p.rates
-    force = p.beta * (E2 + I2 + p.omega * A)  # force of infection per susceptible
-    bS = p.beta * S
-    J = np.zeros((7, 7))
-    J[0, 0] = -force - p.mu
-    J[0, 2] = -bS
-    J[0, 4] = -bS
-    J[0, 5] = -p.omega * bS
-    J[1, 0] = force
-    J[1, 1] = -r.k_E1
-    J[1, 2] = bS
-    J[1, 4] = bS
-    J[1, 5] = p.omega * bS
-    J[2, 1] = p.sigma
-    J[2, 2] = -r.k_E2
-    J[3, 2] = r.in_I1
-    J[3, 3] = -r.k_I1
-    J[4, 2] = r.in_I2
-    J[4, 4] = -r.k_I2
-    J[5, 1] = p.epsilon
-    J[5, 5] = -r.k_A
-    J[6, 3] = p.gamma1
-    J[6, 4] = p.gamma2
-    J[6, 5] = p.gamma3
-    J[6, 6] = -p.mu
-    return J
+    return extended_field(params)(y[:, None] + 1j * np.eye(7)).imag[:7]
 
 
 def control_reproduction_number(params: ModelParameters) -> float:
@@ -318,23 +295,17 @@ def control_reproduction_number(params: ModelParameters) -> float:
 def next_generation_matrices(params: ModelParameters) -> tuple[np.ndarray, np.ndarray]:
     """New-infection matrix F and transition matrix V at the disease-free point.
 
-    Both 5x5 over :data:`INFECTED_COMPARTMENTS`. F has only its first row
-    nonzero (all new infections enter E1); V is lower triangular with the
+    Both 5x5 over :data:`INFECTED_COMPARTMENTS`, split from the infected
+    block J of the disease-free :func:`jacobian` as J = F - V (van den
+    Driessche & Watmough 2002).  Every new infection enters E1 and nothing
+    else flows into E1, so F is J's E1 row without its diagonal entry (the
+    E1 outflow) and zero elsewhere; V = F - J is lower triangular with the
     outflow rates on the diagonal.
     """
-    p = params
-    r = p.rates
-    bS0 = p.beta * p.S0
+    J = jacobian(disease_free_equilibrium(params).state, params)[1:6, 1:6]
     F = np.zeros((5, 5))
-    F[0, 1] = bS0
-    F[0, 3] = bS0
-    F[0, 4] = p.omega * bS0
-    V = np.diag([r.k_E1, r.k_E2, r.k_I1, r.k_I2, r.k_A])
-    V[1, 0] = -p.sigma
-    V[2, 1] = -r.in_I1
-    V[3, 1] = -r.in_I2
-    V[4, 0] = -p.epsilon
-    return F, V
+    F[0, 1:] = J[0, 1:]
+    return F, F - J
 
 
 def ngm_spectral_radius(F: np.ndarray, V: np.ndarray) -> float:

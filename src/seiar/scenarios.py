@@ -49,10 +49,6 @@ class SweepResult:
     scenarios: tuple[RhoScenario, ...]
     horizon: float
 
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.array([s.rho for s in self.scenarios])
-
 
 @dataclass(frozen=True)
 class DeclinePercentages:
@@ -107,7 +103,7 @@ def rho_sweep(base: Baseline, rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8)
         try:
             traj = integrate(scenario_params, initial, config)
         except IntegrationError as exc:
-            raise IntegrationError(f"scenario rho={rho:g} failed: {exc}",
+            raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
                                    exc.t) from exc
         breakdown = cumulative_by_class(traj)
         incidence = daily_incidence(traj)

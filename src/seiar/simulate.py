@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IntegrationError
-from .model import ModelParameters, StateVector, extended_field, state_array
+from .model import ModelParameters, extended_field, state_array
 
 #: undershoot tolerance band, relative to the initial total population
 NEGATIVITY_BAND = 1e-9
@@ -118,9 +118,6 @@ class Trajectory:
     def totals(self) -> np.ndarray:
         """Total population N(t) at each stored time."""
         return self.states.sum(axis=1)
-
-    def final_state(self) -> StateVector:
-        return StateVector.from_array(self.states[-1])
 
     def day_boundary_indices(self) -> np.ndarray:
         """Indices of stored samples sitting on whole days since t0.

@@ -85,8 +85,6 @@ class StabilityReport:
     eigenvalues: np.ndarray
     max_real_part: float
     verdict: str
-    quartic: QuarticCoefficients
-    lyapunov: Optional[LyapunovAudit] = None
 
 
 def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
@@ -329,5 +327,4 @@ def classify_equilibrium(params: ModelParameters,
         eigenvalues=eigenvalues,
         max_real_part=max_real,
         verdict=verdict,
-        quartic=quartic_coefficients(params),
     )

@@ -77,6 +77,13 @@ class TestParameterSpec:
         with pytest.raises(ValueError, match="rho"):
             ParameterSpec(params=entries)
 
+    def test_rejects_box_leaving_the_parameter_domain(self, truth):
+        # the guess is valid, but the search may visit any point of the box
+        entries = truth.as_dict()
+        entries["rho"] = FreeValue(lo=0.1, hi=1.5, guess=0.9)
+        with pytest.raises(ValueError, match="rho must lie in \\[0, 1\\], got 1.5"):
+            ParameterSpec(params=entries)
+
     def test_free_names_canonical_and_order_independent(self, truth):
         entries_a = truth.as_dict()
         entries_a["rho"] = FreeValue(0.0, 1.0, 0.4)

@@ -281,6 +281,17 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, block, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "stability"])
+def test_overflowing_s0_exits_2(tmp_path, capsys, command):
+    cfg = base_config()
+    cfg["parameters"].update(Lambda=1.0e300, mu=1.0e-300)
+    cfg_path = write_config(tmp_path / "run.yaml", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert "S0 = Lambda/mu must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestStabilityCommand:
     def test_zero_transmission(self, tmp_path):
         cfg = base_config()
@@ -368,6 +379,21 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg_path, "--data", str(bad),
                      "--out", str(tmp_path / "x")]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_box_leaving_the_parameter_domain_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        *_, data_path = self.make_synthetic(tmp_path)
+        cfg = base_config()
+        cfg["parameters"]["rho"] = {"free": {"lo": 0.1, "hi": 1.5, "guess": 0.9}}
+        cfg_path = write_config(tmp_path / "box.yaml", cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit integrated before rejecting the box")
+
+        monkeypatch.setattr("seiar.calibrate.integrate", refuse)
+        assert main(["fit", "--config", cfg_path, "--data", data_path,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "rho must lie in [0, 1], got 1.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_data_exits_3(self, tmp_path, capsys, kind):

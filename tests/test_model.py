@@ -48,6 +48,10 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="finite"):
             params_614g.with_updates(beta=float("nan"))
 
+    def test_rejects_overflowing_s0(self, params_614g):
+        with pytest.raises(ValueError, match="S0 = Lambda/mu must be finite"):
+            params_614g.with_updates(Lambda=1.0e300, mu=1.0e-300)
+
     def test_s0(self, params_614g):
         assert params_614g.S0 == params_614g.Lambda / params_614g.mu
 
@@ -287,6 +291,14 @@ class TestJacobian:
                 J_fd[:, j] = (rhs(up, p) - rhs(down, p)) / (2.0 * h)
             scale = max(1.0, float(np.max(np.abs(J))))
             np.testing.assert_allclose(J_fd, J, rtol=1e-5, atol=1e-9 * scale)
+
+    def test_exact_where_a_small_step_would_underflow(self, params_614g):
+        # beta*S = 1e-294: scaled by a complex step of 2**-100 it is below
+        # the smallest subnormal, and the entry would read 0
+        p = params_614g.with_updates(beta=1e-300)
+        J = jacobian([1e6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], p)
+        assert J[0, 2] == -(p.beta * 1e6)
+        assert J[1, 5] == p.omega * (p.beta * 1e6)
 
     def test_dfe_block_reproduces_f_minus_v(self, variant):
         _, p = variant

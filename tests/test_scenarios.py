@@ -14,6 +14,7 @@ from seiar import (
     synthesize_data,
 )
 from seiar.calibrate import ParameterSpec
+from seiar.errors import IntegrationError
 from seiar.model import extended_field
 from seiar.scenarios import RhoScenario, SweepResult
 from seiar.presets import VARIANT_614G, VARIANTS
@@ -56,6 +57,14 @@ class TestRhoSweep:
         assert [s.cum_total for s in other.scenarios] == \
             [s.cum_total for s in default.scenarios]
         assert other.horizon == 365.0
+
+    def test_failure_names_scenario_and_time_once(self):
+        p = VARIANT_614G
+        with pytest.raises(IntegrationError) as info:
+            rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0, IntegratorConfig(max_steps=5))
+        message = str(info.value)
+        assert message.startswith("scenario rho=0.2 failed: step budget exhausted")
+        assert message.count("(at t = ") == 1
 
     def test_repeated_rho_gives_identical_metrics(self):
         p = VARIANT_614G
