@@ -9,6 +9,10 @@ parameters' scales, returned points satisfy their bounds exactly and no
 gradient is ever needed.  Multi-start restarts jitter the initial guess; the
 best replicate wins, ties resolved toward the earlier replicate so results
 are reproducible bit for bit under a fixed seed.
+
+The free coordinates are laid out once (``ParameterSpec._layout``), and a
+spec loads only if every point of its box assembles.  Every run integrates
+days 0 to the series length with the integrator's other settings (``_window``).
 """
 
 from __future__ import annotations
@@ -82,68 +86,53 @@ class ParameterSpec:
             lo = entry.lo if isinstance(entry, FreeValue) else entry
             if lo < 0:
                 raise ValueError(f"initial {name} must be nonnegative")
-        # fixed values with the guesses, and with each end of the boxes, must
-        # already form a valid parameter set: the search visits the boxes
-        for free_values in (self.guesses(), *self.bounds()):
+        # the search may visit any point of the boxes.  Every check of
+        # ModelParameters and of assemble is on one coordinate, so the guesses
+        # and both ends test it, except two that are monotone in every
+        # coordinate: S0 = Lambda/mu is largest at (Lambda hi, mu lo), and the
+        # derived S(0) = S0 - seeds smallest at (Lambda lo, mu hi, seeds hi)
+        lo, hi = self.bounds()
+        names = np.array(self.free_names, dtype=str)
+        for free_values in (self.guesses(), lo, hi,
+                            np.where(names == "mu", lo, hi),
+                            np.where(names == "Lambda", lo, hi)):
             self.assemble(free_values)
+
+    def _layout(self) -> list[tuple[str, FreeValue]]:
+        """The free coordinates as (name, box): parameters, then "<comp>(0)"."""
+        entries = [(name, self.params[name]) for name in PARAMETER_NAMES]
+        entries += [(f"{c}(0)", self.initial.get(c)) for c in COMPARTMENTS]
+        return [(name, e) for name, e in entries if isinstance(e, FreeValue)]
 
     @property
     def free_names(self) -> tuple[str, ...]:
         """Free coordinates in canonical order (parameters, then initials)."""
-        names = [n for n in PARAMETER_NAMES if isinstance(self.params[n], FreeValue)]
-        names += [f"{c}(0)" for c in COMPARTMENTS
-                  if isinstance(self.initial.get(c), FreeValue)]
-        return tuple(names)
-
-    def _free_entries(self) -> list[FreeValue]:
-        entries = [self.params[n] for n in PARAMETER_NAMES
-                   if isinstance(self.params[n], FreeValue)]
-        entries += [self.initial[c] for c in COMPARTMENTS
-                    if isinstance(self.initial.get(c), FreeValue)]
-        return entries
+        return tuple(name for name, _ in self._layout())
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        entries = self._free_entries()
-        return (np.array([e.lo for e in entries]),
-                np.array([e.hi for e in entries]))
+        boxes = [box for _, box in self._layout()]
+        return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
 
     def guesses(self) -> np.ndarray:
-        return np.array([e.guess for e in self._free_entries()])
+        return np.array([box.guess for _, box in self._layout()])
 
     def assemble(self, free_values: Sequence[float]) -> tuple[ModelParameters, np.ndarray]:
         """Merge fixed entries with ``free_values`` into (parameters, y0)."""
+        names = self.free_names
         free_values = np.asarray(free_values, dtype=float)
-        if free_values.shape != (len(self.free_names),):
-            raise ValueError(
-                f"expected {len(self.free_names)} free values, got {free_values.shape}")
-        cursor = 0
-        values = {}
-        for name in PARAMETER_NAMES:
-            entry = self.params[name]
-            if isinstance(entry, FreeValue):
-                values[name] = float(free_values[cursor])
-                cursor += 1
-            else:
-                values[name] = float(entry)
-        params = ModelParameters(**values)
-        y0 = np.zeros(7)
-        seeded = 0.0
-        for i, comp in enumerate(COMPARTMENTS):
-            entry = self.initial.get(comp)
-            if entry is None:
-                continue
-            if isinstance(entry, FreeValue):
-                y0[i] = float(free_values[cursor])
-                cursor += 1
-            else:
-                y0[i] = float(entry)
-            if comp != "S":
-                seeded += y0[i]
+        if free_values.shape != (len(names),):
+            raise ValueError(f"expected {len(names)} free values, got {free_values.shape}")
+        free = dict(zip(names, free_values.tolist()))
+        params = ModelParameters(**{n: float(free.get(n, e)) for n, e in self.params.items()})
+        y0 = np.array([free.get(f"{c}(0)", self.initial.get(c, 0.0)) for c in COMPARTMENTS],
+                      dtype=float)
         if "S" not in self.initial:
+            seeded = 0.0
+            for seed in y0[1:]:  # in order: sum() compensates on Python >= 3.12
+                seeded += seed
             y0[0] = params.S0 - seeded
             if y0[0] < 0:
-                raise ValueError(
-                    "seeded compartments exceed the susceptible pool S0")
+                raise ValueError("seeded compartments exceed the susceptible pool S0")
         return params, y0
 
 
@@ -190,6 +179,8 @@ class FitConfig:
             raise ValueError("at least one restart is required")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -212,30 +203,24 @@ class FitResult:
     integrator: IntegratorConfig
 
 
-def _default_integrator(n_days: int) -> IntegratorConfig:
-    return IntegratorConfig(t0=0.0, t_end=float(n_days), sample_per_day=1)
+def _window(integrator: IntegratorConfig | None, n_days: int) -> IntegratorConfig:
+    """``integrator``'s settings (1 sample/day if unset) over days 0 to ``n_days``."""
+    return replace(integrator or IntegratorConfig(sample_per_day=1),
+                   t0=0.0, t_end=float(n_days))
 
 
-def _model_series(free_values, spec: ParameterSpec, n_days: int,
-                  integrator: IntegratorConfig) -> tuple[ModelParameters, np.ndarray, np.ndarray]:
+def _model_series(free_values, spec: ParameterSpec,
+                  window: IntegratorConfig) -> tuple[ModelParameters, np.ndarray, np.ndarray]:
     params, y0 = spec.assemble(free_values)
-    if np.any(y0 < 0):
-        raise IntegrationError("initial state has a negative component", integrator.t0)
-    traj = integrate(params, y0, integrator)
-    series = daily_incidence(traj)
-    if len(series.values) < n_days:
-        raise ValueError(
-            f"integration window covers {len(series.values)} days, "
-            f"need {n_days}")
-    return params, y0, series.values[:n_days]
+    return params, y0, daily_incidence(integrate(params, y0, window)).values
 
 
 def sse_objective(free_values, spec: ParameterSpec, data: ObservedSeries,
                   integrator: IntegratorConfig | None = None) -> float:
-    """Sum of squared daily residuals; failure maps to a finite penalty."""
-    integrator = integrator or _default_integrator(len(data))
+    """Sum of squared residuals over days 0 to ``len(data)``; failure maps
+    to a finite penalty."""
     try:
-        _, _, model = _model_series(free_values, spec, len(data), integrator)
+        _, _, model = _model_series(free_values, spec, _window(integrator, len(data)))
     except IntegrationError:
         return INTEGRATION_FAILURE_PENALTY
     return float(np.sum((model - data.counts) ** 2))
@@ -260,13 +245,12 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
     fixed configuration.
     """
     cfg = fit_config or FitConfig()
-    integrator = replace(cfg.integrator or _default_integrator(len(data)),
-                         t0=0.0, t_end=float(len(data)))
+    integrator = _window(cfg.integrator, len(data))
     names = spec.free_names
 
     def package(free_values, objective, iterations, n_evals, converged, history):
         try:
-            params, y0, model = _model_series(free_values, spec, len(data), integrator)
+            params, y0, model = _model_series(free_values, spec, integrator)
         except IntegrationError as exc:
             raise FitError(f"best candidate does not integrate: {exc}") from exc
         return FitResult(
@@ -330,16 +314,15 @@ def synthesize_data(params: ModelParameters, initial, days: int,
                     noise: str = "none", sigma: float = 0.05, seed: int = 0,
                     start_date: Optional[datetime.date] = None,
                     integrator: IntegratorConfig | None = None) -> ObservedSeries:
-    """Simulate ``days`` of daily incidence and apply a noise model.
+    """Simulate days 0 to ``days`` of daily incidence and apply a noise model.
 
     ``noise`` is "none", "lognormal" (multiplicative exp(sigma*Z)) or
     "round" (nearest integer). Deterministic for a fixed seed.
     """
     if days < 1:
         raise ValueError("days must be at least 1")
-    integrator = integrator or _default_integrator(days)
-    traj = integrate(params, initial, integrator)
-    values = daily_incidence(traj).values[:days].copy()
+    traj = integrate(params, initial, _window(integrator, days))
+    values = daily_incidence(traj).values.copy()
     if noise == "none":
         pass
     elif noise == "lognormal":

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stability as stability_mod
-from .calibrate import FreeValue, fit
+from .calibrate import fit
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FitError, IntegrationError
 from .io import read_case_series, write_csv, write_json
@@ -117,17 +117,15 @@ def _fit_from_args(config: RunConfig, args):
 def cmd_fit(config: RunConfig, args) -> None:
     data, result = _fit_from_args(config, args)
     out = _out_dir(args)
-    rows = []
-    for name in PARAMETER_NAMES:
-        status = "fitted" if isinstance(config.spec.params[name], FreeValue) else "fixed"
-        rows.append((name, status, getattr(result.params, name)))
-    for comp in COMPARTMENTS:
-        entry = config.spec.initial.get(comp)
-        if entry is None:
-            status = "derived" if comp == "S" else "fixed"
-        else:
-            status = "fitted" if isinstance(entry, FreeValue) else "fixed"
-        rows.append((f"{comp}(0)", status, getattr(result.initial, comp)))
+
+    def status(name: str) -> str:
+        if name in result.free_names:
+            return "fitted"
+        return "derived" if name == "S(0)" and "S" not in config.spec.initial else "fixed"
+
+    rows = [(name, status(name), getattr(result.params, name)) for name in PARAMETER_NAMES]
+    rows += [(f"{comp}(0)", status(f"{comp}(0)"), getattr(result.initial, comp))
+             for comp in COMPARTMENTS]
     write_csv(out / "fit.csv", ("parameter", "status", "value"), rows)
     write_csv(out / "residuals.csv", ("day", "observed", "modeled", "residual"),
               ((d, data.counts[d], result.modeled[d], result.residuals[d])

@@ -53,6 +53,8 @@ class StabilityConfig:
             raise ValueError("audit_seeds must be positive")
         if self.audit_horizon <= 0 or self.seed_scale <= 0:
             raise ValueError("audit_horizon and seed_scale must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ stable, unlike point prevalences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .calibrate import FitResult
 from .errors import IntegrationError
-from .model import ModelParameters, control_reproduction_number, state_array
+from .model import ModelParameters, control_reproduction_number
 from .simulate import (
     IncidenceSeries,
     IntegratorConfig,
@@ -25,8 +25,6 @@ from .simulate import (
     integrate,
     peak,
 )
-
-Baseline = Union[FitResult, tuple]
 
 
 @dataclass(frozen=True)
@@ -72,21 +70,16 @@ class Forecast:
     peak_value: float
 
 
-def _baseline(base: Baseline) -> tuple[ModelParameters, np.ndarray]:
-    if isinstance(base, FitResult):
-        return base.params, base.initial.as_array()
-    params, initial = base
-    return params, state_array(initial)
-
-
-def rho_sweep(base: Baseline, rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
+def rho_sweep(base: tuple[ModelParameters, object],
+              rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
               horizon: float = 365.0,
               integrator: IntegratorConfig | None = None) -> SweepResult:
     """One simulation per rho over ``horizon`` days, metrics per scenario.
 
-    Each run integrates with ``integrator``'s method and tolerances from its
-    ``t0`` to ``t0 + horizon``, stored at 1 sample/day: the metrics read only
-    day boundaries and the endpoint.  Results follow the input order of
+    ``base`` is the baseline (parameters, initial state).  Each run
+    integrates with ``integrator``'s method and tolerances from its ``t0``
+    to ``t0 + horizon``, stored at 1 sample/day: the metrics read only day
+    boundaries and the endpoint.  Results follow the input order of
     ``rho_values``.
     """
     rho_values = list(rho_values)
@@ -94,9 +87,9 @@ def rho_sweep(base: Baseline, rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8)
         raise ValueError("rho_values must be nonempty")
     if any(not 0.0 <= r <= 1.0 for r in rho_values):
         raise ValueError("every rho must lie in [0, 1]")
-    params, initial = _baseline(base)
-    base = integrator or IntegratorConfig()
-    config = replace(base, t_end=base.t0 + float(horizon), sample_per_day=1)
+    params, initial = base
+    window = integrator or IntegratorConfig()
+    config = replace(window, t_end=window.t0 + float(horizon), sample_per_day=1)
     scenarios = []
     for rho in rho_values:
         scenario_params = params.with_updates(rho=float(rho))

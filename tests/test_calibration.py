@@ -84,6 +84,21 @@ class TestParameterSpec:
         with pytest.raises(ValueError, match="rho must lie in \\[0, 1\\], got 1.5"):
             ParameterSpec(params=entries)
 
+    def test_rejects_box_whose_seeds_overdraw_the_susceptibles(self, truth):
+        # guesses and both ends assemble; (Lambda lo, E1 hi) does not
+        entries = truth.as_dict()
+        entries["Lambda"] = FreeValue(lo=100.0, hi=2000.0, guess=600.0)
+        with pytest.raises(ValueError, match="exceed the susceptible pool"):
+            ParameterSpec(params=entries, initial={"E1": FreeValue(0.0, 3e7, 1.5e7)})
+
+    def test_rejects_box_whose_s0_overflows(self, truth):
+        # guesses and both ends assemble; (Lambda hi, mu lo) does not
+        entries = truth.as_dict()
+        entries["Lambda"] = FreeValue(lo=1.0, hi=1e300, guess=10.0)
+        entries["mu"] = FreeValue(lo=1e-300, hi=1.0, guess=0.5)
+        with pytest.raises(ValueError, match="S0 = Lambda/mu must be finite"):
+            ParameterSpec(params=entries)
+
     def test_free_names_canonical_and_order_independent(self, truth):
         entries_a = truth.as_dict()
         entries_a["rho"] = FreeValue(0.0, 1.0, 0.4)
@@ -157,6 +172,18 @@ class TestSseObjective:
         values = [truth.beta, truth.rho]
         assert sse_objective(values, forward, data) \
             == sse_objective(values, backward, data)
+
+    @pytest.mark.parametrize("window", [(0.0, 10.0), (5.0, 35.0)],
+                             ids=["shorter", "shifted"])
+    def test_window_is_the_data_window(self, truth, seeded_initial, window):
+        spec = recovery_spec(truth)
+        data = synthesize_data(truth, seeded_initial, days=30,
+                               noise="lognormal", sigma=0.05, seed=3)
+        values = [truth.beta * 1.2, truth.epsilon, truth.rho]
+        t0, t_end = window
+        other = IntegratorConfig(t0=t0, t_end=t_end, sample_per_day=1)
+        assert sse_objective(values, spec, data, other) \
+            == sse_objective(values, spec, data)
 
     def test_integration_failure_maps_to_penalty(self, truth, seeded_initial):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
@@ -254,6 +281,12 @@ class TestSynthesizeData:
         expected = daily_incidence(integrate(truth, seeded_initial, cfg)).values
         data = synthesize_data(truth, seeded_initial, days=days)
         assert np.array_equal(data.counts, expected)
+
+    def test_window_is_the_requested_days(self, truth, seeded_initial):
+        short = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1)
+        data = synthesize_data(truth, seeded_initial, days=60, integrator=short)
+        assert np.array_equal(data.counts,
+                              synthesize_data(truth, seeded_initial, days=60).counts)
 
     def test_same_seed_reproduces(self, truth, seeded_initial):
         a = synthesize_data(truth, seeded_initial, days=15, noise="lognormal",

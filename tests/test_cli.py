@@ -292,6 +292,14 @@ def test_overflowing_s0_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,block", [("fit", "fit"), ("stability", "stability")])
+def test_negative_seed_exits_2_naming_the_block(tmp_path, capsys, command, block):
+    cfg_path = write_config(tmp_path / "run.yaml", base_config(**{block: {"seed": -3}}))
+    data = ["--data", str(tmp_path / "cases.csv")] if command == "fit" else []
+    assert main([command, "--config", cfg_path, *data, "--out", str(tmp_path / "x")]) == 2
+    assert f"config error: {block}: seed must be nonnegative" in capsys.readouterr().err
+
+
 class TestStabilityCommand:
     def test_zero_transmission(self, tmp_path):
         cfg = base_config()
@@ -394,6 +402,25 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg_path, "--data", data_path,
                      "--out", str(tmp_path / "x")]) == 2
         assert "rho must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+    def test_box_overdrawing_the_susceptibles_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the guesses and both ends of the boxes assemble, but the search can
+        # reach Lambda = 100 with E1(0) = 3e7 > S0 = 100/mu
+        *_, data_path = self.make_synthetic(tmp_path)
+        cfg = base_config()
+        cfg["parameters"]["Lambda"] = {"free": {"lo": 100.0, "hi": 2000.0, "guess": 600.0}}
+        cfg["initial"] = {"E1": {"free": {"lo": 0.0, "hi": 3e7, "guess": 1.5e7}}}
+        cfg["fit"] = {"restarts": 4, "max_evals": 150, "jitter": 0.5, "seed": 0}
+        cfg_path = write_config(tmp_path / "box.yaml", cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit integrated before rejecting the box")
+
+        monkeypatch.setattr("seiar.calibrate.integrate", refuse)
+        assert main(["fit", "--config", cfg_path, "--data", data_path,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "exceed the susceptible pool" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_data_exits_3(self, tmp_path, capsys, kind):

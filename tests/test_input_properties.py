@@ -1,15 +1,17 @@
 """Property tests of the inputs: a config either parses or is a ConfigError,
-and a case-series file either reads or is a DataError, whatever they hold.
+a case-series file either reads or is a DataError, whatever they hold, and a
+parameter spec loads only if every point of its boxes assembles.
 
 Examples are drawn deterministically (``derandomize=True``), so every run
 checks the same inputs.
 """
 
+import itertools
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from seiar.calibrate import ObservedSeries
+from seiar.calibrate import FreeValue, ObservedSeries, ParameterSpec
 from seiar.config import RunConfig, load_config, parse_config
 from seiar.errors import ConfigError, DataError
 from seiar.io import read_case_series
@@ -108,3 +110,26 @@ def test_case_series_reads_or_is_a_data_error(tmp_path_factory, content):
         assert isinstance(read_case_series(path), ObservedSeries)
     except DataError:
         pass
+
+
+@st.composite
+def boxes(draw, lo_exp: float, hi_exp: float) -> FreeValue:
+    """A box whose ends are 10**e for e drawn from [lo_exp, hi_exp]."""
+    lo, hi = sorted(10.0 ** draw(st.floats(lo_exp, hi_exp)) for _ in range(2))
+    assume(lo < hi)
+    return FreeValue(lo, hi, min(hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo)))
+
+
+@settings(INPUTS, max_examples=200)
+@given(boxes(-3.0, 300.0), boxes(-300.0, 0.0), boxes(-3.0, 12.0),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_accepted_spec_assembles_everywhere_in_its_box(lam, mu, e1, fractions):
+    params = {**VARIANT_614G.as_dict(), "Lambda": lam, "mu": mu}
+    try:
+        spec = ParameterSpec(params=params, initial={"E1": e1})
+    except ValueError:
+        return
+    free = (lam, mu, e1)
+    inside = [min(b.hi, b.lo + f * (b.hi - b.lo)) for b, f in zip(free, fractions)]
+    for point in (inside, *itertools.product(*((b.lo, b.hi) for b in free))):
+        spec.assemble(point)
