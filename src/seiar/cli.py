@@ -28,10 +28,9 @@ from .model import (
     endemic_equilibrium,
 )
 from .scenarios import decline_percentages, forecast, rho_sweep
-from .simulate import IntegratorConfig, daily_incidence, integrate
+from .simulate import daily_incidence, integrate
 
-TRAJECTORY_HEADER = ("t", "S", "E1", "E2", "I1", "I2", "A", "R",
-                     "cum_I1", "cum_I2", "cum_A")
+TRAJECTORY_HEADER = ("t", *COMPARTMENTS, "cum_I1", "cum_I2", "cum_A")
 
 
 def _out_dir(args) -> Path:
@@ -40,17 +39,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _simulation_window(config: RunConfig) -> IntegratorConfig:
-    cfg = config.integrator
-    if cfg.t_end - cfg.t0 < 1.0:
-        raise ConfigError("integrator window must span at least one day")
-    return cfg
-
-
 def cmd_simulate(config: RunConfig, args) -> None:
     params, initial = config.fixed_parameters()
-    window = _simulation_window(config)
-    traj = integrate(params, initial, window)
+    traj = integrate(params, initial, config.integrator)
     incidence = daily_incidence(traj)
     out = _out_dir(args)
     # rows of Python floats and ints format much faster than numpy scalars

@@ -170,10 +170,7 @@ class StateVector:
 
     @classmethod
     def from_array(cls, y) -> "StateVector":
-        y = np.asarray(y, dtype=float)
-        if y.shape != (7,):
-            raise ValueError(f"state must have 7 components, got shape {y.shape}")
-        return cls(*(float(v) for v in y))
+        return cls(*state_array(y).tolist())
 
 
 EquilibriumKind = Literal["disease_free", "endemic"]

@@ -82,17 +82,16 @@ def rho_sweep(base: tuple[ModelParameters, object],
     boundaries and the endpoint.  Results follow the input order of
     ``rho_values``.
     """
-    rho_values = list(rho_values)
-    if not rho_values:
-        raise ValueError("rho_values must be nonempty")
-    if any(not 0.0 <= r <= 1.0 for r in rho_values):
-        raise ValueError("every rho must lie in [0, 1]")
     params, initial = base
+    # every rho is validated by ModelParameters before the first run
+    members = [params.with_updates(rho=float(rho)) for rho in rho_values]
+    if not members:
+        raise ValueError("rho_values must be nonempty")
     window = integrator or IntegratorConfig()
     config = replace(window, t_end=window.t0 + float(horizon), sample_per_day=1)
     scenarios = []
-    for rho in rho_values:
-        scenario_params = params.with_updates(rho=float(rho))
+    for scenario_params in members:
+        rho = scenario_params.rho
         try:
             traj = integrate(scenario_params, initial, config)
         except IntegrationError as exc:
@@ -101,7 +100,7 @@ def rho_sweep(base: tuple[ModelParameters, object],
         breakdown = cumulative_by_class(traj)
         incidence = daily_incidence(traj)
         scenarios.append(RhoScenario(
-            rho=float(rho),
+            rho=rho,
             r_c=control_reproduction_number(scenario_params),
             cum_total=breakdown.cum_total,
             cum_I1=breakdown.cum_I1,

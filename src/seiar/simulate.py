@@ -92,11 +92,14 @@ class Trajectory:
 
     The inflow columns are the running integrals of rho*alpha*E2 (into I1),
     (1-rho)*alpha*E2 (into I2) and epsilon*E1 (into A), all starting at zero.
+    ``sample_per_day`` is the density of the uniform grid the run stored, so
+    sample k*sample_per_day is whole day k after ``times[0]``.
     """
 
     times: np.ndarray
     states: np.ndarray
     cumulative_inflows: np.ndarray
+    sample_per_day: int
 
     def __post_init__(self):
         for arr in (self.times, self.states, self.cumulative_inflows):
@@ -120,22 +123,10 @@ class Trajectory:
         return self.states.sum(axis=1)
 
     def day_boundary_indices(self) -> np.ndarray:
-        """Indices of stored samples sitting on whole days since t0.
-
-        Raises if any whole day inside the span is missing from the grid.
-        """
-        offsets = self.times - self.times[0]
-        nearest = np.rint(offsets)
-        on_day = np.abs(offsets - nearest) <= 1e-9
-        days = nearest[on_day].astype(int)
-        idx = np.nonzero(on_day)[0]
-        # keep the first sample for each day
-        _, first = np.unique(days, return_index=True)
-        idx, days = idx[first], days[first]
-        expected = int(math.floor(offsets[-1] + 1e-9))
-        if len(days) < expected + 1 or np.any(days[:expected + 1] != np.arange(expected + 1)):
-            raise ValueError("stored grid does not cover every whole day of the span")
-        return idx[:expected + 1]
+        """Indices of the stored samples on whole days 0, 1, ... since t0."""
+        # an endpoint appended off the grid counts only if it ends a whole day
+        whole_days = math.floor(self.times[-1] - self.times[0] + 1e-9)
+        return np.arange(whole_days + 1) * self.sample_per_day
 
 
 @dataclass(frozen=True)
@@ -176,6 +167,10 @@ class ClassBreakdown:
 def _output_grid(config: IntegratorConfig) -> np.ndarray:
     span = config.t_end - config.t0
     n_full = int(math.floor(span * config.sample_per_day + 1e-9))
+    # every stored sample costs at least one step of either stepper
+    if n_full > config.max_steps:
+        raise IntegrationError("step budget exhausted",
+                               config.t0 + config.max_steps / config.sample_per_day)
     times = config.t0 + np.arange(n_full + 1) / config.sample_per_day
     if times[-1] < config.t_end - 1e-9:
         times = np.append(times, config.t_end)
@@ -224,7 +219,7 @@ def integrate(params: ModelParameters, initial,
     alongside the compartments as extra quadrature states.
     """
     times, out = _solve(params, state_array(initial), config)
-    return Trajectory(times=times, states=out[:, :7], cumulative_inflows=out[:, 7:])
+    return Trajectory(times, out[:, :7], out[:, 7:], config.sample_per_day)
 
 
 def integrate_ensemble(params: ModelParameters, initials,
@@ -241,8 +236,7 @@ def integrate_ensemble(params: ModelParameters, initials,
     """
     y0 = np.stack([state_array(s) for s in initials], axis=1)
     times, out = _solve(params, y0, config)
-    return [Trajectory(times=times, states=out[:, :7, i],
-                       cumulative_inflows=out[:, 7:, i])
+    return [Trajectory(times, out[:, :7, i], out[:, 7:, i], config.sample_per_day)
             for i in range(y0.shape[1])]
 
 
@@ -330,9 +324,9 @@ def daily_incidence(traj: Trajectory) -> IncidenceSeries:
 
     Requires the trajectory to span at least one whole day.
     """
-    if traj.times[-1] - traj.times[0] < 1.0 - 1e-9:
-        raise ValueError("trajectory must span at least one whole day")
     idx = traj.day_boundary_indices()
+    if len(idx) < 2:
+        raise ValueError("trajectory must span at least one whole day")
     values = np.diff(traj.cum_I1[idx])
     return IncidenceSeries(days=np.arange(len(values)), values=values)
 

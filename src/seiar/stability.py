@@ -138,8 +138,8 @@ def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertif
     positive; the root inside is then refined by a standard bracketing
     root finder.
     """
-    # imported here: scipy.optimize is most of the package's import time,
-    # and this is its only use
+    # imported here, as minimize is in calibrate.fit: scipy.optimize is most
+    # of the package's import time, and only this certificate and the fit use it
     from scipy.optimize import brentq
 
     if not coeffs.a4 < 0.0:

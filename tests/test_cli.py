@@ -255,6 +255,15 @@ class TestSimulateCommand:
         assert "beta" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    def test_window_under_one_day_exits_2(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["integrator"]["t_end"] = 0.5
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "whole day" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == 2

@@ -171,6 +171,19 @@ class TestIntegrate:
                       IntegratorConfig(t_end=200.0, sample_per_day=1, max_steps=50))
         assert 0.0 < excinfo.value.t < 200.0
 
+    def test_window_beyond_step_budget_fails_before_stepping(self, monkeypatch):
+        def unevaluable_field(params):
+            def f(y):
+                pytest.fail("the field was evaluated")
+            return f
+
+        monkeypatch.setattr("seiar.simulate.extended_field", unevaluable_field)
+        p = VARIANT_614G
+        with pytest.raises(IntegrationError, match="budget") as excinfo:
+            integrate(p, seeded_state(p),
+                      IntegratorConfig(t_end=100.0, sample_per_day=100, max_steps=5000))
+        assert excinfo.value.t == 50.0
+
     def test_undershoot_band_aborts(self):
         state = np.ones(10)
         state[4] = -1.0
@@ -194,10 +207,16 @@ class TestIntegrate:
 
     def test_times_strictly_increasing_and_cover_days(self):
         p = VARIANT_614G
-        traj = integrate(p, seeded_state(p),
-                         IntegratorConfig(t_end=7.0, sample_per_day=3))
-        assert np.all(np.diff(traj.times) > 0.0)
-        assert len(traj.day_boundary_indices()) == 8
+        # (t0, t_end, samples/day, whole days): nonzero t0, fractional spans
+        for t0, t_end, per_day, days in ((0.0, 7.0, 3, 7), (17.25, 137.75, 3, 120),
+                                         (0.0, 9.125, 1, 9), (0.0, 365.5, 10, 365)):
+            traj = integrate(p, seeded_state(p), IntegratorConfig(
+                t0=t0, t_end=t_end, sample_per_day=per_day))
+            assert np.all(np.diff(traj.times) > 0.0)
+            idx = traj.day_boundary_indices()
+            assert len(idx) == days + 1
+            np.testing.assert_allclose(traj.times[idx], t0 + np.arange(days + 1),
+                                       rtol=0.0, atol=1e-9)
 
     def test_adaptive_error_falls_with_tolerance(self):
         p = fast_614g()
