@@ -138,13 +138,16 @@ class ParameterSpec:
 
 @dataclass(frozen=True)
 class ObservedSeries:
-    """Daily new confirmed cases, one value per day with no gaps."""
+    """Daily new confirmed cases, one value per day with no gaps.
+
+    Holds a read-only copy of ``counts``; the caller's array is left as it is.
+    """
 
     counts: np.ndarray
     start_date: Optional[datetime.date] = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
+        counts = np.array(self.counts, dtype=float)
         if counts.ndim != 1 or len(counts) == 0:
             raise ValueError("counts must be a nonempty 1-D series")
         if not np.all(np.isfinite(counts)) or np.any(counts < 0):
@@ -312,7 +315,6 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
 
 def synthesize_data(params: ModelParameters, initial, days: int,
                     noise: str = "none", sigma: float = 0.05, seed: int = 0,
-                    start_date: Optional[datetime.date] = None,
                     integrator: IntegratorConfig | None = None) -> ObservedSeries:
     """Simulate days 0 to ``days`` of daily incidence and apply a noise model.
 
@@ -322,7 +324,7 @@ def synthesize_data(params: ModelParameters, initial, days: int,
     if days < 1:
         raise ValueError("days must be at least 1")
     traj = integrate(params, initial, _window(integrator, days))
-    values = daily_incidence(traj).values.copy()
+    values = daily_incidence(traj).values
     if noise == "none":
         pass
     elif noise == "lognormal":
@@ -332,4 +334,4 @@ def synthesize_data(params: ModelParameters, initial, days: int,
         values = np.rint(values)
     else:
         raise ValueError(f"unknown noise model {noise!r}")
-    return ObservedSeries(counts=values, start_date=start_date)
+    return ObservedSeries(counts=values)

@@ -160,7 +160,7 @@ def cmd_predict(config: RunConfig, args) -> None:
     write_json(out / "forecast_summary.json", {
         "peak_day": prediction.peak_day,
         "peak_value": prediction.peak_value,
-        "horizon": prediction.horizon,
+        "horizon": config.forecast.horizon,
         "objective": result.objective,
         "r_c": result.r_c,
     })

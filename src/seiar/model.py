@@ -192,6 +192,14 @@ def state_array(state) -> np.ndarray:
     return y
 
 
+def _finite_state(state) -> np.ndarray:
+    """:func:`state_array`, refusing non-finite components."""
+    y = state_array(state)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("state components must be finite")
+    return y
+
+
 def equilibrium_tolerance(params: ModelParameters) -> float:
     """Residual tolerance ||rhs||_inf for accepting a point as an equilibrium.
 
@@ -240,10 +248,7 @@ def rhs(state, params: ModelParameters) -> np.ndarray:
     componentwise sum telescopes to the population balance
     Lambda - mu*N - phi1*I1 - phi2*I2.
     """
-    y = state_array(state)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("state components must be finite")
-    return extended_field(params)(y)[:7]
+    return extended_field(params)(_finite_state(state))[:7]
 
 
 def population_balance(state, params: ModelParameters) -> float:
@@ -251,9 +256,7 @@ def population_balance(state, params: ModelParameters) -> float:
 
     Equals the componentwise sum of :func:`rhs`.
     """
-    y = state_array(state)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("state components must be finite")
+    y = _finite_state(state)
     N = float(y.sum())
     return params.Lambda - params.mu * N - params.phi1 * y[3] - params.phi2 * y[4]
 
@@ -270,9 +273,7 @@ def jacobian(state, params: ModelParameters) -> np.ndarray:
     derivatives written out.  A unit step needs no rescaling, and no
     product of small rates underflows.
     """
-    y = state_array(state)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("state components must be finite")
+    y = _finite_state(state)
     return extended_field(params)(y[:, None] + 1j * np.eye(7)).imag[:7]
 
 

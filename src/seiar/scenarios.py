@@ -4,7 +4,9 @@ A sweep re-runs the model over a fixed horizon for several values of the
 detection ratio rho, everything else held at the baseline. "Total
 infections" is the cumulative inflow into I1+I2+A over the horizon and
 "asymptomatic infections" the cumulative inflow into A; both are horizon
-stable, unlike point prevalences.
+stable, unlike point prevalences.  A sweep reads only each run's endpoint,
+but still stores 1 sample/day: steps land on every stored sample, so that
+grid sets where they land, and so the numbers.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .calibrate import FitResult
 from .errors import IntegrationError
 from .model import ModelParameters, control_reproduction_number
 from .simulate import (
+    ClassBreakdown,
     IncidenceSeries,
     IntegratorConfig,
     cumulative_by_class,
@@ -28,18 +29,11 @@ from .simulate import (
 
 
 @dataclass(frozen=True)
-class RhoScenario:
-    """Outcome of one sweep member."""
+class RhoScenario(ClassBreakdown):
+    """Outcome of one sweep member: its endpoint breakdown, rho and R_c."""
 
     rho: float
     r_c: float
-    cum_total: float
-    cum_I1: float
-    cum_I2: float
-    cum_A: float
-    cum_proportions: np.ndarray
-    prevalence_proportions: np.ndarray
-    final_day_incidence: float
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,6 @@ class DeclinePercentages:
 class Forecast:
     """Point prediction past a fitted window; days keep the window's indexing."""
 
-    fit: FitResult
-    horizon: int
     incidence: IncidenceSeries
     peak_day: int
     peak_value: float
@@ -78,9 +70,10 @@ def rho_sweep(base: tuple[ModelParameters, object],
 
     ``base`` is the baseline (parameters, initial state).  Each run
     integrates with ``integrator``'s method and tolerances from its ``t0``
-    to ``t0 + horizon``, stored at 1 sample/day: the metrics read only day
-    boundaries and the endpoint.  Results follow the input order of
-    ``rho_values``.
+    to ``t0 + horizon``.  The metrics read only the endpoint; the run is
+    still stored at 1 sample/day, because that grid sets where steps land,
+    and so the numbers.  A horizon under one day is integrated like any
+    other.  Results follow the input order of ``rho_values``.
     """
     params, initial = base
     # every rho is validated by ModelParameters before the first run
@@ -97,19 +90,9 @@ def rho_sweep(base: tuple[ModelParameters, object],
         except IntegrationError as exc:
             raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
                                    exc.t) from exc
-        breakdown = cumulative_by_class(traj)
-        incidence = daily_incidence(traj)
         scenarios.append(RhoScenario(
-            rho=rho,
-            r_c=control_reproduction_number(scenario_params),
-            cum_total=breakdown.cum_total,
-            cum_I1=breakdown.cum_I1,
-            cum_I2=breakdown.cum_I2,
-            cum_A=breakdown.cum_A,
-            cum_proportions=breakdown.cum_proportions,
-            prevalence_proportions=breakdown.prevalence_proportions,
-            final_day_incidence=float(incidence.values[-1]),
-        ))
+            rho=rho, r_c=control_reproduction_number(scenario_params),
+            **vars(cumulative_by_class(traj))))
     return SweepResult(scenarios=tuple(scenarios), horizon=float(horizon))
 
 
@@ -150,8 +133,7 @@ def forecast(fit: FitResult, horizon: int) -> Forecast:
     config = replace(window, t_end=window.t0 + fit.n_days + horizon)
     traj = integrate(fit.params, fit.initial, config)
     full = daily_incidence(traj)
-    extension = IncidenceSeries(days=full.days[fit.n_days:fit.n_days + horizon].copy(),
-                                values=full.values[fit.n_days:fit.n_days + horizon].copy())
+    extension = IncidenceSeries(days=full.days[fit.n_days:fit.n_days + horizon],
+                                values=full.values[fit.n_days:fit.n_days + horizon])
     day, value = peak(extension)
-    return Forecast(fit=fit, horizon=horizon, incidence=extension,
-                    peak_day=day, peak_value=value)
+    return Forecast(incidence=extension, peak_day=day, peak_value=value)

@@ -131,16 +131,21 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IncidenceSeries:
-    """New detected cases per day; day d covers [d, d+1) after window start."""
+    """New detected cases per day; day d covers [d, d+1) after window start.
+
+    Holds read-only copies of ``days`` and ``values``.
+    """
 
     days: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.days, self.values):
-            arr.flags.writeable = False
         if len(self.days) != len(self.values):
             raise ValueError("days and values must align")
+        for name in ("days", "values"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .model import (
     rhs,
     state_array,
 )
-from .simulate import IntegratorConfig, integrate, integrate_ensemble
+from .simulate import IntegratorConfig, integrate_ensemble
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,11 @@ class LyapunovAudit:
     passed: bool
     max_violation: float
     final_distance: float
-    horizon: float
     reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    r_c: float
-    kind: str
     eigenvalues: np.ndarray
     max_real_part: float
     verdict: str
@@ -223,48 +220,23 @@ AUDIT_WIGGLE = 1e-9
 AUDIT_DISTANCE = 1e-4
 
 
-def lyapunov_audit(params: ModelParameters, initial, horizon: float) -> LyapunovAudit:
-    """Simulate from ``initial`` and check V decreases and the state reaches P0.
+def lyapunov_audit(params: ModelParameters, initials,
+                   horizon: float) -> list[LyapunovAudit]:
+    """Simulate from each of ``initials`` and check V decreases and the state
+    reaches the disease-free point P0.
 
-    Refuses (raises ValueError) when R_c >= 1, where no decrease is claimed.
+    Refuses (raises ValueError) when R_c >= 1, where no decrease is claimed,
+    before any integration.  The runs are integrated together, as one
+    ensemble from t = 0 to ``horizon`` at rtol 1e-10 and 1 sample/day; V
+    must not increase between samples, and each run must end near P0.
     """
-    config = _audit_window(params, horizon)
-    return _judge_runs(params, [integrate(params, initial, config)], horizon)[0]
-
-
-def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
-                                 horizon: float = 2000.0, seed: int = 0,
-                                 seed_scale: float = 2e-6) -> list[LyapunovAudit]:
-    """Run the audit from ``n_seeds`` random infection seedings.
-
-    Each seeding starts at the disease-free susceptible level with the five
-    infected compartments drawn uniformly from [0, seed_scale * N(0)];
-    seedings are kept small enough that the slow (rate mu) demographic
-    relaxation of S and R back to the disease-free point fits the horizon.
-    All seedings are integrated together, as one ensemble.
-    """
-    config = _audit_window(params, horizon)
-    rng = np.random.default_rng(seed)
-    s0 = params.S0
-    initials = [np.array([s0, *rng.uniform(0.0, seed_scale * s0, size=5), 0.0])
-                for _ in range(n_seeds)]
-    return _judge_runs(params, integrate_ensemble(params, initials, config), horizon)
-
-
-def _audit_window(params: ModelParameters, horizon: float) -> IntegratorConfig:
-    """The audit's integration settings; refuses R_c >= 1."""
     rc = control_reproduction_number(params)
     if rc >= 1.0:
         raise ValueError(
             f"lyapunov audit requires R_c < 1 (got R_c = {rc:.6g}); "
             "the decrease property does not hold otherwise")
-    return IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10, sample_per_day=1)
-
-
-def _judge_runs(params: ModelParameters, trajs,
-                horizon: float) -> list[LyapunovAudit]:
-    """Judge runs stored on one time grid: V must not increase between
-    samples, and each run must end near the disease-free point P0."""
+    config = IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10, sample_per_day=1)
+    trajs = integrate_ensemble(params, initials, config)
     v = np.stack([lyapunov_values(traj.states, params) for traj in trajs], axis=1)
     vref = np.maximum(np.abs(v).max(axis=0), 1.0)
     max_violation = np.diff(v, axis=0).max(axis=0, initial=0.0) / vref
@@ -283,9 +255,25 @@ def _judge_runs(params: ModelParameters, trajs,
                       "disease-free point; horizon may be too short")
         audits.append(LyapunovAudit(passed=monotone_ok and converged,
                                     max_violation=violation,
-                                    final_distance=final_distance,
-                                    horizon=horizon, reason=reason))
+                                    final_distance=final_distance, reason=reason))
     return audits
+
+
+def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
+                                 horizon: float = 2000.0, seed: int = 0,
+                                 seed_scale: float = 2e-6) -> list[LyapunovAudit]:
+    """Run :func:`lyapunov_audit` from ``n_seeds`` random infection seedings.
+
+    Each seeding starts at the disease-free susceptible level with the five
+    infected compartments drawn uniformly from [0, seed_scale * N(0)];
+    seedings are kept small enough that the slow (rate mu) demographic
+    relaxation of S and R back to the disease-free point fits the horizon.
+    """
+    rng = np.random.default_rng(seed)
+    s0 = params.S0
+    initials = [np.array([s0, *rng.uniform(0.0, seed_scale * s0, size=5), 0.0])
+                for _ in range(n_seeds)]
+    return lyapunov_audit(params, initials, horizon)
 
 
 def _rate_scale(params: ModelParameters) -> float:
@@ -321,10 +309,5 @@ def classify_equilibrium(params: ModelParameters,
         verdict = "unstable"
     else:
         verdict = "marginal"
-    return StabilityReport(
-        r_c=control_reproduction_number(params),
-        kind=eq.kind,
-        eigenvalues=eigenvalues,
-        max_real_part=max_real,
-        verdict=verdict,
-    )
+    return StabilityReport(eigenvalues=eigenvalues, max_real_part=max_real,
+                           verdict=verdict)

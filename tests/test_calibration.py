@@ -137,6 +137,13 @@ class TestObservedSeries:
         with pytest.raises(ValueError, match="nonempty"):
             ObservedSeries(counts=np.array([]))
 
+    def test_copies_the_callers_array(self):
+        counts = np.array([1.0, 2.0])
+        series = ObservedSeries(counts=counts)
+        counts[0] = 3.0
+        assert series.counts.tolist() == [1.0, 2.0]
+        assert not series.counts.flags.writeable
+
 
 class TestSseObjective:
     def test_zero_against_own_output(self, truth, seeded_initial):

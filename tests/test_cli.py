@@ -481,6 +481,16 @@ class TestSweepCommand:
         assert ((tmp_path / "rk4" / "sweep.csv").read_bytes()
                 != (tmp_path / "default" / "sweep.csv").read_bytes())
 
+    def test_horizon_under_one_day_is_config_error(self, tmp_path, capsys):
+        # the library sweeps sub-day horizons; the command keeps refusing them
+        cfg = base_config()
+        cfg["scenario"] = {"horizon": 0.5}
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        assert main(["sweep", "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "horizon must be at least one day" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_single_rho_is_config_error(self, tmp_path):
         cfg = base_config()
         cfg["scenario"] = {"rho_values": [0.5], "horizon": 30.0}

@@ -33,11 +33,10 @@ def seeded(params, e1=100.0):
 
 
 def make_scenario(rho, total, asym):
-    return RhoScenario(rho=rho, r_c=1.0, cum_total=total, cum_I1=0.0,
-                       cum_I2=0.0, cum_A=asym,
+    return RhoScenario(rho=rho, r_c=1.0, cum_I1=0.0,
+                       cum_I2=total - asym, cum_A=asym,
                        cum_proportions=np.full(3, np.nan),
-                       prevalence_proportions=np.full(3, np.nan),
-                       final_day_incidence=0.0)
+                       prevalence_proportions=np.full(3, np.nan))
 
 
 class TestRhoSweep:
@@ -58,6 +57,15 @@ class TestRhoSweep:
             [s.cum_total for s in default.scenarios]
         assert other.horizon == 365.0
 
+    def test_sub_day_horizon_reads_the_endpoint(self):
+        p = VARIANT_614G
+        sweep = rho_sweep((p, seeded(p)), (0.2, 0.8), horizon=0.5)
+        for s in sweep.scenarios:
+            traj = integrate(p.with_updates(rho=s.rho), seeded(p),
+                             IntegratorConfig(t_end=0.5, sample_per_day=1))
+            assert [s.cum_I1, s.cum_I2, s.cum_A] == traj.cumulative_inflows[-1].tolist()
+            assert s.cum_total > 0.0
+
     def test_failure_names_scenario_and_time_once(self):
         p = VARIANT_614G
         with pytest.raises(IntegrationError) as info:
@@ -72,7 +80,6 @@ class TestRhoSweep:
         a, b = sweep.scenarios
         assert a.cum_total == b.cum_total
         assert a.cum_A == b.cum_A
-        assert a.final_day_incidence == b.final_day_incidence
 
     def test_permuting_the_grid_permutes_results(self):
         p = VARIANT_614G

@@ -376,6 +376,17 @@ class TestCumulativeByClass:
         assert breakdown.cum_proportions[2] == pytest.approx(expected, rel=0.01)
 
 
+class TestIncidenceSeries:
+    def test_copies_the_callers_arrays(self):
+        days, values = np.arange(2), np.array([1.0, 2.0])
+        series = IncidenceSeries(days=days, values=values)
+        days[0], values[0] = 5, 3.0
+        assert series.days.tolist() == [0, 1]
+        assert series.values.tolist() == [1.0, 2.0]
+        assert not series.days.flags.writeable
+        assert not series.values.flags.writeable
+
+
 class TestPeak:
     def test_decreasing_series_peaks_at_day_zero(self):
         series = IncidenceSeries(days=np.arange(4), values=np.array([9.0, 5.0, 2.0, 1.0]))

@@ -19,6 +19,7 @@ from seiar import (
     quartic_coefficients,
     quartic_value,
 )
+from seiar import stability
 from seiar.presets import VARIANTS
 from seiar.simulate import IntegratorConfig, integrate
 
@@ -216,14 +217,14 @@ class TestLyapunovDerivative:
 class TestLyapunovAudit:
     def test_trivial_at_disease_free_start(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
-        audit = lyapunov_audit(p, disease_free_equilibrium(p).state, horizon=50.0)
+        [audit] = lyapunov_audit(p, [disease_free_equilibrium(p).state], horizon=50.0)
         assert audit.passed
         assert audit.max_violation <= 1e-9
 
     def test_small_seed_converges(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
         y0 = np.array([p.S0, 500.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        audit = lyapunov_audit(p, y0, horizon=2000.0)
+        [audit] = lyapunov_audit(p, [y0], horizon=2000.0)
         assert audit.passed, audit.reason
 
     def test_large_seed_needs_demographic_timescale(self, params_614g):
@@ -232,18 +233,28 @@ class TestLyapunovAudit:
         # it once the horizon covers the slow relaxation
         p = scale_to_rc(params_614g, 0.8)
         y0 = np.array([p.S0, 1e4, 0.0, 0.0, 0.0, 0.0, 0.0])
-        short = lyapunov_audit(p, y0, horizon=2000.0)
+        [short] = lyapunov_audit(p, [y0], horizon=2000.0)
         assert not short.passed
         assert short.max_violation <= 1e-9
         assert "horizon" in short.reason
-        long = lyapunov_audit(p, y0, horizon=90000.0)
+        [long] = lyapunov_audit(p, [y0], horizon=90000.0)
         assert long.passed, long.reason
 
     def test_refuses_supercritical(self, params_614g):
         p = scale_to_rc(params_614g, 1.2)
         y0 = np.array([p.S0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="R_c < 1"):
-            lyapunov_audit(p, y0, horizon=100.0)
+            lyapunov_audit(p, [y0], horizon=100.0)
+
+    def test_refuses_supercritical_before_integrating(self, params_614g, monkeypatch):
+        def integrate_ensemble(*args, **kwargs):
+            pytest.fail("a refused audit must not integrate")
+
+        monkeypatch.setattr(stability, "integrate_ensemble", integrate_ensemble)
+        p = scale_to_rc(params_614g, 1.2)
+        y0 = np.array([p.S0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="R_c < 1"):
+            stability.lyapunov_audit(p, [y0], horizon=100.0)
 
     @pytest.mark.parametrize("variant_name, rho", [("Omicron", 0.8), ("614G", 0.95)])
     def test_certificate_matches_per_seed_audits(self, variant_name, rho):
@@ -251,7 +262,7 @@ class TestLyapunovAudit:
         audits = global_stability_certificate(p)
         assert len(audits) == 20
         for audit, initial in zip(audits, audit_seedings(p)):
-            solo = lyapunov_audit(p, initial, horizon=2000.0)
+            [solo] = lyapunov_audit(p, [initial], horizon=2000.0)
             assert audit.passed == solo.passed
             assert audit.reason == solo.reason
             assert audit.max_violation == solo.max_violation
