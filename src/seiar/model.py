@@ -22,7 +22,9 @@ Dynamics (persons/day):
 
 This module holds the parameter and state containers, the table of grouped
 rates every closed form is built from (``ModelParameters.rates``), the vector
-field (``extended_field``), the Jacobian and the next-generation matrices
+field (``extended_field``: a constant rate matrix plus the one incidence
+term, for one parameter set or one per ensemble member), the Jacobian and
+the next-generation matrices
 read off that field rather than written out a second time, the control
 reproduction number R_c, and both equilibria (disease-free and endemic).
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Literal, NamedTuple, Optional
+from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -208,35 +210,62 @@ def equilibrium_tolerance(params: ModelParameters) -> float:
     return 1e-8 * max(params.Lambda, 1.0)
 
 
-def extended_field(params: ModelParameters) -> Callable[[np.ndarray], np.ndarray]:
+def _rate_matrix(p: ModelParameters) -> np.ndarray:
+    """The linear part M of :func:`extended_field`: 10x7, entry (i, j) is the
+    rate at which compartment j feeds component i of the field."""
+    r = p.rates
+    return np.array([
+        # S     E1         E2        I1         I2         A          R
+        [-p.mu, 0.0,       0.0,      0.0,       0.0,       0.0,       0.0],    # S
+        [0.0,   -r.k_E1,   0.0,      0.0,       0.0,       0.0,       0.0],    # E1
+        [0.0,   p.sigma,   -r.k_E2,  0.0,       0.0,       0.0,       0.0],    # E2
+        [0.0,   0.0,       r.in_I1,  -r.k_I1,   0.0,       0.0,       0.0],    # I1
+        [0.0,   0.0,       r.in_I2,  0.0,       -r.k_I2,   0.0,       0.0],    # I2
+        [0.0,   p.epsilon, 0.0,      0.0,       0.0,       -r.k_A,    0.0],    # A
+        [0.0,   0.0,       0.0,      p.gamma1,  p.gamma2,  p.gamma3,  -p.mu],  # R
+        [0.0,   0.0,       r.in_I1,  0.0,       0.0,       0.0,       0.0],    # into I1
+        [0.0,   0.0,       r.in_I2,  0.0,       0.0,       0.0,       0.0],    # into I2
+        [0.0,   p.epsilon, 0.0,      0.0,       0.0,       0.0,       0.0],    # into A
+    ])
+
+
+def extended_field(params: ModelParameters | Sequence[ModelParameters]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
     """The model's vector field, as a function f(y) of a state array.
 
     f returns 10 components: the derivatives of the seven compartments, then
     the inflows rho*alpha*E2 into I1, (1-rho)*alpha*E2 into I2 and
     epsilon*E1 into A, whose integrals are a simulation's cumulative
-    counters.  Only y[0:7] is read.  Rates are bound to locals here, once,
-    because f runs in the integrators' inner loop.
+    counters.  It is the transition/transmission split next-generation
+    matrices are built from (Diekmann, Heesterbeek & Roberts 2010),
+
+        f(y) = Lambda*e_S + M*y[:7] + beta*S*(E2 + I2 + omega*A)*(e_E1 - e_S),
+
+    with M the constant rate matrix of :func:`_rate_matrix`, filled once,
+    here, because f runs in the integrators' inner loop.  Only y[0:7] is
+    read, from a (7,) or (10,) state or one with a trailing axis of m
+    columns.  ``params`` is one set shared by every column, or a sequence of
+    m sets, one per column, whose matrices are stacked as (m, 10, 7).
     """
-    L, mu, beta, omega = params.Lambda, params.mu, params.beta, params.omega
-    sigma, eps = params.sigma, params.epsilon
-    g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
-    k_e1, k_e2, k_i1, k_i2, k_a, in_i1, in_i2, _, _ = params.rates
+    if isinstance(params, ModelParameters):
+        linear = _rate_matrix(params).__matmul__
+        L, beta, omega = params.Lambda, params.beta, params.omega
+    else:
+        members = list(params)
+        stacked = np.stack([_rate_matrix(p) for p in members])
+
+        def linear(y: np.ndarray) -> np.ndarray:
+            return np.einsum("mij,jm->im", stacked, y)
+
+        L, beta, omega = (np.array([getattr(p, name) for p in members])
+                          for name in ("Lambda", "beta", "omega"))
 
     def f(y: np.ndarray) -> np.ndarray:
-        S, E1, E2, I1, I2, A, R = y[0], y[1], y[2], y[3], y[4], y[5], y[6]
-        force = beta * S * (E2 + I2 + omega * A)
-        return np.array([
-            L - force - mu * S,
-            force - k_e1 * E1,
-            sigma * E1 - k_e2 * E2,
-            in_i1 * E2 - k_i1 * I1,
-            in_i2 * E2 - k_i2 * I2,
-            eps * E1 - k_a * A,
-            g1 * I1 + g2 * I2 + g3 * A - mu * R,
-            in_i1 * E2,
-            in_i2 * E2,
-            eps * E1,
-        ])
+        force = beta * y[0] * (y[2] + y[4] + omega * y[5])
+        out = linear(y[:7])
+        out[0] += L - force
+        out[1] += force
+        return out
 
     return f
 
@@ -266,12 +295,12 @@ def jacobian(state, params: ModelParameters) -> np.ndarray:
 
     Rows and columns follow :data:`COMPARTMENTS` order.  Column j is the
     imaginary part of the field at the complex probe y + i*e_j, all seven
-    probes in one call (the complex step of Squire & Trapp 1998).  The
-    result is exact, not an approximation: the field is at most quadratic,
-    so the imaginary part carries no truncation term, whatever the step,
-    and it is computed by the same products and sums as the partial
-    derivatives written out.  A unit step needs no rescaling, and no
-    product of small rates underflows.
+    probes in one call as the columns of one (7, 7) state (the complex step
+    of Squire & Trapp 1998).  The result is exact, not an approximation:
+    the rate matrix maps the imaginary unit e_j to its own column j, and the
+    one quadratic term gives its partial derivatives by the same products
+    and sums as written out, with no truncation term whatever the step.  A
+    unit step needs no rescaling, and no product of small rates underflows.
     """
     y = _finite_state(state)
     return extended_field(params)(y[:, None] + 1j * np.eye(7)).imag[:7]

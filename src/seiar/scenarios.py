@@ -4,9 +4,11 @@ A sweep re-runs the model over a fixed horizon for several values of the
 detection ratio rho, everything else held at the baseline. "Total
 infections" is the cumulative inflow into I1+I2+A over the horizon and
 "asymptomatic infections" the cumulative inflow into A; both are horizon
-stable, unlike point prevalences.  A sweep reads only each run's endpoint,
-but still stores 1 sample/day: steps land on every stored sample, so that
-grid sets where they land, and so the numbers.
+stable, unlike point prevalences.  A sweep integrates all its rho values as
+one ensemble with one parameter set per member, so the members share every
+step.  It reads only each run's endpoint, but still stores 1 sample/day:
+steps land on every stored sample, so that grid sets where they land, and so
+the numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .simulate import (
     cumulative_by_class,
     daily_incidence,
     integrate,
+    integrate_ensemble,
     peak,
 )
 
@@ -66,34 +69,39 @@ def rho_sweep(base: tuple[ModelParameters, object],
               rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
               horizon: float = 365.0,
               integrator: IntegratorConfig | None = None) -> SweepResult:
-    """One simulation per rho over ``horizon`` days, metrics per scenario.
+    """One ensemble member per rho over ``horizon`` days, metrics per scenario.
 
-    ``base`` is the baseline (parameters, initial state).  Each run
-    integrates with ``integrator``'s method and tolerances from its ``t0``
-    to ``t0 + horizon``.  The metrics read only the endpoint; the run is
-    still stored at 1 sample/day, because that grid sets where steps land,
-    and so the numbers.  A horizon under one day is integrated like any
-    other.  Results follow the input order of ``rho_values``.
+    ``base`` is the baseline (parameters, initial state).  All rho values
+    are integrated as one ensemble, one parameter set per member, with
+    ``integrator``'s method and tolerances from its ``t0`` to
+    ``t0 + horizon``.  The members share every step, and the worst member's
+    error sets it.  So permuting ``rho_values`` permutes the results bit
+    for bit, while adding or removing a value moves the others within the
+    tolerance.  The metrics read only the endpoint; the runs are still
+    stored at 1 sample/day, because that grid sets where steps land, and so
+    the numbers.  A horizon under one day is integrated like any other.
+    Results follow the input order of ``rho_values``.  A failure names the
+    rho of the member that failed, or the first rho when the failure is
+    shared (step budget, step underflow).
     """
     params, initial = base
-    # every rho is validated by ModelParameters before the first run
+    # every rho is validated by ModelParameters before the run
     members = [params.with_updates(rho=float(rho)) for rho in rho_values]
     if not members:
         raise ValueError("rho_values must be nonempty")
     window = integrator or IntegratorConfig()
     config = replace(window, t_end=window.t0 + float(horizon), sample_per_day=1)
-    scenarios = []
-    for scenario_params in members:
-        rho = scenario_params.rho
-        try:
-            traj = integrate(scenario_params, initial, config)
-        except IntegrationError as exc:
-            raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
-                                   exc.t) from exc
-        scenarios.append(RhoScenario(
-            rho=rho, r_c=control_reproduction_number(scenario_params),
-            **vars(cumulative_by_class(traj))))
-    return SweepResult(scenarios=tuple(scenarios), horizon=float(horizon))
+    try:
+        runs = integrate_ensemble(members, [initial] * len(members), config)
+    except IntegrationError as exc:
+        rho = members[exc.member or 0].rho
+        raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
+                               exc.t, exc.member) from exc
+    scenarios = tuple(
+        RhoScenario(rho=p.rho, r_c=control_reproduction_number(p),
+                    **vars(cumulative_by_class(traj)))
+        for p, traj in zip(members, runs))
+    return SweepResult(scenarios=scenarios, horizon=float(horizon))
 
 
 def decline_percentages(sweep: SweepResult) -> DeclinePercentages:

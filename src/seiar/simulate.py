@@ -15,7 +15,8 @@ The Fehlberg stepper rejects such a step and retries it at half the length,
 failing only when the step underflows; RK4, whose step is fixed, aborts.
 Both abort on a non-finite state.  Both step a component-major state of shape
 (10,) for one run or (10, m) for an ensemble of m runs that share every step
-(:func:`integrate_ensemble`).
+(:func:`integrate_ensemble`).  An ensemble's members share one parameter set
+or carry one each; either way the field is one call per stage.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -183,20 +185,27 @@ def _output_grid(config: IntegratorConfig) -> np.ndarray:
 
 
 def _check_state(y: np.ndarray, t: float, band) -> None:
-    if not np.isfinite(y).all():
-        raise IntegrationError("state became non-finite", t)
+    # a failure names its member: the first non-finite one, or the one
+    # deepest below its own band (0 for a single run)
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        raise IntegrationError("state became non-finite", t, int(np.argmin(finite)))
     low = y[:7].min(axis=0)
     if (low < -band).any():
+        member = int(np.argmin(low + band))
         raise IntegrationError(
-            f"compartment undershot the nonnegativity band by {-low.min():.3e}", t)
+            f"compartment undershot the nonnegativity band by {-np.ravel(low)[member]:.3e}",
+            t, member)
 
 
-def _solve(params: ModelParameters, y0: np.ndarray,
+def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
            config: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Integrate from component-major initial compartments of shape (7,) or
     (7, m); return the output times and the stored (n, 10) or (n, 10, m) block.
 
-    Every member gets its own atol and negativity band from its own N(0).
+    ``params`` is one set for every member or one set per member, as
+    :func:`extended_field` takes it.  Every member gets its own atol and
+    negativity band from its own N(0).
     """
     if np.any(y0 < 0):
         raise ValueError("initial state must be nonnegative")
@@ -227,19 +236,23 @@ def integrate(params: ModelParameters, initial,
     return Trajectory(times, out[:, :7], out[:, 7:], config.sample_per_day)
 
 
-def integrate_ensemble(params: ModelParameters, initials,
+def integrate_ensemble(params: ModelParameters | Sequence[ModelParameters], initials,
                        config: IntegratorConfig) -> list[Trajectory]:
     """Solve the model from each of ``initials`` in one stepping loop.
 
-    All members share every step; the step controller takes the worst
-    member's RMS error, so every accepted step meets every member's
-    tolerance.  The trajectories are views into one
+    ``params`` is one parameter set for every member, or a sequence of
+    them, one per initial state.  All members share every step; the step
+    controller takes the worst member's RMS error, so every accepted step
+    meets every member's tolerance.  The trajectories are views into one
     stored (n, 10, m) block.  A step that leaves any member below its band
     is rejected and retried shorter by the adaptive stepper and fails the
     whole call under RK4; a member that turns non-finite fails the whole
-    call under either, and ``max_steps`` counts shared steps.
+    call under either, and ``max_steps`` counts shared steps.  Such a
+    failure's :class:`IntegrationError` names the member it came from.
     """
     y0 = np.stack([state_array(s) for s in initials], axis=1)
+    if not isinstance(params, ModelParameters) and len(params) != y0.shape[1]:
+        raise ValueError(f"{len(params)} parameter sets for {y0.shape[1]} initial states")
     times, out = _solve(params, y0, config)
     return [Trajectory(times, out[:, :7, i], out[:, 7:, i], config.sample_per_day)
             for i in range(y0.shape[1])]
@@ -294,13 +307,16 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, max_steps):
         np.dot(_ERR, k_flat, out=comb_flat)
         q = h * comb / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
         # RMS over the 10 components of each member; the worst member decides
-        err = math.sqrt((q * q).sum(axis=0).max() / len(y))
+        square_sums = (q * q).sum(axis=0)
+        err = math.sqrt(square_sums.max() / len(y))
         if not math.isfinite(err):
-            raise IntegrationError("error estimate became non-finite", t)
+            raise IntegrationError("error estimate became non-finite", t,
+                                   int(np.argmin(np.isfinite(square_sums))))
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if err <= 1.0:
             if not np.isfinite(y5).all():
-                raise IntegrationError("state became non-finite", t + h)
+                raise IntegrationError("state became non-finite", t + h,
+                                       int(np.argmin(np.isfinite(y5).all(axis=0))))
             if (y5[:7].min(axis=0) < -band).any():
                 # the error test passed, but a compartment fell below its
                 # band: reject the step and retry it at half the length

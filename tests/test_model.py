@@ -1,5 +1,7 @@
 """Vector field, reproduction number, next-generation matrices, equilibria."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -29,6 +31,36 @@ from seiar.presets import VARIANTS
 
 def random_state(rng, scale=1e6):
     return rng.uniform(0.0, scale, size=7)
+
+
+def docstring_terms(p, y):
+    """The summands of the field's ten components, typed from the seven
+    equations of the model.py docstring and the three inflows."""
+    S, E1, E2, I1, I2, A, R = y[:7]
+    force = p.beta * S * (E2 + I2 + p.omega * A)
+    return [
+        [p.Lambda, -force, -p.mu * S],
+        [force, -(p.sigma + p.epsilon + p.mu) * E1],
+        [p.sigma * E1, -(p.alpha + p.mu) * E2],
+        [p.rho * p.alpha * E2, -(p.gamma1 + p.phi1 + p.mu) * I1],
+        [(1 - p.rho) * p.alpha * E2, -(p.gamma2 + p.phi2 + p.mu) * I2],
+        [p.epsilon * E1, -(p.gamma3 + p.mu) * A],
+        [p.gamma1 * I1, p.gamma2 * I2, p.gamma3 * A, -p.mu * R],
+        [p.rho * p.alpha * E2],
+        [(1 - p.rho) * p.alpha * E2],
+        [p.epsilon * E1],
+    ]
+
+
+def few_ulps(terms) -> float:
+    """8 ulps of the largest summand: summing up to four terms in any order
+    rounds by less than that, while a wrong rate errs by the term itself."""
+    return 8 * np.spacing(max(map(abs, terms)))
+
+
+def assert_field_matches_equations(field, p, y):
+    for value, terms in zip(field, docstring_terms(p, y)):
+        assert abs(value - math.fsum(terms)) <= few_ulps(terms)
 
 
 class TestParameterValidation:
@@ -120,6 +152,26 @@ class TestRateTable:
             assert full[8] == p.rates.in_I2 * E2
             assert full[9] == p.epsilon * E1
             assert np.array_equal(full[:7], rhs(y, p))
+
+    def test_extended_field_is_the_docstring_equations(self, rng):
+        for _ in range(50):
+            p = draw_params(rng)
+            y = random_state(rng)
+            assert_field_matches_equations(extended_field(p)(y), p, y)
+
+    def test_batched_field_is_each_members_field(self, rng):
+        for _ in range(20):
+            members = [draw_params(rng) for _ in range(4)]
+            ys = np.stack([np.concatenate([random_state(rng), rng.uniform(size=3)])
+                           for _ in members], axis=1)
+            batch = extended_field(members)(ys)
+            assert batch.shape == (10, 4)
+            for k, p in enumerate(members):
+                assert_field_matches_equations(batch[:, k], p, ys[:, k])
+                single = extended_field(p)(ys[:, k])
+                for value, alone, terms in zip(batch[:, k], single,
+                                               docstring_terms(p, ys[:, k])):
+                    assert abs(value - alone) <= few_ulps(terms)
 
 
 class TestPopulationBalance:

@@ -11,6 +11,7 @@ from seiar import (
     fit,
     forecast,
     rho_sweep,
+    simulate,
     synthesize_data,
 )
 from seiar.calibrate import ParameterSpec
@@ -73,6 +74,45 @@ class TestRhoSweep:
         message = str(info.value)
         assert message.startswith("scenario rho=0.2 failed: step budget exhausted")
         assert message.count("(at t = ") == 1
+
+    def test_failure_names_the_failing_members_rho(self):
+        # I2 recovers so fast that a 0.1-day RK4 step is unstable in it;
+        # at rho = 1 nothing enters I2, so only the rho = 0.2 member fails
+        p = VARIANT_614G.with_updates(gamma2=100.0)
+        with pytest.raises(IntegrationError) as info:
+            rho_sweep((p, seeded(p)), (1.0, 0.2), 10.0,
+                      IntegratorConfig(method="rk4", step=0.1))
+        assert str(info.value).startswith("scenario rho=0.2 failed: compartment undershot")
+        assert info.value.member == 1
+
+    def test_ensemble_sweep_shares_the_work(self, variant, monkeypatch):
+        # field evaluations of the 4-rho sweep as one ensemble, against each
+        # member run alone: one call evaluates every member, and the worst
+        # member's error sets the shared step
+        calls = [0]
+        field = simulate.extended_field
+
+        def counted(params):
+            f = field(params)
+
+            def g(y):
+                calls[0] += 1
+                return f(y)
+            return g
+
+        monkeypatch.setattr("seiar.simulate.extended_field", counted)
+        _, p = variant
+        rhos = (0.2, 0.4, 0.6, 0.8)
+
+        def evaluations(rho_values):
+            calls[0] = 0
+            rho_sweep((p, seeded(p)), rho_values, 365.0)
+            return calls[0]
+
+        alone = [evaluations((rho,)) for rho in rhos]
+        together = evaluations(rhos)
+        assert together <= 1.5 * max(alone)
+        assert together <= 0.5 * sum(alone)
 
     def test_repeated_rho_gives_identical_metrics(self):
         p = VARIANT_614G

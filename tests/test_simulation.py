@@ -8,6 +8,7 @@ from conftest import audit_seedings, scale_to_rc
 from scipy.integrate import solve_ivp
 
 from seiar import (
+    COMPARTMENTS,
     IncidenceSeries,
     IntegratorConfig,
     IntegrationError,
@@ -302,6 +303,35 @@ class TestIntegrateEnsemble:
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate_ensemble(p, [seeded_state(p), broken], cfg)
 
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_member_failure_names_the_member_and_shared_failure_none(self, method):
+        p = VARIANT_614G
+        broken = seeded_state(p)
+        broken[2] = float("nan")
+        initials = [seeded_state(p), seeded_state(p, 10.0), broken]
+        cfg = IntegratorConfig(t_end=10.0, method=method, sample_per_day=1)
+        with pytest.raises(IntegrationError, match="non-finite") as info:
+            integrate_ensemble(p, initials, cfg)
+        assert info.value.member == 2
+        with pytest.raises(IntegrationError, match="budget") as info:
+            integrate_ensemble(p, initials[:2], IntegratorConfig(
+                t_end=10.0, method=method, sample_per_day=1, max_steps=5))
+        assert info.value.member is None
+
+    def test_per_member_parameters_match_solo_runs(self):
+        p = VARIANT_614G
+        members = [p.with_updates(rho=rho) for rho in (0.2, 0.8)]
+        cfg = IntegratorConfig(t_end=200.0, sample_per_day=1)
+        runs = integrate_ensemble(members, [seeded_state(p)] * 2, cfg)
+        n0 = float(seeded_state(p).sum())
+        for q, run in zip(members, runs):
+            solo = integrate(q, seeded_state(p), cfg)
+            assert np.max(np.abs(run.states - solo.states)) <= 1e-9 * n0
+            assert np.max(np.abs(run.cumulative_inflows
+                                 - solo.cumulative_inflows)) <= 1e-9 * n0
+        with pytest.raises(ValueError, match="2 parameter sets for 3 initial states"):
+            integrate_ensemble(members, [seeded_state(p)] * 3, cfg)
+
     def test_max_steps_counts_shared_steps(self):
         p = VARIANT_614G
         initials = [seeded_state(p, e1) for e1 in (10.0, 100.0, 1000.0)]
@@ -363,6 +393,16 @@ class TestCumulativeByClass:
             integrate(p, seeded_state(p), IntegratorConfig(t_end=60.0)))
         assert breakdown.cum_proportions.sum() == pytest.approx(1.0, rel=1e-12)
         assert breakdown.prevalence_proportions.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_prevalence_shares_are_I1_I2_and_A(self):
+        p = VARIANT_614G
+        traj = integrate(p, seeded_state(p), IntegratorConfig(t_end=60.0))
+        end = traj.states[-1]
+        # E2 and A differ, so reading E2, I1, I2 in place of I1, I2, A shows
+        assert end[COMPARTMENTS.index("E2")] != pytest.approx(end[COMPARTMENTS.index("A")])
+        prevalent = end[[COMPARTMENTS.index(name) for name in ("I1", "I2", "A")]]
+        np.testing.assert_allclose(cumulative_by_class(traj).prevalence_proportions,
+                                   prevalent / prevalent.sum(), rtol=1e-14)
 
     def test_subcritical_share_matches_branching_ratio(self):
         # pure pass-through of rates: asymptomatic share -> eps/(eps + sigma*alpha/(alpha+mu))
