@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``stability``, ``fit``, ``sweep``, ``predict``.
 Each takes ``--config`` plus, where observations are fitted, ``--data``, and
 writes CSV/JSON results under ``--out``.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 numeric failure.
+error, 3 data error, 4 numeric failure.  Any other exception is a program
+fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ def _out_dir(args) -> Path:
 def cmd_simulate(config: RunConfig, args) -> None:
     params, initial = config.fixed_parameters()
     traj = integrate(params, initial, config.integrator)
-    incidence = daily_incidence(traj)
+    try:
+        incidence = daily_incidence(traj)
+    except ValueError as exc:  # a window under one whole day
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
     # rows of Python floats and ints format much faster than numpy scalars
     write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
@@ -212,9 +216,6 @@ def main(argv=None) -> int:
     except (IntegrationError, FitError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -8,6 +8,11 @@ Three kinds of evidence are produced, none of them symbolic proofs:
   positive real root (hence instability) whenever it is negative,
 * a numeric audit of the energy function V that decreases along trajectories
   when R_c < 1, run as simulations from seeded initial conditions.
+
+Each reads what it certifies off the model rather than writing it out a
+second time: the quartic off :attr:`ModelParameters.rates`, V's infected
+weights off the F - V split of :func:`next_generation_matrices`, and the
+verdict margin off the Jacobian being classified.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .model import (
     disease_free_equilibrium,
     equilibrium_tolerance,
     jacobian,
+    next_generation_matrices,
     rhs,
     state_array,
 )
@@ -34,24 +40,16 @@ from .simulate import IntegratorConfig, integrate_ensemble
 class QuarticCoefficients:
     """Coefficients of the quartic factor lambda^4 + a1 l^3 + a2 l^2 + a3 l + a4.
 
-    The grouped rates are kept alongside: B1 = alpha+mu, B2 = gamma2+phi2+mu,
-    B3 = gamma3+mu, C1 = sigma+epsilon+mu, C2 = sigma, C3 = sigma*(1-rho)*alpha,
-    C4 = epsilon*omega, D = beta*S0.  The constant term satisfies
-    a4 = B1*B2*B3*C1*(1 - R_c), so sign(a4) = sign(1 - R_c).
+    The quartic is det(lambda*I - J) of the (E1, E2, I2, A) block J of the
+    disease-free Jacobian.  With the outflow rates k_E2, k_I2, k_A, k_E1 of
+    :attr:`ModelParameters.rates`, a1 is their sum and the constant term is
+    a4 = k_E2*k_I2*k_A*k_E1*(1 - R_c), so sign(a4) = sign(1 - R_c).
     """
 
     a1: float
     a2: float
     a3: float
     a4: float
-    B1: float
-    B2: float
-    B3: float
-    C1: float
-    C2: float
-    C3: float
-    C4: float
-    D: float
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,15 @@ class StabilityReport:
 def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
     """Expand the quartic factor of the characteristic polynomial at the DFE.
 
-    Construction is self-checked: the coefficient form is compared against
-    the unexpanded product form at ten sample points (1e-9 relative).
+    The product form it expands is
+
+        (l + B1)(l + B2)(l + B3)(l + C1)
+          - D*(C2*(l + B2)(l + B3) + C3*(l + B3) + C4*(l + B1)(l + B2))
+
+    with B1 = alpha+mu, B2 = gamma2+phi2+mu, B3 = gamma3+mu,
+    C1 = sigma+epsilon+mu, C2 = sigma, C3 = sigma*(1-rho)*alpha,
+    C4 = epsilon*omega and D = beta*S0.  Raises ArithmeticError when a
+    coefficient overflows or is otherwise not finite.
     """
     p = params
     r = p.rates
@@ -103,23 +108,11 @@ def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
     a3 = (B1 * B2 * B3 + B1 * B2 * C1 + B1 * B3 * C1 + B2 * B3 * C1
           - D * B2 * C2 - D * B3 * C2 - D * C3 - D * B1 * C4 - D * B2 * C4)
     a4 = B1 * B2 * B3 * C1 - D * B2 * B3 * C2 - D * B1 * B2 * C4 - D * B3 * C3
-    coeffs = QuarticCoefficients(a1, a2, a3, a4, B1, B2, B3, C1, C2, C3, C4, D)
-
-    scale = max(B1, B2, B3, C1, 1.0)
-    rng = np.random.default_rng(1830938462)
-    for lam in rng.uniform(0.0, 4.0 * scale, size=10):
-        expanded = quartic_value(coeffs, lam)
-        product = ((lam + B1) * (lam + B2) * (lam + B3) * (lam + C1)
-                   - D * (C2 * (lam + B2) * (lam + B3)
-                          + C3 * (lam + B3)
-                          + C4 * (lam + B1) * (lam + B2)))
-        magnitude = (lam ** 4 + abs(a1) * lam ** 3 + abs(a2) * lam ** 2
-                     + abs(a3) * lam + abs(a4))
-        if abs(expanded - product) > 1e-9 * magnitude:
-            raise ArithmeticError(
-                "quartic expansion disagrees with its product form; "
-                "parameters are numerically degenerate")
-    return coeffs
+    if not np.all(np.isfinite((a1, a2, a3, a4))):
+        raise ArithmeticError(
+            "quartic coefficients are not finite; "
+            "parameters are numerically degenerate")
+    return QuarticCoefficients(a1, a2, a3, a4)
 
 
 def quartic_value(coeffs: QuarticCoefficients, lam: float) -> float:
@@ -141,7 +134,7 @@ def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertif
 
     if not coeffs.a4 < 0.0:
         return PositiveRootCertificate(exists=False)
-    hi = max(1.0, coeffs.B1 + coeffs.B2 + coeffs.B3 + coeffs.C1)
+    hi = max(1.0, coeffs.a1)
     while quartic_value(coeffs, hi) <= 0.0:
         hi *= 2.0
         if hi > 1e300:
@@ -163,24 +156,22 @@ def lyapunov_values(states, params: ModelParameters) -> np.ndarray:
     the seven compartments (S, E1, E2, I1, I2, A, R); see
     :func:`lyapunov_value` for the formula.
 
+    V = S0*h(S/S0) + w . (E1, E2, I1, I2, A).  The infected weights are
+    w^T = f^T T^-1: the new-infection row f of F taken through the
+    transition matrix T (the V of the F - V split) that
+    :func:`next_generation_matrices` returns (Shuai & van den Driessche
+    2013).  They are solved once per call, so pass every state in one array.
+
     Raises ValueError if any state has S <= 0.
     """
     states = np.asarray(states, dtype=float)
-    S, E1, E2, I2, A = (states[..., i] for i in (0, 1, 2, 4, 5))
+    S = states[..., 0]
     if not np.all(S > 0):
         raise ValueError(f"lyapunov_value requires S > 0, got {float(np.min(S))!r}")
-    p = params
-    r = p.rates
-    S0 = p.S0
-    bS0 = p.beta * S0
-    return (
-        S0 * entropy_h(S / S0)
-        + r.r_c * E1
-        + bS0 / r.k_E2 * E2
-        + p.omega * bS0 / r.k_A * A
-        + bS0 / r.k_I2 * ((1.0 - p.rho) * E2 + I2)
-        - bS0 * (1.0 - p.rho) * p.mu / (r.k_E2 * r.k_I2) * E2
-    )
+    F, V = next_generation_matrices(params)
+    weights = np.linalg.solve(V.T, F[0])
+    S0 = params.S0
+    return S0 * entropy_h(S / S0) + states[..., 1:6] @ weights
 
 
 def lyapunov_value(state, params: ModelParameters) -> float:
@@ -192,7 +183,9 @@ def lyapunov_value(state, params: ModelParameters) -> float:
         - beta*S0*(1-rho)*mu/((alpha+mu)*(gamma2+phi2+mu))*E2
 
     The three E2 terms combine to a strictly positive net coefficient, so V
-    vanishes only at the disease-free point.
+    vanishes only at the disease-free point.  I1 is isolated and transmits
+    nothing, so it has no term.  :func:`lyapunov_values` reads these weights
+    off the next-generation split rather than typing them.
     """
     return float(lyapunov_values(state_array(state), params))
 
@@ -236,15 +229,19 @@ def lyapunov_audit(params: ModelParameters, initials,
             f"lyapunov audit requires R_c < 1 (got R_c = {rc:.6g}); "
             "the decrease property does not hold otherwise")
     config = IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10, sample_per_day=1)
+    # one (samples, runs, 7) copy holds everything judged below; dropping the
+    # ensemble's stored block keeps the two from being held at once
     trajs = integrate_ensemble(params, initials, config)
-    v = np.stack([lyapunov_values(traj.states, params) for traj in trajs], axis=1)
+    states = np.stack([traj.states for traj in trajs], axis=1)
+    del trajs
+    v = lyapunov_values(states, params)
     vref = np.maximum(np.abs(v).max(axis=0), 1.0)
     max_violation = np.diff(v, axis=0).max(axis=0, initial=0.0) / vref
     p0 = disease_free_equilibrium(params).state.as_array()
+    n0 = np.maximum(states[0].sum(axis=1), 1.0)
+    final_distances = np.abs(states[-1] - p0).max(axis=1) / n0
     audits = []
-    for traj, violation in zip(trajs, max_violation.tolist()):
-        n0 = max(float(traj.states[0].sum()), 1.0)
-        final_distance = float(np.max(np.abs(traj.states[-1] - p0))) / n0
+    for violation, final_distance in zip(max_violation.tolist(), final_distances.tolist()):
         monotone_ok = violation <= AUDIT_WIGGLE
         converged = final_distance < AUDIT_DISTANCE
         reason = None
@@ -276,13 +273,7 @@ def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
     return lyapunov_audit(params, initials, horizon)
 
 
-def _rate_scale(params: ModelParameters) -> float:
-    p = params
-    r = p.rates
-    return max(r.k_E1, r.k_E2, r.k_I1, r.k_I2, r.k_A, p.mu, p.beta * p.S0)
-
-
-#: verdict margin as a fraction of the dominant linearized rate
+#: verdict margin as a fraction of the largest |entry| of the Jacobian classified
 VERDICT_MARGIN = 1e-8
 
 
@@ -292,7 +283,8 @@ def classify_equilibrium(params: ModelParameters,
 
     ``stable`` / ``unstable`` when the largest real part clears the margin
     band on either side, ``marginal`` inside it (eigenvalue noise near
-    R_c = 1 should not force a verdict).
+    R_c = 1 should not force a verdict).  The band is ``VERDICT_MARGIN``
+    times the largest |entry| of the Jacobian, its fastest linearised rate.
     """
     residual = float(np.max(np.abs(rhs(eq.state, params))))
     tol = equilibrium_tolerance(params)
@@ -300,9 +292,10 @@ def classify_equilibrium(params: ModelParameters,
         raise ValueError(
             f"point is not an equilibrium: ||rhs||_inf = {residual:.3e} "
             f"exceeds {tol:.3e}")
-    eigenvalues = np.linalg.eigvals(jacobian(eq.state, params))
+    J = jacobian(eq.state, params)
+    eigenvalues = np.linalg.eigvals(J)
     max_real = float(np.max(eigenvalues.real))
-    margin = VERDICT_MARGIN * _rate_scale(params)
+    margin = VERDICT_MARGIN * float(np.max(np.abs(J)))
     if max_real < -margin:
         verdict = "stable"
     elif max_real > margin:

@@ -121,7 +121,8 @@ def test_criterion_4_stability_certificates():
         stable = bool(np.max(eigs.real) < 0.0)
         verdicts_ok &= stable == (rc < 1.0)
         c = quartic_coefficients(p)
-        factored = c.B1 * c.B2 * c.B3 * c.C1 * (1.0 - rc)
+        r = p.rates
+        factored = r.k_E2 * r.k_I2 * r.k_A * r.k_E1 * (1.0 - rc)
         a4_ok &= abs(c.a4 - factored) <= 1e-10 * abs(factored)
         a4_ok &= np.sign(c.a4) == np.sign(1.0 - rc)
     endemic_ok = True

@@ -14,6 +14,7 @@ from seiar import (
     sse_objective,
     synthesize_data,
 )
+from seiar import calibrate
 from seiar.calibrate import INTEGRATION_FAILURE_PENALTY
 from seiar.errors import FitError
 from seiar.presets import VARIANT_614G
@@ -261,6 +262,22 @@ class TestFit:
         assert a.objective == b.objective
         assert np.array_equal(a.history, b.history)
         assert a.params == b.params
+
+    def test_restart_ties_keep_the_earlier_replicate(self, truth, seeded_initial,
+                                                      monkeypatch):
+        # every candidate scores the same, so each later restart ties the
+        # first and must not replace it
+        monkeypatch.setattr(calibrate, "sse_objective", lambda *args, **kwargs: 1.0)
+        entries = truth.as_dict()
+        entries["beta"] = FreeValue(lo=truth.beta / 4, hi=truth.beta * 4,
+                                    guess=truth.beta * 1.5)
+        entries["rho"] = FreeValue(lo=0.05, hi=0.95, guess=0.30)
+        spec = ParameterSpec(params=entries,
+                             initial={"S": truth.S0 - 1000.0, "E1": 1000.0})
+        data = synthesize_data(truth, seeded_initial, days=30)
+        one = fit(spec, data, FitConfig(restarts=1, max_evals=40))
+        three = fit(spec, data, FitConfig(restarts=3, max_evals=40))
+        assert np.array_equal(three.free_values, one.free_values)
 
     def test_fitted_values_respect_bounds(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=30,

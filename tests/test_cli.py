@@ -345,6 +345,16 @@ class TestStabilityCommand:
         assert rows["lyapunov_audit"] == "pass"
         assert float(rows["lyapunov_max_violation"]) <= 1e-9
 
+    def test_overflowing_quartic_exits_4(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["parameters"].update(sigma=1e80, epsilon=1e80, alpha=1e80,
+                                 gamma2=1e80, gamma3=1e80)
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        out = tmp_path / "out"
+        assert main(["stability", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "numerically degenerate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def make_synthetic(self, tmp_path, days=25):
@@ -480,6 +490,18 @@ class TestSweepCommand:
                         for s in expected.scenarios]
         assert ((tmp_path / "rk4" / "sweep.csv").read_bytes()
                 != (tmp_path / "default" / "sweep.csv").read_bytes())
+
+    def test_program_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # a ValueError from inside a command is a fault, not an exit code
+        def rho_sweep(*args, **kwargs):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(seiar.cli, "rho_sweep", rho_sweep)
+        cfg = base_config()
+        cfg["scenario"] = {"horizon": 30.0}
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        with pytest.raises(ValueError, match="injected fault"):
+            main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o")])
 
     def test_horizon_under_one_day_is_config_error(self, tmp_path, capsys):
         # the library sweeps sub-day horizons; the command keeps refusing them

@@ -1,5 +1,7 @@
 """Quartic certificates, energy function checks, eigenvalue verdicts."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import audit_seedings, draw_params, draw_params_at_rc, scale_to_rc
@@ -20,45 +22,98 @@ from seiar import (
     quartic_value,
 )
 from seiar import stability
+from seiar.model import COMPARTMENTS, jacobian
 from seiar.presets import VARIANTS
 from seiar.simulate import IntegratorConfig, integrate
 
 
-def product_form(c, lam):
+def outflows(p):
+    """The outflow rates B1 = alpha+mu, B2 = gamma2+phi2+mu, B3 = gamma3+mu and
+    C1 = sigma+epsilon+mu of the quartic, typed from the parameter fields."""
+    return (p.alpha + p.mu, p.gamma2 + p.phi2 + p.mu, p.gamma3 + p.mu,
+            p.sigma + p.epsilon + p.mu)
+
+
+def product_form(p, lam):
     """Unexpanded quartic, used as an independent check of the expansion."""
-    return ((lam + c.B1) * (lam + c.B2) * (lam + c.B3) * (lam + c.C1)
-            - c.D * (c.C2 * (lam + c.B2) * (lam + c.B3)
-                     + c.C3 * (lam + c.B3)
-                     + c.C4 * (lam + c.B1) * (lam + c.B2)))
+    B1, B2, B3, C1 = outflows(p)
+    C2, C3, C4 = p.sigma, p.sigma * (1.0 - p.rho) * p.alpha, p.epsilon * p.omega
+    D = p.beta * p.S0
+    return ((lam + B1) * (lam + B2) * (lam + B3) * (lam + C1)
+            - D * (C2 * (lam + B2) * (lam + B3)
+                   + C3 * (lam + B3)
+                   + C4 * (lam + B1) * (lam + B2)))
+
+
+def exact_det(rows):
+    """Determinant of a square matrix of Fractions, by exact elimination."""
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            factor = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= factor * m[k][j]
+    return det
+
+
+def ulps_apart(a, b):
+    return abs(a - b) / np.spacing(abs(b))
 
 
 class TestQuarticCoefficients:
-    def test_groupings(self, params_614g):
-        p = params_614g
-        c = quartic_coefficients(p)
-        assert c.B1 == p.alpha + p.mu
-        assert c.B2 == p.gamma2 + p.phi2 + p.mu
-        assert c.B3 == p.gamma3 + p.mu
-        assert c.C1 == p.sigma + p.epsilon + p.mu
-        assert c.C2 == p.sigma
-        assert c.C3 == p.sigma * (1.0 - p.rho) * p.alpha
-        assert c.C4 == p.epsilon * p.omega
-        assert c.D == p.beta * p.S0
-
     def test_matches_product_form_at_random_points(self, rng):
         for _ in range(50):
             p = draw_params(rng)
             c = quartic_coefficients(p)
-            scale = max(c.B1, c.B2, c.B3, c.C1, 1.0)
+            scale = max(*outflows(p), 1.0)
             for lam in rng.uniform(0.0, 4.0 * scale, size=10):
                 magnitude = (lam ** 4 + abs(c.a1) * lam ** 3 + abs(c.a2) * lam ** 2
                              + abs(c.a3) * lam + abs(c.a4))
-                assert abs(quartic_value(c, lam) - product_form(c, lam)) \
+                assert abs(quartic_value(c, lam) - product_form(p, lam)) \
                     <= 1e-9 * magnitude
 
+    def test_is_the_characteristic_polynomial_of_the_field(self, rng):
+        # det(lambda*I - J) of the (E1, E2, I2, A) block of the field's own
+        # disease-free Jacobian, in exact rational arithmetic
+        block = [COMPARTMENTS.index(name) for name in ("E1", "E2", "I2", "A")]
+        for _ in range(100):
+            p = draw_params(rng)
+            c = quartic_coefficients(p)
+            J = jacobian(disease_free_equilibrium(p).state, p)
+            exact = [[Fraction(float(J[i, j])) for j in block] for i in block]
+            outflow_product = np.prod(outflows(p))
+            hi = 4.0 * max(*outflows(p), 1.0)
+            for lam in [0.0, *(hi * (1.0 - rng.uniform(size=10))).tolist()]:
+                shifted = [[Fraction(lam) * (i == j) - exact[i][j] for j in range(4)]
+                           for i in range(4)]
+                det = exact_det(shifted)
+                if lam == 0.0:
+                    scale = outflow_product
+                else:
+                    scale = (lam ** 4 + abs(c.a1) * lam ** 3 + abs(c.a2) * lam ** 2
+                             + abs(c.a3) * lam + abs(c.a4))
+                error = abs(Fraction(quartic_value(c, lam)) - det)
+                assert float(error) <= 1e-12 * scale, (lam, float(error) / scale)
+
+    def test_overflowing_coefficients_raise(self, params_614g):
+        p = params_614g.with_updates(sigma=1e80, epsilon=1e80, alpha=1e80,
+                                     gamma2=1e80, gamma3=1e80)
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            quartic_coefficients(p)
+
     def test_no_transmission_constant_term(self, params_614g):
-        c = quartic_coefficients(params_614g.with_updates(beta=0.0))
-        assert c.a4 == c.B1 * c.B2 * c.B3 * c.C1
+        p = params_614g.with_updates(beta=0.0)
+        c = quartic_coefficients(p)
+        B1, B2, B3, C1 = outflows(p)
+        assert c.a4 == B1 * B2 * B3 * C1
         assert c.a4 > 0.0
 
     def test_constant_term_is_value_at_zero(self, rng):
@@ -71,14 +126,16 @@ class TestQuarticCoefficients:
             p = draw_params(rng)
             rc = control_reproduction_number(p)
             c = quartic_coefficients(p)
-            factored = c.B1 * c.B2 * c.B3 * c.C1 * (1.0 - rc)
+            B1, B2, B3, C1 = outflows(p)
+            factored = B1 * B2 * B3 * C1 * (1.0 - rc)
             assert c.a4 == pytest.approx(factored, rel=1e-10, abs=1e-300)
             assert np.sign(c.a4) == np.sign(1.0 - rc)
 
     def test_a4_vanishes_at_threshold(self, params_614g):
         critical = scale_to_rc(params_614g, 1.0)
         c = quartic_coefficients(critical)
-        assert abs(c.a4) <= 1e-10 * (c.B1 * c.B2 * c.B3 * c.C1)
+        B1, B2, B3, C1 = outflows(critical)
+        assert abs(c.a4) <= 1e-10 * (B1 * B2 * B3 * C1)
 
     def test_614g_negative_constant_term(self, params_614g):
         assert quartic_coefficients(params_614g).a4 < 0.0
@@ -147,6 +204,33 @@ class TestLyapunovValue:
             expected = bS0 * (b2 + (1.0 - p.rho) * p.alpha) / ((p.alpha + p.mu) * b2)
             assert value == pytest.approx(expected, rel=1e-10)
             assert value > 0.0
+
+    def test_weights_are_the_docstring_coefficients(self, rng):
+        # V at S = S0 with one unit in one infected compartment is that
+        # compartment's weight, read off the next-generation split
+        for _ in range(200):
+            p = draw_params(rng)
+            bS0 = p.beta * p.S0
+            k_E2, k_I2, k_A = p.alpha + p.mu, p.gamma2 + p.phi2 + p.mu, p.gamma3 + p.mu
+            k_E1 = p.sigma + p.epsilon + p.mu
+            typed = {
+                "E1": bS0 / k_E1 * (p.sigma / k_E2
+                                    + p.sigma * (1.0 - p.rho) * p.alpha / (k_E2 * k_I2)
+                                    + p.epsilon * p.omega / k_A),
+                "E2": (bS0 / k_E2 + bS0 / k_I2 * (1.0 - p.rho)
+                       - bS0 * (1.0 - p.rho) * p.mu / (k_E2 * k_I2)),
+                "I2": bS0 / k_I2,
+                "A": p.omega * bS0 / k_A,
+            }
+            weights = {}
+            for name in ("E1", "E2", "I1", "I2", "A"):
+                state = disease_free_equilibrium(p).state.as_array()
+                state[COMPARTMENTS.index(name)] = 1.0
+                weights[name] = lyapunov_value(state, p)
+            for name, coefficient in typed.items():
+                assert ulps_apart(weights[name], coefficient) <= 8, name
+            assert weights["I1"] == 0.0
+            assert ulps_apart(weights["E1"], p.rates.r_c) <= 8
 
     def test_positive_off_equilibrium(self, rng, params_614g):
         p = params_614g
