@@ -13,6 +13,8 @@ for convergence checks.  Neither clips a compartment that undershoots below
 -1e-9 * N(0), since clipping would silently break the population balance.
 The Fehlberg stepper rejects such a step and retries it at half the length,
 failing only when the step underflows; RK4, whose step is fixed, aborts.
+An initial state may undershoot by as much, so a run can resume from a
+state it stored.
 Both abort on a non-finite state.  Both step a component-major state of shape
 (10,) for one run or (10, m) for an ensemble of m runs that share every step
 (:func:`integrate_ensemble`).  An ensemble's members share one parameter set
@@ -207,10 +209,12 @@ def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
     :func:`extended_field` takes it.  Every member gets its own atol and
     negativity band from its own N(0).
     """
-    if np.any(y0 < 0):
-        raise ValueError("initial state must be nonnegative")
     n0 = np.maximum(y0.sum(axis=0), 1.0)
     band = NEGATIVITY_BAND * n0
+    # a stored state may sit inside the band, and a run can restart from it
+    if np.any(y0 < -band):
+        raise ValueError("initial state must be nonnegative, to within the "
+                         "negativity band")
     atol = config.atol if config.atol is not None else 1e-10 * n0
     f = extended_field(params)
     out_times = _output_grid(config)

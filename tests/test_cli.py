@@ -345,6 +345,21 @@ class TestStabilityCommand:
         assert rows["lyapunov_audit"] == "pass"
         assert float(rows["lyapunov_max_violation"]) <= 1e-9
 
+    def test_audit_over_the_step_budget_exits_4_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        def integrate_ensemble(*args, **kwargs):
+            pytest.fail("an audit over the step budget must not integrate")
+
+        monkeypatch.setattr(seiar.stability, "integrate_ensemble", integrate_ensemble)
+        cfg = base_config()
+        cfg["parameters"]["beta"] = P.beta * 0.45  # R_c ~ 0.75
+        cfg["stability"] = {"audit_horizon": 3.0e6}
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        out = tmp_path / "out"
+        assert main(["stability", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "step budget exhausted" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_quartic_exits_4(self, tmp_path, capsys):
         cfg = base_config()
         cfg["parameters"].update(sigma=1e80, epsilon=1e80, alpha=1e80,

@@ -1,6 +1,8 @@
 """Property tests of the inputs: a config either parses or is a ConfigError,
-a case-series file either reads or is a DataError, whatever they hold, and a
-parameter spec loads only if every point of its boxes assembles.
+a case-series file either reads or is a DataError, whatever they hold, a
+parameter spec loads only if every point of its boxes assembles, and
+``seiar stability`` on a subcritical config exits 0, 2 or 4, never raising,
+over a range of ``stability`` blocks.
 
 Examples are drawn deterministically (``derandomize=True``), so every run
 checks the same inputs.
@@ -9,13 +11,16 @@ checks the same inputs.
 import itertools
 import math
 
+import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 from seiar.calibrate import FreeValue, ObservedSeries, ParameterSpec
+from seiar.cli import main
 from seiar.config import RunConfig, load_config, parse_config
 from seiar.errors import ConfigError, DataError
 from seiar.io import read_case_series
-from seiar.presets import VARIANT_614G
+from seiar.model import control_reproduction_number
+from seiar.presets import VARIANT_614G, VARIANTS
 
 INPUTS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -133,3 +138,21 @@ def test_accepted_spec_assembles_everywhere_in_its_box(lam, mu, e1, fractions):
     inside = [min(b.hi, b.lo + f * (b.hi - b.lo)) for b, f in zip(free, fractions)]
     for point in (inside, *itertools.product(*((b.lo, b.hi) for b in free))):
         spec.assemble(point)
+
+
+@settings(INPUTS, max_examples=50)
+@given(variant=st.sampled_from(sorted(VARIANTS)), rho=st.floats(0.0, 1.0),
+       r_c=st.floats(0.5, 0.999), audit_seeds=st.integers(1, 5),
+       audit_horizon=st.floats(1e-3, 5000.0), seed=st.integers(0, 2**64),
+       seed_scale=st.floats(1e-300, 10.0))
+def test_subcritical_stability_run_exits_0_2_or_4(
+        tmp_path_factory, variant, rho, r_c, audit_seeds, audit_horizon, seed, seed_scale):
+    params = VARIANTS[variant].with_updates(rho=rho)
+    params = params.with_updates(beta=params.beta * r_c / control_reproduction_number(params))
+    work = tmp_path_factory.mktemp("stability")
+    config = work / "run.yaml"
+    config.write_text(yaml.safe_dump({
+        "parameters": params.as_dict(), "initial": {"E1": 100.0},
+        "stability": {"audit_seeds": audit_seeds, "audit_horizon": audit_horizon,
+                      "seed": seed, "seed_scale": seed_scale}}), encoding="utf-8")
+    assert main(["stability", "--config", str(config), "--out", str(work / "out")]) in (0, 2, 4)

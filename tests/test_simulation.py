@@ -22,7 +22,13 @@ from seiar import (
 )
 from seiar.model import extended_field
 from seiar.presets import VARIANT_614G, VARIANTS
-from seiar.simulate import _FEHLBERG_A, _FEHLBERG_B4, _FEHLBERG_B5, _check_state
+from seiar.simulate import (
+    _FEHLBERG_A,
+    _FEHLBERG_B4,
+    _FEHLBERG_B5,
+    NEGATIVITY_BAND,
+    _check_state,
+)
 
 
 def seeded_state(params, e1=100.0):
@@ -127,6 +133,14 @@ class TestIntegrate:
         y0[3] = -1.0
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(VARIANT_614G, y0, IntegratorConfig(t_end=10.0))
+
+    def test_starts_from_an_undershoot_inside_the_band(self):
+        # a stored state may undershoot by up to NEGATIVITY_BAND * N(0)
+        y0 = seeded_state(VARIANT_614G)
+        y0[3] = -0.5 * NEGATIVITY_BAND * y0.sum()
+        traj = integrate(VARIANT_614G, y0, IntegratorConfig(t_end=10.0))
+        assert traj.states[0, 3] == y0[3]
+        assert np.all(traj.states[-1] >= 0.0)
 
     def test_fixed_step_fourth_order_convergence(self):
         p = VARIANT_614G

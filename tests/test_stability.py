@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from conftest import audit_seedings, draw_params, draw_params_at_rc, scale_to_rc
 
 from seiar import (
@@ -22,9 +23,9 @@ from seiar import (
     quartic_value,
 )
 from seiar import stability
-from seiar.model import COMPARTMENTS, jacobian
+from seiar.model import COMPARTMENTS, extended_field, jacobian
 from seiar.presets import VARIANTS
-from seiar.simulate import IntegratorConfig, integrate
+from seiar.simulate import IntegratorConfig, integrate, integrate_ensemble
 
 
 def outflows(p):
@@ -357,6 +358,78 @@ class TestLyapunovAudit:
         audits = global_stability_certificate(p, n_seeds=5, horizon=2000.0, seed=3)
         assert len(audits) == 5
         assert all(a.passed for a in audits)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """(days, lowest starting compartment) of each ensemble the audit integrates."""
+    calls = []
+
+    def recorded(params, initials, config):
+        calls.append((config.t_end - config.t0, float(np.min(initials))))
+        return integrate_ensemble(params, initials, config)
+
+    monkeypatch.setattr(stability, "integrate_ensemble", recorded)
+    return calls
+
+
+def integrated_days(chunks):
+    return sum(days for days, _ in chunks)
+
+
+class TestAuditStop:
+    def test_criterion_5_audit_stops_early(self, chunks):
+        # measured: 850 of 2000 days
+        p = scale_to_rc(VARIANTS["614G"], 0.8)
+        audits = global_stability_certificate(p, n_seeds=20, horizon=2000.0, seed=55)
+        assert all(a.passed for a in audits)
+        assert integrated_days(chunks) <= 1000.0
+
+    def test_benchmark_614g_audit_stops_early(self, chunks):
+        # measured: 950 of 2000 days
+        global_stability_certificate(VARIANTS["614G"].with_updates(rho=0.95))
+        assert integrated_days(chunks) <= 1100.0
+
+    def test_longer_horizon_integrates_no_further(self, chunks):
+        p = scale_to_rc(VARIANTS["614G"], 0.8)
+        y0 = np.array([p.S0, 1e4, 0.0, 0.0, 0.0, 0.0, 0.0])
+        lyapunov_audit(p, [y0], horizon=2000.0)
+        short = integrated_days(chunks)
+        chunks.clear()
+        lyapunov_audit(p, [y0], horizon=90000.0)
+        assert integrated_days(chunks) == short < 2000.0
+
+    def test_resumes_from_a_chunk_end_below_zero(self, params_614g, chunks):
+        # with fast exits from E2 and A, a chunk ends with a compartment just
+        # below zero, inside the integrator's band, and the next starts there
+        p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=10.0), 0.8)
+        audits = global_stability_certificate(p, n_seeds=3, horizon=300.0)
+        assert min(low for _, low in chunks) < 0.0
+        assert all(a.passed for a in audits)
+
+    @pytest.mark.parametrize("variant_name, rho", [("Omicron", 0.8), ("614G", 0.95)])
+    def test_final_distances_match_dop853(self, variant_name, rho):
+        p = VARIANTS[variant_name].with_updates(rho=rho)
+        initials = audit_seedings(p, n_seeds=3)
+        audits = lyapunov_audit(p, initials, horizon=2000.0)
+        f = extended_field(p)
+        y0 = np.stack(initials, axis=1)
+        end = solve_ivp(lambda t, y: f(y.reshape(7, 3))[:7].ravel(), (0.0, 2000.0),
+                        y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-9).y[:, -1]
+        p0 = disease_free_equilibrium(p).state.as_array()
+        reference = np.abs(end.reshape(7, 3).T - p0).max(axis=1) / y0.sum(axis=0)
+        for audit, distance in zip(audits, reference):
+            assert audit.final_distance == pytest.approx(distance, rel=1e-9)
+
+    def test_supercritical_run_is_integrated_to_the_horizon_and_fails(
+            self, params_614g, chunks, monkeypatch):
+        monkeypatch.setattr(stability, "control_reproduction_number", lambda p: 0.5)
+        p = scale_to_rc(params_614g, 1.2)
+        y0 = np.array([p.S0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        [audit] = stability.lyapunov_audit(p, [y0], horizon=2000.0)
+        assert integrated_days(chunks) == 2000.0
+        assert not audit.passed
+        assert "V increased" in audit.reason
 
 
 class TestClassifyEquilibrium:
