@@ -41,10 +41,10 @@ print("that root IS the unstable eigenvalue:",
 
 endemic = endemic_equilibrium(params)
 endemic_report = classify_equilibrium(params, endemic)
-print(f"\nendemic point: E1* = {endemic.state.E1:.1f}, S* = {endemic.state.S:,.0f}")
+print(f"\nendemic point: E1* = {endemic.E1:.1f}, S* = {endemic.S:,.0f}")
 print(f"endemic verdict = {endemic_report.verdict}, "
       f"max Re(lambda) = {endemic_report.max_real_part:+.3e}")
-print(f"threshold identity S0/S* = {params.S0 / endemic.state.S:.6f} = R_c")
+print(f"threshold identity S0/S* = {params.S0 / endemic.S:.6f} = R_c")
 
 # below threshold the disease-free point is globally attracting
 subcritical = params.with_updates(beta=params.beta * 0.8 / rc)

@@ -19,7 +19,7 @@ for name, params in VARIANTS.items():
                       horizon=365.0)
     print(f"\n=== {name} ===")
     print("rho    R_c     cumulative infections    asymptomatic share")
-    for s in sweep.scenarios:
+    for s in sweep:
         print(f"{s.rho:3.1f} {s.r_c:7.3f} {s.cum_total:20,.0f} "
               f"{s.cum_proportions[2]:18.4f}")
     decline = decline_percentages(sweep)

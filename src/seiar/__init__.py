@@ -23,7 +23,6 @@ from .errors import ConfigError, DataError, FitError, IntegrationError
 from .model import (
     COMPARTMENTS,
     PARAMETER_NAMES,
-    EquilibriumPoint,
     ModelParameters,
     StateVector,
     control_reproduction_number,
@@ -40,7 +39,6 @@ from .presets import VARIANTS
 from .scenarios import (
     DeclinePercentages,
     Forecast,
-    SweepResult,
     decline_percentages,
     forecast,
     rho_sweep,

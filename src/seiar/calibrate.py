@@ -166,8 +166,7 @@ class FitConfig:
     ``max_evals`` caps objective evaluations per restart (scipy's ``maxfev``);
     a restart converges once every simplex vertex lies within
     ``diameter_tol`` of the best one in the sine coordinates (``xatol``).
-    ``integrator`` sets the method, tolerances and samples per day of every
-    run; :func:`fit` sets its window to the data's days.
+    The integrator settings are :func:`fit`'s own argument.
     """
 
     restarts: int = 5
@@ -175,7 +174,6 @@ class FitConfig:
     diameter_tol: float = 1e-8
     jitter: float = 0.1
     seed: int = 0
-    integrator: Optional[IntegratorConfig] = None
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -239,16 +237,17 @@ def _from_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def fit(spec: ParameterSpec, data: ObservedSeries,
-        fit_config: FitConfig | None = None) -> FitResult:
+        fit_config: FitConfig | None = None,
+        integrator: IntegratorConfig | None = None) -> FitResult:
     """Minimize the SSE objective over the spec's free coordinates.
 
     Every run integrates over the data window, days 0 to ``len(data)``,
-    with ``fit_config.integrator``'s other settings (1 sample/day if unset).
+    with ``integrator``'s other settings (1 sample/day if unset).
     With no free coordinates this degenerates to a single evaluation of the
     fixed configuration.
     """
     cfg = fit_config or FitConfig()
-    integrator = _window(cfg.integrator, len(data))
+    integrator = _window(integrator, len(data))
     names = spec.free_names
 
     def package(free_values, objective, iterations, n_evals, converged, history):

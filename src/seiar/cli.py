@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,9 +82,8 @@ def cmd_stability(config: RunConfig, args) -> None:
         rows.append(("positive_root_bracket_hi", certificate.bracket[1]))
     rows.append(("endemic_present", int(endemic is not None)))
     if endemic is not None:
-        state = endemic.state
         for comp in COMPARTMENTS:
-            rows.append((f"endemic_{comp}", getattr(state, comp)))
+            rows.append((f"endemic_{comp}", getattr(endemic, comp)))
         endemic_report = stability_mod.classify_equilibrium(params, endemic)
         rows.append(("endemic_verdict", endemic_report.verdict))
         rows.append(("endemic_max_real_part", endemic_report.max_real_part))
@@ -106,7 +104,7 @@ def cmd_stability(config: RunConfig, args) -> None:
 
 def _fit_from_args(config: RunConfig, args):
     data = read_case_series(args.data)
-    return data, fit(config.spec, data, replace(config.fit, integrator=config.integrator))
+    return data, fit(config.spec, data, config.fit, config.integrator)
 
 
 def cmd_fit(config: RunConfig, args) -> None:
@@ -149,7 +147,7 @@ def cmd_sweep(config: RunConfig, args) -> None:
                "prop_A_cumulative", "prop_A_prevalence"),
               ((s.rho, s.cum_total, s.cum_I1, s.cum_I2, s.cum_A,
                 s.cum_proportions[2], s.prevalence_proportions[2])
-               for s in sweep.scenarios))
+               for s in sweep))
     write_csv(out / "decline.csv", ("metric", "percent"),
               [("total", decline.total_pct),
                ("asymptomatic", decline.asymptomatic_pct)])

@@ -2,9 +2,9 @@
 
 Every settings block (``integrator``, ``fit``, ``scenario``, ``stability``,
 ``forecast``) is read by one function, :func:`_parse_block`, from the
-dataclass it fills: the block's keys are the class's fields (less the few in
-``_NOT_KEYS``), each value must have the type of the field's default, and
-the class's ``__post_init__`` does the rest of the validation.  Unknown keys
+dataclass it fills: the block's keys are exactly the class's fields, each
+value must have the type of the field's default, and the class's
+``__post_init__`` does the rest of the validation.  Unknown keys
 are rejected everywhere — a silently ignored typo in a rate name is the
 dominant user error this layer exists to prevent.  Numeric fields reject
 booleans, strings and non-finite values.  Integration windows are not set
@@ -69,8 +69,6 @@ class ForecastConfig:
 _BLOCKS = {"integrator": IntegratorConfig, "fit": FitConfig,
            "scenario": ScenarioConfig, "stability": StabilityConfig,
            "forecast": ForecastConfig}
-#: dataclass fields that a config cannot set
-_NOT_KEYS = {IntegratorConfig: ("max_steps",), FitConfig: ("integrator",)}
 _TOP_LEVEL_KEYS = ("parameters", "initial", *_BLOCKS)
 
 
@@ -175,13 +173,12 @@ def _value(default, value, where: str):
 
 def _parse_block(raw: Mapping, name: str):
     """The ``name`` block, read into its dataclass: the keys are the class's
-    fields, less those in ``_NOT_KEYS``, and each value must have the type
-    of the field's default (``None`` marks an optional number)."""
+    fields, and each value must have the type of the field's default
+    (``None`` marks an optional number)."""
     cls = _BLOCKS[name]
     block = raw.get(name)
     block = _require_mapping({} if block is None else block, name)
-    fields = {f.name: f.default for f in dataclasses.fields(cls)
-              if f.name not in _NOT_KEYS.get(cls, ())}
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
     _reject_unknown(block, fields, name)
     kwargs = {key: _value(fields[key], value, f"{name}.{key}")
               for key, value in block.items()}

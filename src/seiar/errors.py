@@ -26,16 +26,11 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Observed-series file violates the expected schema.
-
-    ``line`` is the 1-based line number of the offending row when known.
-    """
+    """Observed-series file violates the expected schema; a 1-based ``line``
+    of the offending row, when known, prefixes the message as ``line N:``."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class FitError(RuntimeError):

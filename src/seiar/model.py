@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Literal, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -173,15 +173,6 @@ class StateVector:
     @classmethod
     def from_array(cls, y) -> "StateVector":
         return cls(*state_array(y).tolist())
-
-
-EquilibriumKind = Literal["disease_free", "endemic"]
-
-
-@dataclass(frozen=True)
-class EquilibriumPoint:
-    kind: EquilibriumKind
-    state: StateVector
 
 
 def state_array(state) -> np.ndarray:
@@ -329,7 +320,7 @@ def next_generation_matrices(params: ModelParameters) -> tuple[np.ndarray, np.nd
     E1 outflow) and zero elsewhere; V = F - J is lower triangular with the
     outflow rates on the diagonal.
     """
-    J = jacobian(disease_free_equilibrium(params).state, params)[1:6, 1:6]
+    J = jacobian(disease_free_equilibrium(params), params)[1:6, 1:6]
     F = np.zeros((5, 5))
     F[0, 1:] = J[0, 1:]
     return F, F - J
@@ -347,13 +338,12 @@ def ngm_spectral_radius(F: np.ndarray, V: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def disease_free_equilibrium(params: ModelParameters) -> EquilibriumPoint:
+def disease_free_equilibrium(params: ModelParameters) -> StateVector:
     """The always-present infection-free steady state (Lambda/mu, 0, ..., 0)."""
-    state = StateVector(params.S0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return EquilibriumPoint("disease_free", state)
+    return StateVector(params.S0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def endemic_equilibrium(params: ModelParameters) -> Optional[EquilibriumPoint]:
+def endemic_equilibrium(params: ModelParameters) -> Optional[StateVector]:
     """The unique positive steady state, or None when R_c <= 1.
 
     E1* = Lambda*(R_c - 1)/((sigma+epsilon+mu)*R_c) -- the simplified form of
@@ -374,8 +364,8 @@ def endemic_equilibrium(params: ModelParameters) -> Optional[EquilibriumPoint]:
     a = p.epsilon / r.k_A * e1
     recovered = (p.gamma1 * i1 + p.gamma2 * i2 + p.gamma3 * a) / p.mu
     s = p.Lambda / (p.beta * e1 * r.bracket + p.mu)
-    point = EquilibriumPoint("endemic", StateVector(s, e1, e2, i1, i2, a, recovered))
-    residual = float(np.max(np.abs(rhs(point.state, p))))
+    point = StateVector(s, e1, e2, i1, i2, a, recovered)
+    residual = float(np.max(np.abs(rhs(point, p))))
     if residual > equilibrium_tolerance(p):
         raise ArithmeticError(
             f"endemic equilibrium residual {residual:.3e} exceeds tolerance; "

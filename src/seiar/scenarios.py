@@ -40,12 +40,6 @@ class RhoScenario(ClassBreakdown):
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    scenarios: tuple[RhoScenario, ...]
-    horizon: float
-
-
-@dataclass(frozen=True)
 class DeclinePercentages:
     """Relative drops from the lowest to the highest swept rho, in percent.
 
@@ -68,8 +62,9 @@ class Forecast:
 def rho_sweep(base: tuple[ModelParameters, object],
               rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
               horizon: float = 365.0,
-              integrator: IntegratorConfig | None = None) -> SweepResult:
-    """One ensemble member per rho over ``horizon`` days, metrics per scenario.
+              integrator: IntegratorConfig | None = None
+              ) -> tuple[RhoScenario, ...]:
+    """One ensemble member per rho over ``horizon`` days, one scenario each.
 
     ``base`` is the baseline (parameters, initial state).  All rho values
     are integrated as one ensemble, one parameter set per member, with
@@ -80,8 +75,8 @@ def rho_sweep(base: tuple[ModelParameters, object],
     tolerance.  The metrics read only the endpoint; the runs are still
     stored at 1 sample/day, because that grid sets where steps land, and so
     the numbers.  A horizon under one day is integrated like any other.
-    Results follow the input order of ``rho_values``.  A failure names the
-    rho of the member that failed, or the first rho when the failure is
+    The scenarios follow the input order of ``rho_values``.  A failure names
+    the rho of the member that failed, or the first rho when the failure is
     shared (step budget, step underflow).
     """
     params, initial = base
@@ -97,26 +92,24 @@ def rho_sweep(base: tuple[ModelParameters, object],
         rho = members[exc.member or 0].rho
         raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
                                exc.t, exc.member) from exc
-    scenarios = tuple(
-        RhoScenario(rho=p.rho, r_c=control_reproduction_number(p),
-                    **vars(cumulative_by_class(traj)))
-        for p, traj in zip(members, runs))
-    return SweepResult(scenarios=scenarios, horizon=float(horizon))
+    return tuple(RhoScenario(rho=p.rho, r_c=control_reproduction_number(p),
+                             **vars(cumulative_by_class(traj)))
+                 for p, traj in zip(members, runs))
 
 
-def decline_percentages(sweep: SweepResult) -> DeclinePercentages:
+def decline_percentages(scenarios: Sequence[RhoScenario]) -> DeclinePercentages:
     """100 * (metric(rho_min) - metric(rho_max)) / metric(rho_min).
 
-    Computed for the cumulative total and the cumulative asymptomatic count.
+    Computed over a sweep's scenarios for the total and asymptomatic counts.
     Since cum_I1 + cum_I2 + alpha/(alpha+mu)*E2(T) =
     alpha*sigma/((alpha+mu)*epsilon)*cum_A along every run started with
     E2 = 0, the two declines differ only by the E2 still in flight at the
     horizon.
     """
-    if len(sweep.scenarios) < 2:
+    if len(scenarios) < 2:
         raise ValueError("decline percentages need at least two rho values")
-    low = min(sweep.scenarios, key=lambda s: s.rho)
-    high = max(sweep.scenarios, key=lambda s: s.rho)
+    low = min(scenarios, key=lambda s: s.rho)
+    high = max(scenarios, key=lambda s: s.rho)
 
     def pct(a: float, b: float) -> float:
         if a == 0.0:

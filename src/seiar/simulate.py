@@ -36,6 +36,10 @@ from .model import ModelParameters, extended_field, state_array
 #: undershoot tolerance band, relative to the initial total population
 NEGATIVITY_BAND = 1e-9
 
+#: steps one call may take, shared by an ensemble's members; a window with
+#: more output samples, or an RK4 run with more steps, fails before stepping
+MAX_STEPS = 2_000_000
+
 # Fehlberg 4(5) tableau, kept in exact rationals so its order conditions can
 # be checked exactly; stage times are omitted because the system is
 # autonomous. The 5th-order solution is propagated and the difference to the
@@ -75,7 +79,6 @@ class IntegratorConfig:
     rtol: float = 1e-8
     atol: float | None = None
     sample_per_day: int = 10
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.method not in ("adaptive", "rk4"):
@@ -177,9 +180,9 @@ def _output_grid(config: IntegratorConfig) -> np.ndarray:
     span = config.t_end - config.t0
     n_full = int(math.floor(span * config.sample_per_day + 1e-9))
     # every stored sample costs at least one step of either stepper
-    if n_full > config.max_steps:
+    if n_full > MAX_STEPS:
         raise IntegrationError("step budget exhausted",
-                               config.t0 + config.max_steps / config.sample_per_day)
+                               config.t0 + MAX_STEPS / config.sample_per_day)
     times = config.t0 + np.arange(n_full + 1) / config.sample_per_day
     if times[-1] < config.t_end - 1e-9:
         times = np.append(times, config.t_end)
@@ -223,9 +226,9 @@ def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
     out[0] = y
 
     if config.method == "rk4":
-        _run_rk4(f, y, out_times, out, config.step, band, config.max_steps)
+        _run_rk4(f, y, out_times, out, config.step, band)
     else:
-        _run_fehlberg(f, y, out_times, out, config.rtol, atol, band, config.max_steps)
+        _run_fehlberg(f, y, out_times, out, config.rtol, atol, band)
     return out_times, out
 
 
@@ -251,7 +254,7 @@ def integrate_ensemble(params: ModelParameters | Sequence[ModelParameters], init
     stored (n, 10, m) block.  A step that leaves any member below its band
     is rejected and retried shorter by the adaptive stepper and fails the
     whole call under RK4; a member that turns non-finite fails the whole
-    call under either, and ``max_steps`` counts shared steps.  Such a
+    call under either, and ``MAX_STEPS`` counts shared steps.  Such a
     failure's :class:`IntegrationError` names the member it came from.
     """
     y0 = np.stack([state_array(s) for s in initials], axis=1)
@@ -270,24 +273,26 @@ def _rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _run_rk4(f, y, out_times, out, step, band, max_steps):
+def _run_rk4(f, y, out_times, out, step, band):
     # the step is snapped so that a whole number of steps fills each output
-    # interval; with the defaults (h = 0.01 d, 10 samples/d) it is unchanged
-    taken = 0
-    for j in range(len(out_times) - 1):
-        t, t_next = out_times[j], out_times[j + 1]
-        n_sub = max(1, round((t_next - t) / step))
-        h = (t_next - t) / n_sub
+    # interval; with the defaults (h = 0.01 d, 10 samples/d) it is unchanged.
+    # Every step is known before the first, so the budget is checked first
+    spans = np.diff(out_times)
+    with np.errstate(over="ignore"):  # a tiny step: an infinite count fails below
+        n_subs = np.maximum(1.0, np.rint(spans / step))
+    taken = np.cumsum(n_subs)
+    if taken[-1] > MAX_STEPS:
+        raise IntegrationError("step budget exhausted",
+                               out_times[np.argmax(taken > MAX_STEPS)])
+    for j, n_sub in enumerate(n_subs.astype(int).tolist()):
+        t, h = out_times[j], spans[j] / n_sub
         for i in range(n_sub):
             y = _rk4_step(f, y, h)
-            taken += 1
-            if taken > max_steps:
-                raise IntegrationError("step budget exhausted", t + i * h)
             _check_state(y, t + (i + 1) * h, band)
         out[j + 1] = y
 
 
-def _run_fehlberg(f, y, out_times, out, rtol, atol, band, max_steps):
+def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
     t = out_times[0]
     next_out = 1
     h_prop = min(0.25, out_times[-1] - t)
@@ -340,7 +345,7 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, max_steps):
         if h_prop < hmin:
             raise IntegrationError("step size underflow after repeated rejections", t)
         taken += 1
-        if taken > max_steps:
+        if taken > MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
 
 

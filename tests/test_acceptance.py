@@ -84,7 +84,7 @@ def test_criterion_2_reproduction_numbers_match_oracle():
 
 def test_criterion_3_equilibrium_correctness():
     dfe_exact = all(
-        np.all(rhs(disease_free_equilibrium(p).state, p) == 0.0)
+        np.all(rhs(disease_free_equilibrium(p), p) == 0.0)
         for p in VARIANTS.values())
     rng = np.random.default_rng(303)
     worst_residual = 0.0
@@ -96,8 +96,8 @@ def test_criterion_3_equilibrium_correctness():
         eq = endemic_equilibrium(p)
         worst_residual = max(
             worst_residual,
-            float(np.max(np.abs(rhs(eq.state, p)))) / (1e-8 * p.Lambda))
-        worst_identity = max(worst_identity, abs(p.S0 / eq.state.S - rc) / rc)
+            float(np.max(np.abs(rhs(eq, p)))) / (1e-8 * p.Lambda))
+        worst_identity = max(worst_identity, abs(p.S0 / eq.S - rc) / rc)
     ok = dfe_exact and worst_residual <= 1.0 and worst_identity <= 1e-10
     report(3, "equilibria: exact P0, residual-bounded P*, R_c = S0/S*", ok,
            f"P* residual at {worst_residual:.2e} of budget, "
@@ -117,7 +117,7 @@ def test_criterion_4_stability_certificates():
         checked += 1
         p = draw_params_at_rc(rng, target)
         rc = control_reproduction_number(p)
-        eigs = np.linalg.eigvals(jacobian(disease_free_equilibrium(p).state, p))
+        eigs = np.linalg.eigvals(jacobian(disease_free_equilibrium(p), p))
         stable = bool(np.max(eigs.real) < 0.0)
         verdicts_ok &= stable == (rc < 1.0)
         c = quartic_coefficients(p)
@@ -128,7 +128,7 @@ def test_criterion_4_stability_certificates():
     endemic_ok = True
     for p in VARIANTS.values():
         eq = endemic_equilibrium(p)
-        eigs = np.linalg.eigvals(jacobian(eq.state, p))
+        eigs = np.linalg.eigvals(jacobian(eq, p))
         endemic_ok &= bool(np.all(eigs.real < 0.0))
     ok = verdicts_ok and a4_ok and endemic_ok
     report(4, "eigenvalue verdicts track R_c; a4 factorization; stable P*", ok,
@@ -220,12 +220,12 @@ def test_criterion_8_detection_ratio_sweep_properties():
     for name, p in VARIANTS.items():
         sweep = rho_sweep((p, seeded(p)), rho_values=(0.2, 0.4, 0.6, 0.8),
                           horizon=365.0)
-        totals = [s.cum_total for s in sweep.scenarios]
+        totals = [s.cum_total for s in sweep]
         strict = all(a > b for a, b in zip(totals, totals[1:]))
         # share floor: the asymptomatic branching ratio, exceeded only by the
         # E2 still in flight at the horizon
         s0 = p.epsilon / (p.epsilon + p.sigma * p.alpha / (p.alpha + p.mu))
-        shares = [s.cum_proportions[2] for s in sweep.scenarios]
+        shares = [s.cum_proportions[2] for s in sweep]
         floor = min(shares) >= s0 * (1.0 - 1e-12)
         share_pct = 100.0 * (shares[0] - shares[-1]) / shares[0]
         decline = decline_percentages(sweep)

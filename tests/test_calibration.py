@@ -14,7 +14,7 @@ from seiar import (
     sse_objective,
     synthesize_data,
 )
-from seiar import calibrate
+from seiar import calibrate, simulate
 from seiar.calibrate import INTEGRATION_FAILURE_PENALTY
 from seiar.errors import FitError
 from seiar.presets import VARIANT_614G
@@ -193,11 +193,11 @@ class TestSseObjective:
         assert sse_objective(values, spec, data, other) \
             == sse_objective(values, spec, data)
 
-    def test_integration_failure_maps_to_penalty(self, truth, seeded_initial):
+    def test_integration_failure_maps_to_penalty(self, truth, seeded_initial, monkeypatch):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
         data = synthesize_data(truth, seeded_initial, days=30)
-        starving = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1,
-                                    max_steps=5)
+        monkeypatch.setattr(simulate, "MAX_STEPS", 5)
+        starving = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1)
         assert sse_objective([], spec, data, starving) == INTEGRATION_FAILURE_PENALTY
 
 
@@ -214,8 +214,8 @@ class TestFit:
     def test_window_is_the_data_window(self, truth, seeded_initial):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
         data = synthesize_data(truth, seeded_initial, days=25)
-        short = FitConfig(integrator=IntegratorConfig(t0=3.0, t_end=5.0, sample_per_day=2))
-        result = fit(spec, data, short)
+        short = IntegratorConfig(t0=3.0, t_end=5.0, sample_per_day=2)
+        result = fit(spec, data, integrator=short)
         assert (result.integrator.t0, result.integrator.t_end) == (0.0, 25.0)
         assert result.integrator.sample_per_day == 2
         assert result.objective < 1e-6  # data were synthesized at 1 sample/day
@@ -279,6 +279,39 @@ class TestFit:
         three = fit(spec, data, FitConfig(restarts=3, max_evals=40))
         assert np.array_equal(three.free_values, one.free_values)
 
+    def test_restarts_start_from_jittered_guesses(self, truth, seeded_initial,
+                                                  monkeypatch):
+        # the first restart starts at the guess, each later one at its own
+        # draw within jitter * (hi - lo) of it, clipped to the box, and each
+        # start is a point the search evaluates
+        starts, evaluated = [], []
+        from_box = calibrate._from_box
+
+        def recording(x, lo, hi):
+            starts.append(np.array(x))
+            return from_box(x, lo, hi)
+
+        def objective(free_values, *args, **kwargs):
+            evaluated.append(np.array(free_values))
+            return 1.0
+
+        monkeypatch.setattr(calibrate, "_from_box", recording)
+        monkeypatch.setattr(calibrate, "sse_objective", objective)
+        spec = recovery_spec(truth)
+        data = synthesize_data(truth, seeded_initial, days=30)
+        fit(spec, data, FitConfig(restarts=3, max_evals=10, jitter=0.1))
+        lo, hi = spec.bounds()
+        guess = spec.guesses()
+        assert len(starts) == 3
+        assert np.array_equal(starts[0], guess)
+        assert not np.array_equal(starts[1], starts[2])
+        for start in starts[1:]:
+            assert not np.array_equal(start, guess)
+            assert np.all(np.abs(start - guess) <= 0.1 * (hi - lo))
+            assert np.all((lo <= start) & (start <= hi))
+        for start in starts:
+            assert any(np.allclose(point, start, rtol=1e-9, atol=0.0) for point in evaluated)
+
     def test_fitted_values_respect_bounds(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=30,
                                noise="lognormal", sigma=0.1, seed=9)
@@ -288,13 +321,14 @@ class TestFit:
         assert np.all(result.free_values >= lo)
         assert np.all(result.free_values <= hi)
 
-    def test_unintegrable_fixed_configuration_raises(self, truth, seeded_initial):
+    def test_unintegrable_fixed_configuration_raises(self, truth, seeded_initial,
+                                                     monkeypatch):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
         data = synthesize_data(truth, seeded_initial, days=30)
-        starving = FitConfig(integrator=IntegratorConfig(
-            t0=0.0, t_end=30.0, sample_per_day=1, max_steps=5))
+        monkeypatch.setattr(simulate, "MAX_STEPS", 5)
+        starving = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1)
         with pytest.raises(FitError, match="integrate"):
-            fit(spec, data, starving)
+            fit(spec, data, integrator=starving)
 
 
 class TestSynthesizeData:

@@ -502,7 +502,7 @@ class TestSweepCommand:
                 for row in read_rows(tmp_path / "rk4" / "sweep.csv")[1:]]
         assert rows == [[s.rho, s.cum_total, s.cum_I1, s.cum_I2, s.cum_A,
                          s.cum_proportions[2], s.prevalence_proportions[2]]
-                        for s in expected.scenarios]
+                        for s in expected]
         assert ((tmp_path / "rk4" / "sweep.csv").read_bytes()
                 != (tmp_path / "default" / "sweep.csv").read_bytes())
 

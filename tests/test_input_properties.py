@@ -1,13 +1,16 @@
 """Property tests of the inputs: a config either parses or is a ConfigError,
 a case-series file either reads or is a DataError, whatever they hold, a
-parameter spec loads only if every point of its boxes assembles, and
+parameter spec loads only if every point of its boxes assembles,
 ``seiar stability`` on a subcritical config exits 0, 2 or 4, never raising,
-over a range of ``stability`` blocks.
+over a range of ``stability`` blocks, and ``simulate``, ``sweep``, ``fit``
+and ``predict`` exit 0, 2, 3 or 4, never raising, on mutated configs and
+case-series files.
 
 Examples are drawn deterministically (``derandomize=True``), so every run
 checks the same inputs.
 """
 
+import datetime
 import itertools
 import math
 
@@ -156,3 +159,98 @@ def test_subcritical_stability_run_exits_0_2_or_4(
         "stability": {"audit_seeds": audit_seeds, "audit_horizon": audit_horizon,
                       "seed": seed, "seed_scale": seed_scale}}), encoding="utf-8")
     assert main(["stability", "--config", str(config), "--out", str(work / "out")]) in (0, 2, 4)
+
+
+#: base case series for ``fit`` and ``predict``: 20 days of a rising wave
+CASE_LINES = ["date,new_confirmed"] + [
+    f"{datetime.date(2020, 6, 1) + datetime.timedelta(days=d)},{count}"
+    for d, count in enumerate((0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 19, 22, 25, 29, 33,
+                               37, 42, 47))]
+
+
+def cli_config(command: str) -> dict:
+    """A config that ``command`` runs over at most 30 days (``predict``: the
+    data's 20 and 10 more): fixed parameters for ``simulate`` and ``sweep``;
+    for ``fit`` and ``predict``, beta free in [beta/2, 2*beta] and one
+    restart of at most 20 evaluations."""
+    params = VARIANT_614G.as_dict()
+    if command in ("fit", "predict"):
+        beta = params["beta"]
+        params["beta"] = {"free": {"lo": beta / 2, "hi": 2 * beta, "guess": beta}}
+    return {"parameters": params, "initial": {"E1": 100.0},
+            "integrator": {"t_end": 30.0, "sample_per_day": 1},
+            "fit": {"restarts": 1, "max_evals": 20},
+            "scenario": {"rho_values": [0.2, 0.8], "horizon": 30.0},
+            "forecast": {"horizon": 10}}
+
+
+# settings values that keep every window at most 30 days long and every
+# step at least 0.05 days (or else over the step budget), so that a run
+# takes milliseconds; the rest are of the wrong type, kind or range
+setting_values = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(-1, 3),
+    st.floats(0.5, 30.0), st.lists(st.floats(-0.5, 1.5), max_size=3),
+    st.sampled_from([0.0, 5e-324, 0.05, 1e300, -1.0, math.nan, math.inf,
+                     "rk4", "adaptive"]))
+# parameter and initial values: the base value scaled by [0, 2], so rates
+# stay near the preset's (the explicit stepper's cost on stiff rates is
+# ROADMAP item 4), or junk
+entry_scales = st.one_of(st.floats(0.0, 2.0), st.sampled_from([-1.0, math.nan, 1e300]))
+entry_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4))
+
+
+@st.composite
+def cli_runs(draw) -> tuple[str, dict, bytes]:
+    """A command, its config with up to three mutations (a settings key set;
+    a parameter or initial entry scaled, junked, deleted or made free) and
+    a case-series file: the base one cut to 1 to 20 rows with up to two rows
+    edited, dropped or repeated, or arbitrary bytes."""
+    command = draw(st.sampled_from(("simulate", "sweep", "fit", "predict")))
+    cfg = cli_config(command)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(cfg)))
+        block = cfg[name]
+        key = draw(st.sampled_from(sorted(block) + ["bogus"]))
+        if name in ("parameters", "initial"):
+            base = block.get(key)  # a number, or the free beta, or None
+            base = base if isinstance(base, float) else VARIANT_614G.beta
+            action = draw(st.sampled_from(("scale", "junk", "delete", "free")))
+            if action == "scale":
+                block[key] = base * draw(entry_scales)
+            elif action == "junk":
+                block[key] = draw(entry_junk)
+            elif action == "delete":
+                block.pop(key, None)
+            else:
+                lo, hi, guess = (base * draw(entry_scales) for _ in range(3))
+                block[key] = {"free": {"lo": lo, "hi": hi, "guess": guess}}
+        else:  # not deleted: a default would lengthen a window or the fit
+            block[key] = draw(setting_values)
+    lines = CASE_LINES[:1 + draw(st.integers(1, 20))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(1, len(lines) - 1))
+        action = draw(st.sampled_from(("count", "drop", "repeat")))
+        if action == "count":
+            count = draw(st.one_of(st.text(max_size=4), st.sampled_from(
+                ["-1", "nan", "inf", "1e300", "2.5", "1000000"])))
+            lines[row] = f"{lines[row].split(',')[0]},{count}"
+        elif action == "drop" and len(lines) > 2:
+            del lines[row]
+        else:
+            lines.insert(row, lines[row])
+    data = draw(st.one_of(st.just("\n".join(lines).encode()), st.binary(max_size=100)))
+    return command, cfg, data
+
+
+@settings(INPUTS, max_examples=100)
+@given(cli_runs())
+def test_mutated_cli_run_exits_0_2_3_or_4(tmp_path_factory, run):
+    command, cfg, data = run
+    work = tmp_path_factory.mktemp(command)
+    config = work / "run.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    (work / "cases.csv").write_bytes(data)
+    argv = [command, "--config", str(config), "--out", str(work / "out")]
+    if command in ("fit", "predict"):
+        argv += ["--data", str(work / "cases.csv")]
+    assert main(argv) in (0, 2, 3, 4)

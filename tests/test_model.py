@@ -92,7 +92,7 @@ class TestRhs:
     def test_dfe_is_stationary(self, variant):
         _, p = variant
         dfe = disease_free_equilibrium(p)
-        assert np.all(rhs(dfe.state, p) == 0.0)
+        assert np.all(rhs(dfe, p) == 0.0)
 
     def test_empty_population_gains_only_recruits(self, variant):
         _, p = variant
@@ -104,7 +104,7 @@ class TestRhs:
         _, p = variant
         eq = endemic_equilibrium(p)
         assert eq is not None
-        assert np.max(np.abs(rhs(eq.state, p))) < 1e-8 * p.Lambda
+        assert np.max(np.abs(rhs(eq, p))) < 1e-8 * p.Lambda
 
     def test_rejects_non_finite_state(self, params_614g):
         state = np.full(7, 1.0)
@@ -180,7 +180,7 @@ class TestPopulationBalance:
 
     def test_dfe_balances_exactly(self, variant):
         _, p = variant
-        assert population_balance(disease_free_equilibrium(p).state, p) == 0.0
+        assert population_balance(disease_free_equilibrium(p), p) == 0.0
 
     def test_equals_componentwise_rhs_sum(self, rng):
         for _ in range(100):
@@ -270,12 +270,12 @@ class TestDiseaseFreeEquilibrium:
     def test_oracle_s0(self):
         for name, expected in ORACLE_S0.items():
             dfe = disease_free_equilibrium(VARIANTS[name])
-            assert dfe.state.S == pytest.approx(expected, rel=1e-12)
-            assert dfe.state.as_array()[1:].sum() == 0.0
+            assert dfe.S == pytest.approx(expected, rel=1e-12)
+            assert dfe.as_array()[1:].sum() == 0.0
 
     def test_rhs_vanishes(self, variant):
         _, p = variant
-        assert np.all(rhs(disease_free_equilibrium(p).state, p) == 0.0)
+        assert np.all(rhs(disease_free_equilibrium(p), p) == 0.0)
 
 
 class TestEndemicEquilibrium:
@@ -288,11 +288,11 @@ class TestEndemicEquilibrium:
     def test_e1_star_oracle(self, variant):
         name, p = variant
         eq = endemic_equilibrium(p)
-        assert eq.state.E1 == pytest.approx(ORACLE_E1_STAR[name], rel=1e-10)
+        assert eq.E1 == pytest.approx(ORACLE_E1_STAR[name], rel=1e-10)
 
     def test_s_star_oracle_614g(self, params_614g):
         eq = endemic_equilibrium(params_614g)
-        assert eq.state.S == pytest.approx(ORACLE_S_STAR_614G, rel=1e-10)
+        assert eq.S == pytest.approx(ORACLE_S_STAR_614G, rel=1e-10)
 
     def test_simplified_root_equals_raw_expression(self, rng):
         # raw form: -(mu*beta*S0 - Lambda*beta*R_c) / (beta*(sigma+eps+mu)*R_c)
@@ -302,7 +302,7 @@ class TestEndemicEquilibrium:
             raw = -(p.mu * p.beta * p.S0 - p.Lambda * p.beta * rc) / (
                 p.beta * (p.sigma + p.epsilon + p.mu) * rc)
             eq = endemic_equilibrium(p)
-            assert eq.state.E1 == pytest.approx(raw, rel=1e-10)
+            assert eq.E1 == pytest.approx(raw, rel=1e-10)
 
     def test_reproduction_number_identity_and_positivity(self, rng):
         for _ in range(100):
@@ -310,9 +310,9 @@ class TestEndemicEquilibrium:
             rc = control_reproduction_number(p)
             eq = endemic_equilibrium(p)
             assert eq is not None
-            state = eq.state.as_array()
+            state = eq.as_array()
             assert np.all(state > 0.0)
-            assert abs(p.S0 / eq.state.S - rc) <= 1e-10 * rc
+            assert abs(p.S0 / eq.S - rc) <= 1e-10 * rc
             assert np.max(np.abs(rhs(state, p))) <= equilibrium_tolerance(p)
 
     def test_existence_iff_threshold(self, rng):
@@ -354,7 +354,7 @@ class TestJacobian:
 
     def test_dfe_block_reproduces_f_minus_v(self, variant):
         _, p = variant
-        J = jacobian(disease_free_equilibrium(p).state, p)
+        J = jacobian(disease_free_equilibrium(p), p)
         F, V = next_generation_matrices(p)
         assert np.array_equal(J[1:6, 1:6], F - V)
         # infected block is decoupled from S and R at the disease-free point

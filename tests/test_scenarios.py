@@ -17,7 +17,7 @@ from seiar import (
 from seiar.calibrate import ParameterSpec
 from seiar.errors import IntegrationError
 from seiar.model import extended_field
-from seiar.scenarios import RhoScenario, SweepResult
+from seiar.scenarios import RhoScenario
 from seiar.presets import VARIANT_614G, VARIANTS
 from seiar.simulate import (
     IntegratorConfig,
@@ -54,23 +54,22 @@ class TestRhoSweep:
         default = rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0)
         other = rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0,
                           IntegratorConfig(t_end=100.0, sample_per_day=10))
-        assert [s.cum_total for s in other.scenarios] == \
-            [s.cum_total for s in default.scenarios]
-        assert other.horizon == 365.0
+        assert [s.cum_total for s in other] == [s.cum_total for s in default]
 
     def test_sub_day_horizon_reads_the_endpoint(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), (0.2, 0.8), horizon=0.5)
-        for s in sweep.scenarios:
+        for s in sweep:
             traj = integrate(p.with_updates(rho=s.rho), seeded(p),
                              IntegratorConfig(t_end=0.5, sample_per_day=1))
             assert [s.cum_I1, s.cum_I2, s.cum_A] == traj.cumulative_inflows[-1].tolist()
             assert s.cum_total > 0.0
 
-    def test_failure_names_scenario_and_time_once(self):
+    def test_failure_names_scenario_and_time_once(self, monkeypatch):
         p = VARIANT_614G
+        monkeypatch.setattr(simulate, "MAX_STEPS", 5)
         with pytest.raises(IntegrationError) as info:
-            rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0, IntegratorConfig(max_steps=5))
+            rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0)
         message = str(info.value)
         assert message.startswith("scenario rho=0.2 failed: step budget exhausted")
         assert message.count("(at t = ") == 1
@@ -117,7 +116,7 @@ class TestRhoSweep:
     def test_repeated_rho_gives_identical_metrics(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), rho_values=(0.4, 0.4), horizon=60.0)
-        a, b = sweep.scenarios
+        a, b = sweep
         assert a.cum_total == b.cum_total
         assert a.cum_A == b.cum_A
 
@@ -125,7 +124,7 @@ class TestRhoSweep:
         p = VARIANT_614G
         fwd = rho_sweep((p, seeded(p)), rho_values=(0.2, 0.5, 0.8), horizon=50.0)
         rev = rho_sweep((p, seeded(p)), rho_values=(0.8, 0.5, 0.2), horizon=50.0)
-        for s_f, s_r in zip(fwd.scenarios, reversed(rev.scenarios)):
+        for s_f, s_r in zip(fwd, reversed(rev)):
             assert s_f.rho == s_r.rho
             assert s_f.cum_total == s_r.cum_total
             assert s_f.cum_A == s_r.cum_A
@@ -133,7 +132,7 @@ class TestRhoSweep:
     def test_scenario_reproduction_numbers_decrease(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), horizon=30.0)
-        rcs = [s.r_c for s in sweep.scenarios]
+        rcs = [s.r_c for s in sweep]
         assert all(a > b for a, b in zip(rcs, rcs[1:]))
         assert rcs[0] == pytest.approx(
             control_reproduction_number(p.with_updates(rho=0.2)), rel=1e-15)
@@ -141,7 +140,7 @@ class TestRhoSweep:
     def test_cumulative_totals_strictly_decrease_in_rho(self, variant):
         _, p = variant
         sweep = rho_sweep((p, seeded(p)), horizon=365.0)
-        totals = [s.cum_total for s in sweep.scenarios]
+        totals = [s.cum_total for s in sweep]
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
     def test_asymptomatic_share_drifts_only_slightly(self, variant):
@@ -149,7 +148,7 @@ class TestRhoSweep:
         # asymptomatic share of cumulative infections
         _, p = variant
         sweep = rho_sweep((p, seeded(p)), horizon=365.0)
-        shares = np.array([s.cum_proportions[2] for s in sweep.scenarios])
+        shares = np.array([s.cum_proportions[2] for s in sweep])
         assert np.ptp(shares) <= 0.02 * shares[0]
 
     @pytest.mark.parametrize("rho", [0.2, 0.4, 0.6, 0.8])
@@ -189,40 +188,40 @@ class TestRhoSweep:
             p = draw_params_at_rc(rng, float(rng.uniform(1.2, 2.5)))
             sweep = rho_sweep((p, seeded(p, e1=1e-5 * p.S0)),
                               rho_values=(0.1, 0.5, 0.9), horizon=200.0)
-            totals = [s.cum_total for s in sweep.scenarios]
+            totals = [s.cum_total for s in sweep]
             assert all(a >= b for a, b in zip(totals, totals[1:]))
 
 
 class TestDeclinePercentages:
     def test_needs_two_scenarios(self):
-        sweep = SweepResult(scenarios=(make_scenario(0.2, 10.0, 5.0),), horizon=1.0)
+        sweep = (make_scenario(0.2, 10.0, 5.0),)
         with pytest.raises(ValueError, match="two"):
             decline_percentages(sweep)
 
     def test_constant_metric_is_zero_decline(self):
-        sweep = SweepResult(scenarios=(make_scenario(0.2, 10.0, 5.0),
-                                       make_scenario(0.8, 10.0, 5.0)), horizon=1.0)
+        sweep = (make_scenario(0.2, 10.0, 5.0),
+                 make_scenario(0.8, 10.0, 5.0))
         decline = decline_percentages(sweep)
         assert decline.total_pct == 0.0
         assert decline.asymptomatic_pct == 0.0
 
     def test_halved_metric_is_fifty_percent(self):
-        sweep = SweepResult(scenarios=(make_scenario(0.2, 10.0, 4.0),
-                                       make_scenario(0.8, 5.0, 2.0)), horizon=1.0)
+        sweep = (make_scenario(0.2, 10.0, 4.0),
+                 make_scenario(0.8, 5.0, 2.0))
         decline = decline_percentages(sweep)
         assert decline.total_pct == 50.0
         assert decline.asymptomatic_pct == 50.0
 
     def test_zero_baseline_is_undefined(self):
-        sweep = SweepResult(scenarios=(make_scenario(0.2, 0.0, 0.0),
-                                       make_scenario(0.8, 0.0, 0.0)), horizon=1.0)
+        sweep = (make_scenario(0.2, 0.0, 0.0),
+                 make_scenario(0.8, 0.0, 0.0))
         decline = decline_percentages(sweep)
         assert np.isnan(decline.total_pct)
         assert np.isnan(decline.asymptomatic_pct)
 
     def test_uses_extreme_rhos_not_listing_order(self):
-        sweep = SweepResult(scenarios=(make_scenario(0.8, 5.0, 2.0),
-                                       make_scenario(0.2, 10.0, 4.0)), horizon=1.0)
+        sweep = (make_scenario(0.8, 5.0, 2.0),
+                 make_scenario(0.2, 10.0, 4.0))
         decline = decline_percentages(sweep)
         assert decline.total_pct == 50.0
 

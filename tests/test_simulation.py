@@ -19,6 +19,7 @@ from seiar import (
     integrate_ensemble,
     peak,
     population_balance,
+    simulate,
 )
 from seiar.model import extended_field
 from seiar.presets import VARIANT_614G, VARIANTS
@@ -120,7 +121,7 @@ class TestIntegratorConfig:
 class TestIntegrate:
     def test_dfe_stays_exactly_put(self):
         p = VARIANT_614G
-        dfe = disease_free_equilibrium(p).state.as_array()
+        dfe = disease_free_equilibrium(p).as_array()
         for method in ("adaptive", "rk4"):
             cfg = IntegratorConfig(t0=0.0, t_end=30.0, method=method, step=0.1,
                                    sample_per_day=2)
@@ -179,11 +180,12 @@ class TestIntegrate:
                          IntegratorConfig(t_end=150.0, sample_per_day=4))
         assert np.all(np.diff(traj.cumulative_inflows, axis=0) >= 0.0)
 
-    def test_step_budget_exhaustion_reports_time(self):
+    def test_step_budget_exhaustion_reports_time(self, monkeypatch):
         p = VARIANT_614G
+        monkeypatch.setattr(simulate, "MAX_STEPS", 50)
         with pytest.raises(IntegrationError) as excinfo:
             integrate(p, seeded_state(p),
-                      IntegratorConfig(t_end=200.0, sample_per_day=1, max_steps=50))
+                      IntegratorConfig(t_end=200.0, sample_per_day=1))
         assert 0.0 < excinfo.value.t < 200.0
 
     def test_window_beyond_step_budget_fails_before_stepping(self, monkeypatch):
@@ -193,11 +195,26 @@ class TestIntegrate:
             return f
 
         monkeypatch.setattr("seiar.simulate.extended_field", unevaluable_field)
+        monkeypatch.setattr(simulate, "MAX_STEPS", 5000)
         p = VARIANT_614G
         with pytest.raises(IntegrationError, match="budget") as excinfo:
             integrate(p, seeded_state(p),
-                      IntegratorConfig(t_end=100.0, sample_per_day=100, max_steps=5000))
+                      IntegratorConfig(t_end=100.0, sample_per_day=100))
         assert excinfo.value.t == 50.0
+
+    @pytest.mark.parametrize("step", [1e-6, 5e-324])
+    def test_rk4_steps_beyond_budget_fail_before_stepping(self, step, monkeypatch):
+        # RK4's steps are known in advance: 10 days at 1e-6 take 1e7 of them
+        def unevaluable_field(params):
+            def f(y):
+                pytest.fail("the field was evaluated")
+            return f
+
+        monkeypatch.setattr("seiar.simulate.extended_field", unevaluable_field)
+        p = VARIANT_614G
+        with pytest.raises(IntegrationError, match="budget"):
+            integrate(p, seeded_state(p), IntegratorConfig(
+                t_end=10.0, method="rk4", step=step, sample_per_day=1))
 
     def test_undershoot_band_aborts(self):
         state = np.ones(10)
@@ -248,6 +265,27 @@ class TestIntegrate:
         assert all(tighter < looser / 4.0 for looser, tighter in zip(errors, errors[1:]))
         assert errors[-1] < errors[0] / 300.0
 
+    def test_field_evaluations_on_the_fast_wave(self, monkeypatch):
+        # a work gate: a wrong step-controller exponent (-1/4 for the -1/5 of
+        # a 4th-order error estimate) still meets every accuracy test, but
+        # takes 2952 evaluations here.  Over the 9.125-day wave alone it is
+        # the cheaper one (1674 against 1692), so the window runs 30 days
+        calls = [0]
+        field = simulate.extended_field
+
+        def counted(params):
+            f = field(params)
+
+            def g(y):
+                calls[0] += 1
+                return f(y)
+            return g
+
+        monkeypatch.setattr(simulate, "extended_field", counted)
+        p = fast_614g()
+        integrate(p, seeded_state(p), IntegratorConfig(t_end=30.0, sample_per_day=1))
+        assert abs(calls[0] - 2802) <= 0.02 * 2802
+
     @pytest.mark.parametrize("atol_rel", [1e-5, 1e-4])
     def test_undershooting_step_is_retried_shorter(self, atol_rel):
         # an atol above the smallest compartments lets the error test pass a
@@ -291,7 +329,7 @@ class TestIntegrateEnsemble:
         # the idle member alone would stride a whole output interval per step
         p = fast_614g()
         cfg = IntegratorConfig(t_end=365.0 / 40.0, sample_per_day=1)
-        dfe = disease_free_equilibrium(p).state.as_array()
+        dfe = disease_free_equilibrium(p).as_array()
         solo = integrate(p, seeded_state(p), cfg)
         idle, member = integrate_ensemble(p, [dfe, seeded_state(p)], cfg)
         assert np.all(idle.states == dfe)
@@ -303,7 +341,7 @@ class TestIntegrateEnsemble:
         # uninfected member has no A to oscillate and would finish alone
         p = VARIANT_614G.with_updates(gamma3=5.0)
         cfg = IntegratorConfig(t_end=30.0, method="rk4", step=1.0, sample_per_day=1)
-        dfe = disease_free_equilibrium(p).state.as_array()
+        dfe = disease_free_equilibrium(p).as_array()
         integrate(p, dfe, cfg)
         with pytest.raises(IntegrationError, match="undershot"):
             integrate_ensemble(p, [dfe, seeded_state(p)], cfg)
@@ -318,7 +356,8 @@ class TestIntegrateEnsemble:
             integrate_ensemble(p, [seeded_state(p), broken], cfg)
 
     @pytest.mark.parametrize("method", ["adaptive", "rk4"])
-    def test_member_failure_names_the_member_and_shared_failure_none(self, method):
+    def test_member_failure_names_the_member_and_shared_failure_none(self, method,
+                                                                     monkeypatch):
         p = VARIANT_614G
         broken = seeded_state(p)
         broken[2] = float("nan")
@@ -327,9 +366,10 @@ class TestIntegrateEnsemble:
         with pytest.raises(IntegrationError, match="non-finite") as info:
             integrate_ensemble(p, initials, cfg)
         assert info.value.member == 2
+        monkeypatch.setattr(simulate, "MAX_STEPS", 5)
         with pytest.raises(IntegrationError, match="budget") as info:
             integrate_ensemble(p, initials[:2], IntegratorConfig(
-                t_end=10.0, method=method, sample_per_day=1, max_steps=5))
+                t_end=10.0, method=method, sample_per_day=1))
         assert info.value.member is None
 
     def test_per_member_parameters_match_solo_runs(self):
@@ -346,22 +386,22 @@ class TestIntegrateEnsemble:
         with pytest.raises(ValueError, match="2 parameter sets for 3 initial states"):
             integrate_ensemble(members, [seeded_state(p)] * 3, cfg)
 
-    def test_max_steps_counts_shared_steps(self):
+    def test_max_steps_counts_shared_steps(self, monkeypatch):
         p = VARIANT_614G
         initials = [seeded_state(p, e1) for e1 in (10.0, 100.0, 1000.0)]
         # 20 fixed steps of 0.5 days, taken once for all three members
-        budget = IntegratorConfig(t_end=10.0, method="rk4", step=0.5,
-                                  sample_per_day=1, max_steps=20)
+        budget = IntegratorConfig(t_end=10.0, method="rk4", step=0.5, sample_per_day=1)
+        monkeypatch.setattr(simulate, "MAX_STEPS", 20)
         assert len(integrate_ensemble(p, initials, budget)) == 3
+        monkeypatch.setattr(simulate, "MAX_STEPS", 19)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_ensemble(p, initials, IntegratorConfig(
-                t_end=10.0, method="rk4", step=0.5, sample_per_day=1, max_steps=19))
+            integrate_ensemble(p, initials, budget)
 
 
 class TestDailyIncidence:
     def test_zero_infection_run_is_all_zero(self):
         p = VARIANT_614G
-        dfe = disease_free_equilibrium(p).state.as_array()
+        dfe = disease_free_equilibrium(p).as_array()
         traj = integrate(p, dfe, IntegratorConfig(t_end=10.0))
         assert np.all(daily_incidence(traj).values == 0.0)
 
@@ -395,7 +435,7 @@ class TestDailyIncidence:
 class TestCumulativeByClass:
     def test_zero_infection_run_is_undefined(self):
         p = VARIANT_614G
-        dfe = disease_free_equilibrium(p).state.as_array()
+        dfe = disease_free_equilibrium(p).as_array()
         breakdown = cumulative_by_class(integrate(p, dfe, IntegratorConfig(t_end=5.0)))
         assert breakdown.cum_total == 0.0
         assert np.all(np.isnan(breakdown.cum_proportions))

@@ -1,0 +1,120 @@
+"""Mutation run: how many one-line faults in the package do the tier-1 tests catch?
+
+    python tools/mutation_run.py            # every mutant
+    python tools/mutation_run.py exponent   # only mutants whose name contains "exponent"
+
+Each mutant replaces one fragment of one line in ``src/seiar/{model,stability,
+simulate,calibrate}.py`` with a wrong one; the fragment must occur exactly
+once in its module.  For each mutant the checkout's ``src``, ``tests`` and
+``demos`` and its ``pyproject.toml`` are copied to a fresh temporary
+directory, the substitution is made there, and ``pytest -x`` runs the tier-1
+tests without acceptance criterion 7 (a 40-second calibration).  A mutant is
+killed when pytest fails.  The unmutated copy runs first and must pass.  The
+checkout itself is only read.  Prints one line per mutant and the score.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "demos", "pyproject.toml")
+DESELECTED = "tests/test_acceptance.py::test_criterion_7_synthetic_calibration_recovery"
+
+#: (name, module, fragment, replacement)
+MUTANTS = (
+    ("k_E1 without mu", "model", "k_E1 = p.sigma + p.epsilon + p.mu", "k_E1 = p.sigma + p.epsilon"),
+    ("k_E2 without mu", "model", "k_E2 = p.alpha + p.mu", "k_E2 = p.alpha"),
+    ("k_A without mu", "model", "k_A = p.gamma3 + p.mu", "k_A = p.gamma3"),
+    ("bracket drops omega", "model", "+ p.epsilon * p.omega / k_A)", "+ p.epsilon / k_A)"),
+    ("in_I1 drops rho", "model", "in_I1=p.rho * p.alpha", "in_I1=p.alpha"),
+    ("force drops omega", "model", "(y[2] + y[4] + omega * y[5])", "(y[2] + y[4] + y[5])"),
+    ("half the incidence enters E1", "model", "out[1] += force", "out[1] += 0.5 * force"),
+    ("R recovers I2 at gamma1", "model", "p.gamma1,  p.gamma2,  p.gamma3,  -p.mu",
+     "p.gamma1,  p.gamma1,  p.gamma3,  -p.mu"),
+    ("S0 = Lambda*mu", "model", "return self.Lambda / self.mu", "return self.Lambda * self.mu"),
+    ("E1* drops 1/R_c", "model", "(r.r_c - 1.0) / (r.k_E1 * r.r_c)", "(r.r_c - 1.0) / r.k_E1"),
+    ("F misses E2", "model", "F[0, 1:] = J[0, 1:]", "F[0, 2:] = J[0, 2:]"),
+    ("a4 drops the I2 path", "stability", "- D * B1 * B2 * C4 - D * B3 * C3",
+     "- D * B1 * B2 * C4"),
+    ("root certified for a4 > 0", "stability", "if not coeffs.a4 < 0.0:", "if coeffs.a4 < 0.0:"),
+    ("entropy sign", "stability", "return x - 1.0 - np.log(x)", "return x - 1.0 + np.log(x)"),
+    ("V weights untransposed", "stability", "np.linalg.solve(V.T, F[0])", "np.linalg.solve(V, F[0])"),
+    ("audit ignores V", "stability", "monotone_ok = violation <= AUDIT_WIGGLE", "monotone_ok = True"),
+    ("audit ignores the infection", "stability", "converged = infection_left < AUDIT_DISTANCE",
+     "converged = True"),
+    ("tail expm untransposed", "stability", "* (horizon - t)).T", "* (horizon - t))"),
+    ("verdict band one-sided", "stability", "if max_real < -margin:", "if max_real < margin:"),
+    ("controller exponent", "simulate", "0.9 * err ** -0.2)", "0.9 * err ** -0.25)"),
+    ("4th-order solution propagated", "simulate", "_B5 = np.array(_FEHLBERG_B5, dtype=float)",
+     "_B5 = np.array(_FEHLBERG_B4, dtype=float)"),
+    ("best member sets the step", "simulate", "square_sums.max() / len(y)",
+     "square_sums.min() / len(y)"),
+    ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx])",
+     "values = np.diff(traj.cum_I2[idx])"),
+    ("prevalence of E2, I1, I2", "simulate", "prev = traj.states[-1, 3:6]",
+     "prev = traj.states[-1, 2:5]"),
+    ("restart ties keep the later", "calibrate", "result.fun < best[0].fun",
+     "result.fun <= best[0].fun"),
+    ("absolute residuals", "calibrate", "np.sum((model - data.counts) ** 2)",
+     "np.sum(np.abs(model - data.counts))"),
+    ("restarts start at the guess", "calibrate", "x_start = np.clip(guess + offset, lo, hi)",
+     "x_start = guess"),
+    ("box map by cosine", "calibrate", "0.5 * (np.sin(z) + 1.0)", "0.5 * (np.cos(z) + 1.0)"),
+)
+
+
+def run_tests(substitution: tuple[str, str, str] | None) -> bool:
+    """Whether tier-1 (without criterion 7) passes on a copy carrying
+    ``substitution`` = (module, fragment, replacement), or on a clean copy."""
+    with tempfile.TemporaryDirectory(prefix="seiar-mutant-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, work / name)
+        if substitution is not None:
+            module, fragment, replacement = substitution
+            path = work / "src" / "seiar" / f"{module}.py"
+            text = path.read_text(encoding="utf-8")
+            if text.count(fragment) != 1:
+                raise SystemExit(f"{module}.py holds {text.count(fragment)} copies of "
+                                 f"{fragment!r}; a mutant needs exactly one")
+            path.write_text(text.replace(fragment, replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--deselect", DESELECTED],
+            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return done.returncode == 0
+
+
+def main(argv: list[str]) -> int:
+    wanted = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
+    if not run_tests(None):
+        print("the unmutated copy fails its tests; no score", file=sys.stderr)
+        return 1
+    survivors = []
+    for name, module, fragment, replacement in wanted:
+        start = time.perf_counter()
+        killed = not run_tests((module, fragment, replacement))
+        print(f"{'killed  ' if killed else 'SURVIVED'} {module:<10} {name} "
+              f"({time.perf_counter() - start:.0f} s)", flush=True)
+        if not killed:
+            survivors.append(name)
+    print(f"{len(wanted) - len(survivors)} of {len(wanted)} mutants killed"
+          + (f"; survived: {', '.join(survivors)}" if survivors else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
