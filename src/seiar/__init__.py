@@ -50,7 +50,6 @@ from .simulate import (
     cumulative_by_class,
     daily_incidence,
     integrate,
-    integrate_ensemble,
     peak,
 )
 from .stability import (

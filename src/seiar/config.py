@@ -167,6 +167,8 @@ def _value(default, value, where: str):
     if kind is tuple and isinstance(value, (list, tuple)):
         return tuple(_number(v, where) for v in value)
     if kind in (str, int) and isinstance(value, kind) and not isinstance(value, bool):
+        if kind is int:
+            _number(value, where)  # an integer beyond the float range is refused
         return value
     raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 

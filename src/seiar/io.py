@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -79,7 +80,8 @@ def read_case_series(path) -> ObservedSeries:
     counts must be nonnegative numbers (observed series carry integers, but
     exact decimal counts are accepted so synthetic round trips stay lossless).
     Violations raise DataError carrying the 1-based line number; so does a
-    file that cannot be read or is not UTF-8 CSV.
+    file that cannot be read or is not UTF-8 CSV, and a series whose sum of
+    squared counts overflows the float range.
     """
     path = Path(path)
     try:
@@ -131,6 +133,9 @@ def _parse_case_series(reader) -> ObservedSeries:
         counts.append(count)
     if not counts:
         raise DataError("no data rows found")
+    # a fit sums squared residuals, which must stay in the float range
+    if not math.isfinite(sum(c * c for c in counts)):
+        raise DataError("the sum of squared counts overflows the float range")
     return ObservedSeries(counts=np.array(counts), start_date=start)
 
 

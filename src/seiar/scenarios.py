@@ -26,7 +26,6 @@ from .simulate import (
     cumulative_by_class,
     daily_incidence,
     integrate,
-    integrate_ensemble,
     peak,
 )
 
@@ -87,14 +86,15 @@ def rho_sweep(base: tuple[ModelParameters, object],
     window = integrator or IntegratorConfig()
     config = replace(window, t_end=window.t0 + float(horizon), sample_per_day=1)
     try:
-        runs = integrate_ensemble(members, [initial] * len(members), config)
+        runs = integrate(members, [initial] * len(members), config)
     except IntegrationError as exc:
         rho = members[exc.member or 0].rho
         raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
                                exc.t, exc.member) from exc
+    breakdown = vars(cumulative_by_class(runs))
     return tuple(RhoScenario(rho=p.rho, r_c=control_reproduction_number(p),
-                             **vars(cumulative_by_class(traj)))
-                 for p, traj in zip(members, runs))
+                             **{name: value[..., i] for name, value in breakdown.items()})
+                 for i, p in enumerate(members))
 
 
 def decline_percentages(scenarios: Sequence[RhoScenario]) -> DeclinePercentages:

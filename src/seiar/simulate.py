@@ -16,9 +16,10 @@ failing only when the step underflows; RK4, whose step is fixed, aborts.
 An initial state may undershoot by as much, so a run can resume from a
 state it stored.
 Both abort on a non-finite state.  Both step a component-major state of shape
-(10,) for one run or (10, m) for an ensemble of m runs that share every step
-(:func:`integrate_ensemble`).  An ensemble's members share one parameter set
-or carry one each; either way the field is one call per stage.
+(10,) for one run or (10, m) for an ensemble of m runs that share every step,
+and one :class:`Trajectory` holds either, the ensemble's with a trailing
+member axis.  An ensemble's members share one parameter set or carry one
+each; either way the field is one call per stage.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError
-from .model import ModelParameters, extended_field, state_array
+from .model import ModelParameters, StateVector, extended_field, state_array
 
 #: undershoot tolerance band, relative to the initial total population
 NEGATIVITY_BAND = 1e-9
@@ -95,7 +96,8 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Stored solution: times (days), states (n,7) and cumulative inflows (n,3).
+    """Stored solution: times (days), states (n,7) and cumulative inflows (n,3),
+    or (n,7,m) and (n,3,m) for m runs, member i at index i of the last axis.
 
     The inflow columns are the running integrals of rho*alpha*E2 (into I1),
     (1-rho)*alpha*E2 (into I2) and epsilon*E1 (into A), all starting at zero.
@@ -159,10 +161,11 @@ class IncidenceSeries:
 class ClassBreakdown:
     """Cumulative inflows by infected class and their shares at the endpoint.
 
-    Proportions are NaN when the corresponding total is zero (an undefined
-    marker, never a division by zero). Both the cumulative-inflow shares and
-    the point-prevalence shares at t_end are reported; which one a given
-    summary statistic refers to is for the caller to decide.
+    Counts are (m,) and shares (3, m) for m runs.  Proportions are NaN when
+    the corresponding total is zero (an undefined marker, never a division
+    by zero).  Both the cumulative-inflow shares and the point-prevalence
+    shares at t_end are reported; which one a given summary statistic
+    refers to is for the caller to decide.
     """
 
     cum_I1: float
@@ -232,37 +235,34 @@ def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
     return out_times, out
 
 
-def integrate(params: ModelParameters, initial,
+def _initial_block(initial) -> np.ndarray:
+    """(7,) compartments of one state, or (7, m) of a sequence of m states."""
+    if isinstance(initial, StateVector) or len(initial) and np.isscalar(initial[0]):
+        return state_array(initial)
+    return np.stack([state_array(s) for s in initial], axis=1)
+
+
+def integrate(params: ModelParameters | Sequence[ModelParameters], initial,
               config: IntegratorConfig) -> Trajectory:
-    """Solve the model over ``[t0, t_end]`` from ``initial``.
+    """Solve the model over ``[t0, t_end]`` from ``initial``: one state, or a
+    sequence of m states (StateVectors, or the rows of an (m, 7) array).
 
     The three cumulative inflow counters start at zero and are integrated
-    alongside the compartments as extra quadrature states.
+    alongside the compartments as extra quadrature states.  For m states,
+    ``params`` is one set for every member or one per member, and the
+    :class:`Trajectory` holds views of one stored (n, 10, m) block.  The
+    members share every step, which meets the worst member's tolerance.  A
+    step that leaves any member below its band is rejected and retried
+    shorter by the adaptive stepper and fails the whole call under RK4; a
+    member that turns non-finite fails the whole call under either, and
+    ``MAX_STEPS`` counts shared steps.  Such a failure's
+    :class:`IntegrationError` names the member it came from.
     """
-    times, out = _solve(params, state_array(initial), config)
-    return Trajectory(times, out[:, :7], out[:, 7:], config.sample_per_day)
-
-
-def integrate_ensemble(params: ModelParameters | Sequence[ModelParameters], initials,
-                       config: IntegratorConfig) -> list[Trajectory]:
-    """Solve the model from each of ``initials`` in one stepping loop.
-
-    ``params`` is one parameter set for every member, or a sequence of
-    them, one per initial state.  All members share every step; the step
-    controller takes the worst member's RMS error, so every accepted step
-    meets every member's tolerance.  The trajectories are views into one
-    stored (n, 10, m) block.  A step that leaves any member below its band
-    is rejected and retried shorter by the adaptive stepper and fails the
-    whole call under RK4; a member that turns non-finite fails the whole
-    call under either, and ``MAX_STEPS`` counts shared steps.  Such a
-    failure's :class:`IntegrationError` names the member it came from.
-    """
-    y0 = np.stack([state_array(s) for s in initials], axis=1)
-    if not isinstance(params, ModelParameters) and len(params) != y0.shape[1]:
-        raise ValueError(f"{len(params)} parameter sets for {y0.shape[1]} initial states")
+    y0 = _initial_block(initial)
+    if not isinstance(params, ModelParameters) and y0.shape[1:] != (len(params),):
+        raise ValueError(f"{len(params)} parameter sets for {y0[0].size} initial states")
     times, out = _solve(params, y0, config)
-    return [Trajectory(times, out[:, :7, i], out[:, 7:, i], config.sample_per_day)
-            for i in range(y0.shape[1])]
+    return Trajectory(times, out[:, :7], out[:, 7:], config.sample_per_day)
 
 
 def _rk4_step(f, y, h):
@@ -350,29 +350,28 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
 
 
 def daily_incidence(traj: Trajectory) -> IncidenceSeries:
-    """New detected cases per whole day: differences of the I1-inflow counter.
+    """New detected cases per whole day, one column per run for m runs: the
+    differences of the I1-inflow counter.
 
     Requires the trajectory to span at least one whole day.
     """
     idx = traj.day_boundary_indices()
     if len(idx) < 2:
         raise ValueError("trajectory must span at least one whole day")
-    values = np.diff(traj.cum_I1[idx])
+    values = np.diff(traj.cum_I1[idx], axis=0)
     return IncidenceSeries(days=np.arange(len(values)), values=values)
 
 
 def cumulative_by_class(traj: Trajectory) -> ClassBreakdown:
     """Cumulative inflows into I1, I2, A at t_end plus endpoint shares."""
     cum = traj.cumulative_inflows[-1]
-    total = float(cum.sum())
-    cum_props = cum / total if total > 0 else np.full(3, np.nan)
     prev = traj.states[-1, 3:6]
-    prev_total = float(prev.sum())
-    prev_props = prev / prev_total if prev_total > 0 else np.full(3, np.nan)
+    cum_total, prev_total = cum.sum(axis=0), prev.sum(axis=0)
+    # a zero total divides by NaN: an undefined share, and no warning
     return ClassBreakdown(
-        cum_I1=float(cum[0]), cum_I2=float(cum[1]), cum_A=float(cum[2]),
-        cum_proportions=cum_props, prevalence_proportions=prev_props,
-    )
+        cum_I1=cum[0], cum_I2=cum[1], cum_A=cum[2],
+        cum_proportions=cum / np.where(cum_total > 0, cum_total, np.nan),
+        prevalence_proportions=prev / np.where(prev_total > 0, prev_total, np.nan))
 
 
 def peak(series: IncidenceSeries) -> tuple[int, float]:

@@ -32,7 +32,7 @@ from .model import (
     rhs,
     state_array,
 )
-from .simulate import IntegratorConfig, _output_grid, integrate_ensemble
+from .simulate import IntegratorConfig, _output_grid, integrate
 
 
 @dataclass(frozen=True)
@@ -264,10 +264,10 @@ def lyapunov_audit(params: ModelParameters, initials,
     t = 0.0
     while t < horizon:
         t_end = min(t + _AUDIT_CHUNK, horizon)
-        trajs = integrate_ensemble(params, y, replace(config, t0=t, t_end=t_end))
-        # a chunk starts on the last state of the one before, so the V steps
-        # between chunks are judged too
-        states = np.stack([traj.states for traj in trajs], axis=1)
+        traj = integrate(params, y, replace(config, t0=t, t_end=t_end))
+        # (n, m, 7): a chunk starts on the last state of the one before, so
+        # the V steps between chunks are judged too
+        states = np.moveaxis(traj.states, 2, 1)
         v = lyapunov_values(states, params)
         rise = np.maximum(rise, np.diff(v, axis=0).max(axis=0))
         v_scale = np.maximum(v_scale, np.abs(v).max(axis=0))

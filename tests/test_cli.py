@@ -278,6 +278,8 @@ class TestSimulateCommand:
     ("stability", "stability", "seed_scale", float("nan")),
     ("simulate", "initial", "E1", float("nan")),
     pytest.param("simulate", "integrator", "t_end", 10**400, id="integrator-t_end-10**400"),
+    pytest.param("simulate", "integrator", "sample_per_day", 10**400,
+                 id="integrator-sample_per_day-10**400"),
 ])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, command, block, key, value):
     cfg = base_config()
@@ -347,10 +349,10 @@ class TestStabilityCommand:
 
     def test_audit_over_the_step_budget_exits_4_before_integrating(
             self, tmp_path, capsys, monkeypatch):
-        def integrate_ensemble(*args, **kwargs):
+        def integrate(*args, **kwargs):
             pytest.fail("an audit over the step budget must not integrate")
 
-        monkeypatch.setattr(seiar.stability, "integrate_ensemble", integrate_ensemble)
+        monkeypatch.setattr(seiar.stability, "integrate", integrate)
         cfg = base_config()
         cfg["parameters"]["beta"] = P.beta * 0.45  # R_c ~ 0.75
         cfg["stability"] = {"audit_horizon": 3.0e6}
@@ -455,6 +457,23 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg_path, "--data", data_path,
                      "--out", str(tmp_path / "x")]) == 2
         assert "exceed the susceptible pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts", [("1e300", "5"), ("1e154", "1e154")])
+    def test_counts_whose_squares_overflow_exit_3(self, tmp_path, capsys, counts):
+        # every count is finite, but a fit's squared residuals would not be:
+        # one square overflows, or only their sum does
+        cfg = base_config()
+        cfg["parameters"]["beta"] = {"free": {"lo": P.beta / 2, "hi": P.beta * 2,
+                                              "guess": P.beta}}
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        data = tmp_path / "cases.csv"
+        first, second = counts
+        data.write_text(f"date,new_confirmed\n2020-01-01,{first}\n2020-01-02,{second}\n")
+        out = tmp_path / "x"
+        assert main(["fit", "--config", cfg_path, "--data", str(data),
+                     "--out", str(out)]) == 3
+        assert "sum of squared counts overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_data_exits_3(self, tmp_path, capsys, kind):

@@ -16,12 +16,11 @@ from seiar import (
     daily_incidence,
     disease_free_equilibrium,
     integrate,
-    integrate_ensemble,
     peak,
     population_balance,
     simulate,
 )
-from seiar.model import extended_field
+from seiar.model import StateVector, extended_field
 from seiar.presets import VARIANT_614G, VARIANTS
 from seiar.simulate import (
     _FEHLBERG_A,
@@ -307,23 +306,26 @@ class TestIntegrateEnsemble:
         p = VARIANT_614G
         cfg = IntegratorConfig(t_end=120.0, method=method, step=0.1, sample_per_day=3)
         solo = integrate(p, seeded_state(p), cfg)
-        [member] = integrate_ensemble(p, [seeded_state(p)], cfg)
-        assert np.array_equal(member.times, solo.times)
-        assert np.array_equal(member.states, solo.states)
-        assert np.array_equal(member.cumulative_inflows, solo.cumulative_inflows)
+        ensemble = integrate(p, [seeded_state(p)], cfg)
+        assert np.array_equal(ensemble.times, solo.times)
+        assert np.array_equal(ensemble.states[..., 0], solo.states)
+        assert np.array_equal(ensemble.cumulative_inflows[..., 0], solo.cumulative_inflows)
 
     def test_audit_members_match_solo_runs(self):
         p = VARIANTS["Omicron"].with_updates(rho=0.8)
         initials = audit_seedings(p)
         cfg = IntegratorConfig(t_end=2000.0, rtol=1e-10, sample_per_day=1)
-        members = integrate_ensemble(p, initials, cfg)
-        assert len(members) == len(initials)
-        for member, y0 in zip(members, initials):
+        runs = integrate(p, initials, cfg)
+        assert runs.states.shape[2] == len(initials)
+        incidence = daily_incidence(runs).values
+        breakdown = cumulative_by_class(runs)
+        for i, y0 in enumerate(initials):
             solo = integrate(p, y0, cfg)
             n0 = float(y0.sum())
-            assert np.max(np.abs(member.states - solo.states)) <= 1e-9 * n0
-            assert np.max(np.abs(member.cumulative_inflows
+            assert np.max(np.abs(runs.states[..., i] - solo.states)) <= 1e-9 * n0
+            assert np.max(np.abs(runs.cumulative_inflows[..., i]
                                  - solo.cumulative_inflows)) <= 1e-9 * n0
+            assert_member_observables(incidence[:, i], breakdown, i, solo, n0)
 
     def test_worst_member_sets_the_shared_step(self):
         # the idle member alone would stride a whole output interval per step
@@ -331,10 +333,10 @@ class TestIntegrateEnsemble:
         cfg = IntegratorConfig(t_end=365.0 / 40.0, sample_per_day=1)
         dfe = disease_free_equilibrium(p).as_array()
         solo = integrate(p, seeded_state(p), cfg)
-        idle, member = integrate_ensemble(p, [dfe, seeded_state(p)], cfg)
-        assert np.all(idle.states == dfe)
+        runs = integrate(p, [dfe, seeded_state(p)], cfg)
+        assert np.all(runs.states[..., 0] == dfe)
         n0 = float(seeded_state(p).sum())
-        assert np.max(np.abs(member.states - solo.states)) <= 1e-9 * n0
+        assert np.max(np.abs(runs.states[..., 1] - solo.states)) <= 1e-9 * n0
 
     def test_one_undershooting_member_fails_the_call(self):
         # RK4 at a one-day step is unstable for a decay rate of 5/day; the
@@ -344,7 +346,7 @@ class TestIntegrateEnsemble:
         dfe = disease_free_equilibrium(p).as_array()
         integrate(p, dfe, cfg)
         with pytest.raises(IntegrationError, match="undershot"):
-            integrate_ensemble(p, [dfe, seeded_state(p)], cfg)
+            integrate(p, [dfe, seeded_state(p)], cfg)
 
     @pytest.mark.parametrize("method", ["adaptive", "rk4"])
     def test_one_non_finite_member_fails_the_call(self, method):
@@ -353,7 +355,7 @@ class TestIntegrateEnsemble:
         broken[2] = float("nan")
         cfg = IntegratorConfig(t_end=10.0, method=method, sample_per_day=1)
         with pytest.raises(IntegrationError, match="non-finite"):
-            integrate_ensemble(p, [seeded_state(p), broken], cfg)
+            integrate(p, [seeded_state(p), broken], cfg)
 
     @pytest.mark.parametrize("method", ["adaptive", "rk4"])
     def test_member_failure_names_the_member_and_shared_failure_none(self, method,
@@ -364,11 +366,11 @@ class TestIntegrateEnsemble:
         initials = [seeded_state(p), seeded_state(p, 10.0), broken]
         cfg = IntegratorConfig(t_end=10.0, method=method, sample_per_day=1)
         with pytest.raises(IntegrationError, match="non-finite") as info:
-            integrate_ensemble(p, initials, cfg)
+            integrate(p, initials, cfg)
         assert info.value.member == 2
         monkeypatch.setattr(simulate, "MAX_STEPS", 5)
         with pytest.raises(IntegrationError, match="budget") as info:
-            integrate_ensemble(p, initials[:2], IntegratorConfig(
+            integrate(p, initials[:2], IntegratorConfig(
                 t_end=10.0, method=method, sample_per_day=1))
         assert info.value.member is None
 
@@ -376,15 +378,18 @@ class TestIntegrateEnsemble:
         p = VARIANT_614G
         members = [p.with_updates(rho=rho) for rho in (0.2, 0.8)]
         cfg = IntegratorConfig(t_end=200.0, sample_per_day=1)
-        runs = integrate_ensemble(members, [seeded_state(p)] * 2, cfg)
+        runs = integrate(members, [seeded_state(p)] * 2, cfg)
+        incidence = daily_incidence(runs).values
+        breakdown = cumulative_by_class(runs)
         n0 = float(seeded_state(p).sum())
-        for q, run in zip(members, runs):
+        for i, q in enumerate(members):
             solo = integrate(q, seeded_state(p), cfg)
-            assert np.max(np.abs(run.states - solo.states)) <= 1e-9 * n0
-            assert np.max(np.abs(run.cumulative_inflows
+            assert np.max(np.abs(runs.states[..., i] - solo.states)) <= 1e-9 * n0
+            assert np.max(np.abs(runs.cumulative_inflows[..., i]
                                  - solo.cumulative_inflows)) <= 1e-9 * n0
+            assert_member_observables(incidence[:, i], breakdown, i, solo, n0)
         with pytest.raises(ValueError, match="2 parameter sets for 3 initial states"):
-            integrate_ensemble(members, [seeded_state(p)] * 3, cfg)
+            integrate(members, [seeded_state(p)] * 3, cfg)
 
     def test_max_steps_counts_shared_steps(self, monkeypatch):
         p = VARIANT_614G
@@ -392,10 +397,48 @@ class TestIntegrateEnsemble:
         # 20 fixed steps of 0.5 days, taken once for all three members
         budget = IntegratorConfig(t_end=10.0, method="rk4", step=0.5, sample_per_day=1)
         monkeypatch.setattr(simulate, "MAX_STEPS", 20)
-        assert len(integrate_ensemble(p, initials, budget)) == 3
+        assert integrate(p, initials, budget).states.shape[2] == 3
         monkeypatch.setattr(simulate, "MAX_STEPS", 19)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_ensemble(p, initials, budget)
+            integrate(p, initials, budget)
+
+    @pytest.mark.parametrize("kind", ["array", "vectors", "mixed"])
+    def test_initial_state_i_is_member_i(self, kind):
+        # a (7, 7) array is seven states, one per row, never one state per
+        # column; the rows differ, so a transposed reading would show
+        p = VARIANT_614G
+        rows = np.array([seeded_state(p, 10.0 * (i + 1)) for i in range(7)])
+        initials = {"array": rows,
+                    "vectors": [StateVector.from_array(y) for y in rows],
+                    "mixed": [StateVector.from_array(y) if i % 2 else y
+                              for i, y in enumerate(rows)]}[kind]
+        cfg = IntegratorConfig(t_end=3.0, sample_per_day=1)
+        runs = integrate(p, initials, cfg)
+        assert runs.states.shape == (4, 7, 7)
+        assert runs.cumulative_inflows.shape == (4, 3, 7)
+        assert np.array_equal(runs.states[0], rows.T)
+        n0 = float(rows[0].sum())
+        for i, y0 in enumerate(rows):
+            solo = integrate(p, y0, cfg)
+            assert np.max(np.abs(runs.states[..., i] - solo.states)) <= 1e-9 * n0
+
+    def test_one_state_of_the_wrong_length_is_refused_as_a_state(self):
+        cfg = IntegratorConfig(t_end=3.0, sample_per_day=1)
+        with pytest.raises(ValueError, match="7 components"):
+            integrate(VARIANT_614G, [1.0] * 6, cfg)
+
+
+def assert_member_observables(incidence, breakdown, i, solo, n0):
+    """Member i's daily incidence and endpoint breakdown, read off an
+    m-member record, match those of its solo run within 1e-9 * N(0)."""
+    assert np.max(np.abs(incidence - daily_incidence(solo).values)) <= 1e-9 * n0
+    alone = cumulative_by_class(solo)
+    for name in ("cum_I1", "cum_I2", "cum_A"):
+        assert abs(getattr(breakdown, name)[i] - getattr(alone, name)) <= 1e-9 * n0
+    np.testing.assert_allclose(breakdown.cum_proportions[:, i], alone.cum_proportions,
+                               rtol=1e-9)
+    np.testing.assert_allclose(breakdown.prevalence_proportions[:, i],
+                               alone.prevalence_proportions, rtol=1e-9)
 
 
 class TestDailyIncidence:

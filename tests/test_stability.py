@@ -25,7 +25,7 @@ from seiar import (
 from seiar import stability
 from seiar.model import COMPARTMENTS, extended_field, jacobian
 from seiar.presets import VARIANTS
-from seiar.simulate import IntegratorConfig, integrate, integrate_ensemble
+from seiar.simulate import IntegratorConfig, integrate
 
 
 def outflows(p):
@@ -333,10 +333,10 @@ class TestLyapunovAudit:
             lyapunov_audit(p, [y0], horizon=100.0)
 
     def test_refuses_supercritical_before_integrating(self, params_614g, monkeypatch):
-        def integrate_ensemble(*args, **kwargs):
+        def integrate(*args, **kwargs):
             pytest.fail("a refused audit must not integrate")
 
-        monkeypatch.setattr(stability, "integrate_ensemble", integrate_ensemble)
+        monkeypatch.setattr(stability, "integrate", integrate)
         p = scale_to_rc(params_614g, 1.2)
         y0 = np.array([p.S0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="R_c < 1"):
@@ -368,9 +368,9 @@ def chunks(monkeypatch):
 
     def recorded(params, initials, config):
         calls.append((config.t_end - config.t0, float(np.min(initials))))
-        return integrate_ensemble(params, initials, config)
+        return integrate(params, initials, config)
 
-    monkeypatch.setattr(stability, "integrate_ensemble", recorded)
+    monkeypatch.setattr(stability, "integrate", recorded)
     return calls
 
 

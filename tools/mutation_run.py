@@ -56,8 +56,10 @@ MUTANTS = (
      "_B5 = np.array(_FEHLBERG_B4, dtype=float)"),
     ("best member sets the step", "simulate", "square_sums.max() / len(y)",
      "square_sums.min() / len(y)"),
-    ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx])",
-     "values = np.diff(traj.cum_I2[idx])"),
+    ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx], axis=0)",
+     "values = np.diff(traj.cum_I2[idx], axis=0)"),
+    ("incidence differenced across members", "simulate",
+     "values = np.diff(traj.cum_I1[idx], axis=0)", "values = np.diff(traj.cum_I1[idx], axis=-1)"),
     ("prevalence of E2, I1, I2", "simulate", "prev = traj.states[-1, 3:6]",
      "prev = traj.states[-1, 2:5]"),
     ("restart ties keep the later", "calibrate", "result.fun < best[0].fun",
