@@ -45,4 +45,4 @@ print(f"\npopulation-balance drift over the year: {drift:+.3e} persons "
 
 print("\nfirst ten days of detected incidence:")
 for d in range(10):
-    print(f"  day {d}: {series.values[d]:9.2f}")
+    print(f"  day {d}: {series[d]:9.2f}")

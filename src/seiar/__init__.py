@@ -44,7 +44,6 @@ from .scenarios import (
     rho_sweep,
 )
 from .simulate import (
-    IncidenceSeries,
     IntegratorConfig,
     Trajectory,
     cumulative_by_class,

@@ -213,7 +213,7 @@ def _window(integrator: IntegratorConfig | None, n_days: int) -> IntegratorConfi
 def _model_series(free_values, spec: ParameterSpec,
                   window: IntegratorConfig) -> tuple[ModelParameters, np.ndarray, np.ndarray]:
     params, y0 = spec.assemble(free_values)
-    return params, y0, daily_incidence(integrate(params, y0, window)).values
+    return params, y0, daily_incidence(integrate(params, y0, window))
 
 
 def sse_objective(free_values, spec: ParameterSpec, data: ObservedSeries,
@@ -320,10 +320,10 @@ def synthesize_data(params: ModelParameters, initial, days: int,
     ``noise`` is "none", "lognormal" (multiplicative exp(sigma*Z)) or
     "round" (nearest integer). Deterministic for a fixed seed.
     """
-    if days < 1:
-        raise ValueError("days must be at least 1")
+    if not (days >= 1 and float(days).is_integer()):
+        raise ValueError(f"days must be a whole number, at least 1; got {days!r}")
     traj = integrate(params, initial, _window(integrator, days))
-    values = daily_incidence(traj).values
+    values = daily_incidence(traj)
     if noise == "none":
         pass
     elif noise == "lognormal":

@@ -51,7 +51,7 @@ def cmd_simulate(config: RunConfig, args) -> None:
     write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
               np.column_stack((traj.times, traj.states, traj.cumulative_inflows)).tolist())
     write_csv(out / "incidence.csv", ("day", "new_confirmed"),
-              zip(incidence.days.tolist(), incidence.values.tolist()))
+              enumerate(incidence.tolist()))
 
 
 def _eigen_rows(prefix: str, eigenvalues: np.ndarray):
@@ -158,7 +158,7 @@ def cmd_predict(config: RunConfig, args) -> None:
     prediction = forecast(result, config.forecast.horizon)
     out = _out_dir(args)
     write_csv(out / "forecast.csv", ("day", "predicted_new_confirmed"),
-              zip(prediction.incidence.days, prediction.incidence.values))
+              enumerate(prediction.incidence.tolist(), start=prediction.first_day))
     write_json(out / "forecast_summary.json", {
         "peak_day": prediction.peak_day,
         "peak_value": prediction.peak_value,

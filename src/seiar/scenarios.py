@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .calibrate import FitResult
 from .errors import IntegrationError
 from .model import ModelParameters, control_reproduction_number
 from .simulate import (
     ClassBreakdown,
-    IncidenceSeries,
     IntegratorConfig,
     cumulative_by_class,
     daily_incidence,
@@ -51,9 +52,12 @@ class DeclinePercentages:
 
 @dataclass(frozen=True)
 class Forecast:
-    """Point prediction past a fitted window; days keep the window's indexing."""
+    """Point prediction past a fitted window: ``incidence[d]`` is the
+    predicted new detected cases on day ``first_day + d`` of the window's
+    numbering, and so is ``peak_day``."""
 
-    incidence: IncidenceSeries
+    first_day: int
+    incidence: np.ndarray
     peak_day: int
     peak_value: float
 
@@ -121,20 +125,19 @@ def decline_percentages(scenarios: Sequence[RhoScenario]) -> DeclinePercentages:
 
 
 def forecast(fit: FitResult, horizon: int) -> Forecast:
-    """Extend the fitted run ``horizon`` days past its data window.
+    """Extend the fitted run ``horizon`` whole days past its data window.
 
-    The returned incidence series covers only the extension; day indices
-    continue the fitted window's day numbering, so the reported peak is
-    directly comparable with the observed series.
+    The returned incidence covers only the extension, which starts on day
+    ``fit.n_days`` of the fitted window's numbering, so the reported peak
+    is directly comparable with the observed series.
     """
+    if not (horizon >= 1 and float(horizon).is_integer()):
+        raise ValueError(f"horizon must be a whole number of days, at least 1; got {horizon!r}")
     horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1 day")
     window = fit.integrator
     config = replace(window, t_end=window.t0 + fit.n_days + horizon)
     traj = integrate(fit.params, fit.initial, config)
-    full = daily_incidence(traj)
-    extension = IncidenceSeries(days=full.days[fit.n_days:fit.n_days + horizon],
-                                values=full.values[fit.n_days:fit.n_days + horizon])
+    extension = daily_incidence(traj)[fit.n_days:fit.n_days + horizon]
     day, value = peak(extension)
-    return Forecast(incidence=extension, peak_day=day, peak_value=value)
+    return Forecast(first_day=fit.n_days, incidence=extension,
+                    peak_day=fit.n_days + day, peak_value=value)

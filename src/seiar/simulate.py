@@ -5,7 +5,8 @@ compartments: the cumulative inflows into I1 (integral of rho*alpha*E2),
 I2 (integral of (1-rho)*alpha*E2) and A (integral of epsilon*E1).  Daily new
 detected cases are differences of the first counter at day boundaries, which
 stays exact under adaptive stepping (no sampling of the integrand at day
-edges is involved).
+edges is involved).  They come as a plain array whose row is the day, with
+one column per run for m runs, and :func:`peak` reads each column's peak.
 
 Two steppers are provided: an embedded Fehlberg 4(5) pair with proportional
 step control (default) and a fixed-step classical 4th-order Runge-Kutta kept
@@ -139,43 +140,25 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class IncidenceSeries:
-    """New detected cases per day; day d covers [d, d+1) after window start.
-
-    Holds read-only copies of ``days`` and ``values``.
-    """
-
-    days: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.days) != len(self.values):
-            raise ValueError("days and values must align")
-        for name in ("days", "values"):
-            arr = np.array(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class ClassBreakdown:
     """Cumulative inflows by infected class and their shares at the endpoint.
 
-    Counts are (m,) and shares (3, m) for m runs.  Proportions are NaN when
+    Counts are numpy scalars and shares (3,) for one run, or (m,) and
+    (3, m) for m runs.  Proportions are NaN when
     the corresponding total is zero (an undefined marker, never a division
     by zero).  Both the cumulative-inflow shares and the point-prevalence
     shares at t_end are reported; which one a given summary statistic
     refers to is for the caller to decide.
     """
 
-    cum_I1: float
-    cum_I2: float
-    cum_A: float
+    cum_I1: np.floating | np.ndarray
+    cum_I2: np.floating | np.ndarray
+    cum_A: np.floating | np.ndarray
     cum_proportions: np.ndarray
     prevalence_proportions: np.ndarray
 
     @property
-    def cum_total(self) -> float:
+    def cum_total(self) -> np.floating | np.ndarray:
         return self.cum_I1 + self.cum_I2 + self.cum_A
 
 
@@ -349,17 +332,19 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
             raise IntegrationError("step budget exhausted", t)
 
 
-def daily_incidence(traj: Trajectory) -> IncidenceSeries:
-    """New detected cases per whole day, one column per run for m runs: the
-    differences of the I1-inflow counter.
+def daily_incidence(traj: Trajectory) -> np.ndarray:
+    """New detected cases per whole day, the differences of the I1-inflow
+    counter: a read-only (days,) array for one run, or (days, m) for m runs.
 
-    Requires the trajectory to span at least one whole day.
+    Row d covers [d, d+1) after the window start.  Requires the trajectory to
+    span at least one whole day.
     """
     idx = traj.day_boundary_indices()
     if len(idx) < 2:
         raise ValueError("trajectory must span at least one whole day")
     values = np.diff(traj.cum_I1[idx], axis=0)
-    return IncidenceSeries(days=np.arange(len(values)), values=values)
+    values.flags.writeable = False
+    return values
 
 
 def cumulative_by_class(traj: Trajectory) -> ClassBreakdown:
@@ -374,9 +359,14 @@ def cumulative_by_class(traj: Trajectory) -> ClassBreakdown:
         prevalence_proportions=prev / np.where(prev_total > 0, prev_total, np.nan))
 
 
-def peak(series: IncidenceSeries) -> tuple[int, float]:
-    """Earliest day attaining the maximum incidence, with its value."""
-    if len(series.values) == 0:
+def peak(incidence: np.ndarray) -> tuple:
+    """Earliest day attaining the maximum incidence, with its value, read
+    along the time axis: (int, float) for a (days,) series, or two (m,)
+    arrays for a (days, m) one, member i's peak at index i.
+    """
+    if len(incidence) == 0:
         raise ValueError("incidence series is empty")
-    i = int(np.argmax(series.values))
-    return int(series.days[i]), float(series.values[i])
+    day, value = np.argmax(incidence, axis=0), np.max(incidence, axis=0)
+    if np.ndim(incidence) == 1:
+        return int(day), float(value)
+    return day, value

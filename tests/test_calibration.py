@@ -336,7 +336,7 @@ class TestSynthesizeData:
         from seiar.simulate import daily_incidence, integrate
         days = 20
         cfg = IntegratorConfig(t0=0.0, t_end=float(days), sample_per_day=1)
-        expected = daily_incidence(integrate(truth, seeded_initial, cfg)).values
+        expected = daily_incidence(integrate(truth, seeded_initial, cfg))
         data = synthesize_data(truth, seeded_initial, days=days)
         assert np.array_equal(data.counts, expected)
 
@@ -368,3 +368,12 @@ class TestSynthesizeData:
     def test_unknown_noise_rejected(self, truth, seeded_initial):
         with pytest.raises(ValueError, match="noise"):
             synthesize_data(truth, seeded_initial, days=5, noise="poisson")
+
+    @pytest.mark.parametrize("days", [0, 0.5, 2.5, 2.999, float("nan"), float("inf")])
+    def test_refuses_a_count_that_is_not_whole_days(self, truth, seeded_initial, days):
+        with pytest.raises(ValueError, match="days must be a whole number"):
+            synthesize_data(truth, seeded_initial, days=days)
+
+    def test_whole_float_count_is_whole_days(self, truth, seeded_initial):
+        assert np.array_equal(synthesize_data(truth, seeded_initial, days=3.0).counts,
+                              synthesize_data(truth, seeded_initial, days=3).counts)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import draw_params
 from scipy.integrate import solve_ivp
 
 from seiar import (
@@ -38,6 +39,16 @@ def make_scenario(rho, total, asym):
                        cum_I2=total - asym, cum_A=asym,
                        cum_proportions=np.full(3, np.nan),
                        prevalence_proportions=np.full(3, np.nan))
+
+
+def assert_exposed_chain_identity(q, inflows, state):
+    """One run's endpoint (inflows, state), started with E2 = 0, obeys the
+    identity that integrating E2' = sigma*E1 - (alpha+mu)*E2 gives:
+    cum_I1 + cum_I2 + alpha/(alpha+mu)*E2(T) = alpha*sigma/((alpha+mu)*eps) * cum_A."""
+    k = q.alpha / (q.alpha + q.mu)
+    lhs = inflows[0] + inflows[1] + k * state[2]
+    rhs = k * q.sigma / q.epsilon * inflows[2]
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestRhoSweep:
@@ -153,17 +164,22 @@ class TestRhoSweep:
 
     @pytest.mark.parametrize("rho", [0.2, 0.4, 0.6, 0.8])
     def test_inflows_obey_exposed_chain_identity(self, variant, rho):
-        # integrating E2' = sigma*E1 - (alpha+mu)*E2 from E2(0) = 0 gives
-        # cum_I1 + cum_I2 + alpha/(alpha+mu)*E2(T)
-        #     = alpha*sigma/((alpha+mu)*eps) * cum_A
         _, p = variant
         q = p.with_updates(rho=rho)
         traj = integrate(q, seeded(q), IntegratorConfig(t_end=365.0,
                                                         sample_per_day=1))
-        k = q.alpha / (q.alpha + q.mu)
-        lhs = traj.cum_I1[-1] + traj.cum_I2[-1] + k * traj.states[-1, 2]
-        rhs = k * q.sigma / q.epsilon * traj.cum_A[-1]
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert_exposed_chain_identity(q, traj.cumulative_inflows[-1], traj.states[-1])
+
+    def test_inflows_obey_exposed_chain_identity_on_random_draws(self, rng):
+        # the identity is linear, so every Runge-Kutta step keeps it to
+        # rounding, in each member of a per-member ensemble as in a solo run
+        members = [draw_params(rng) for _ in range(20)]
+        initials = [seeded(q, e1=1e-5 * q.S0) for q in members]
+        runs = integrate(members, initials, IntegratorConfig(t_end=365.0,
+                                                             sample_per_day=1))
+        for i, q in enumerate(members):
+            assert_exposed_chain_identity(q, runs.cumulative_inflows[-1, :, i],
+                                          runs.states[-1, :, i])
 
     def test_declines_match_dop853_reference(self, variant):
         _, p = variant
@@ -257,25 +273,35 @@ class TestForecast:
         with pytest.raises(ValueError, match="horizon"):
             forecast(result, 0)
 
+    @pytest.mark.parametrize("horizon", [0.5, 1.7, 2.999, float("nan"), float("inf")])
+    def test_refuses_a_horizon_that_is_not_whole_days(self, truth_fit, horizon):
+        _, _, result = truth_fit
+        with pytest.raises(ValueError, match="horizon must be a whole number"):
+            forecast(result, horizon)
+
+    def test_whole_float_horizon_is_whole_days(self, truth_fit):
+        _, _, result = truth_fit
+        assert np.array_equal(forecast(result, 3.0).incidence, forecast(result, 3).incidence)
+
     def test_extension_matches_generator(self, truth_fit):
         p, y0, result = truth_fit
         prediction = forecast(result, 80)
         cfg = IntegratorConfig(t0=0.0, t_end=120.0, sample_per_day=1)
-        generator = daily_incidence(integrate(p, y0, cfg)).values[40:120]
-        assert np.array_equal(prediction.incidence.days, np.arange(40, 120))
-        np.testing.assert_allclose(prediction.incidence.values, generator,
+        generator = daily_incidence(integrate(p, y0, cfg))[40:120]
+        assert prediction.first_day == 40
+        np.testing.assert_allclose(prediction.incidence, generator,
                                    rtol=1e-6)
 
     def test_single_day_horizon(self, truth_fit):
         _, _, result = truth_fit
         prediction = forecast(result, 1)
-        assert len(prediction.incidence.values) == 1
+        assert len(prediction.incidence) == 1
         assert prediction.peak_day == 40
-        assert prediction.peak_value == prediction.incidence.values[0]
+        assert prediction.peak_value == prediction.incidence[0]
 
     def test_interior_peak_on_long_horizon(self, truth_fit):
         _, _, result = truth_fit
         prediction = forecast(result, 300)
         assert 40 < prediction.peak_day < 339
-        assert prediction.peak_value > prediction.incidence.values[0]
-        assert prediction.peak_value > prediction.incidence.values[-1]
+        assert prediction.peak_value > prediction.incidence[0]
+        assert prediction.peak_value > prediction.incidence[-1]

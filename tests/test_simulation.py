@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 
 from seiar import (
     COMPARTMENTS,
-    IncidenceSeries,
     IntegratorConfig,
     IntegrationError,
     cumulative_by_class,
@@ -317,7 +316,7 @@ class TestIntegrateEnsemble:
         cfg = IntegratorConfig(t_end=2000.0, rtol=1e-10, sample_per_day=1)
         runs = integrate(p, initials, cfg)
         assert runs.states.shape[2] == len(initials)
-        incidence = daily_incidence(runs).values
+        incidence = daily_incidence(runs)
         breakdown = cumulative_by_class(runs)
         for i, y0 in enumerate(initials):
             solo = integrate(p, y0, cfg)
@@ -325,7 +324,7 @@ class TestIntegrateEnsemble:
             assert np.max(np.abs(runs.states[..., i] - solo.states)) <= 1e-9 * n0
             assert np.max(np.abs(runs.cumulative_inflows[..., i]
                                  - solo.cumulative_inflows)) <= 1e-9 * n0
-            assert_member_observables(incidence[:, i], breakdown, i, solo, n0)
+            assert_member_observables(incidence, breakdown, i, solo, n0)
 
     def test_worst_member_sets_the_shared_step(self):
         # the idle member alone would stride a whole output interval per step
@@ -379,7 +378,7 @@ class TestIntegrateEnsemble:
         members = [p.with_updates(rho=rho) for rho in (0.2, 0.8)]
         cfg = IntegratorConfig(t_end=200.0, sample_per_day=1)
         runs = integrate(members, [seeded_state(p)] * 2, cfg)
-        incidence = daily_incidence(runs).values
+        incidence = daily_incidence(runs)
         breakdown = cumulative_by_class(runs)
         n0 = float(seeded_state(p).sum())
         for i, q in enumerate(members):
@@ -387,7 +386,7 @@ class TestIntegrateEnsemble:
             assert np.max(np.abs(runs.states[..., i] - solo.states)) <= 1e-9 * n0
             assert np.max(np.abs(runs.cumulative_inflows[..., i]
                                  - solo.cumulative_inflows)) <= 1e-9 * n0
-            assert_member_observables(incidence[:, i], breakdown, i, solo, n0)
+            assert_member_observables(incidence, breakdown, i, solo, n0)
         with pytest.raises(ValueError, match="2 parameter sets for 3 initial states"):
             integrate(members, [seeded_state(p)] * 3, cfg)
 
@@ -429,9 +428,15 @@ class TestIntegrateEnsemble:
 
 
 def assert_member_observables(incidence, breakdown, i, solo, n0):
-    """Member i's daily incidence and endpoint breakdown, read off an
-    m-member record, match those of its solo run within 1e-9 * N(0)."""
-    assert np.max(np.abs(incidence - daily_incidence(solo).values)) <= 1e-9 * n0
+    """Member i's daily incidence, peak and endpoint breakdown, read off an
+    m-member record, match those of its solo run within 1e-9 * N(0).
+
+    ``incidence`` is the m-member (days, m) array; member i's peak read off
+    it equals the peak of its column i exactly."""
+    assert np.max(np.abs(incidence[:, i] - daily_incidence(solo))) <= 1e-9 * n0
+    days, values = peak(incidence)
+    assert (int(days[i]), float(values[i])) == peak(incidence[:, i])
+    assert abs(values[i] - peak(daily_incidence(solo))[1]) <= 1e-9 * n0
     alone = cumulative_by_class(solo)
     for name in ("cum_I1", "cum_I2", "cum_A"):
         assert abs(getattr(breakdown, name)[i] - getattr(alone, name)) <= 1e-9 * n0
@@ -446,14 +451,14 @@ class TestDailyIncidence:
         p = VARIANT_614G
         dfe = disease_free_equilibrium(p).as_array()
         traj = integrate(p, dfe, IntegratorConfig(t_end=10.0))
-        assert np.all(daily_incidence(traj).values == 0.0)
+        assert np.all(daily_incidence(traj) == 0.0)
 
     def test_no_detection_means_no_incidence(self):
         p = VARIANT_614G.with_updates(rho=0.0)
         traj = integrate(p, seeded_state(p), IntegratorConfig(t_end=30.0))
         series = daily_incidence(traj)
-        assert len(series.values) == 30
-        assert np.all(series.values == 0.0)
+        assert len(series) == 30
+        assert np.all(series == 0.0)
 
     def test_matches_midpoint_quadrature_of_inflow_rate(self):
         p = VARIANT_614G
@@ -463,7 +468,7 @@ class TestDailyIncidence:
         rate = p.rho * p.alpha * traj.states[:, 2]
         spd = 1000
         panels = spd // 2
-        for day, value in zip(series.days, series.values):
+        for day, value in enumerate(series):
             window = rate[day * spd:(day + 1) * spd + 1]
             midpoint = float(np.sum(window[1::2])) / panels
             assert value == pytest.approx(midpoint, rel=1e-6)
@@ -473,6 +478,14 @@ class TestDailyIncidence:
         traj = integrate(p, seeded_state(p), IntegratorConfig(t_end=0.5))
         with pytest.raises(ValueError, match="whole day"):
             daily_incidence(traj)
+
+    def test_array_is_read_only(self):
+        p = VARIANT_614G
+        cfg = IntegratorConfig(t_end=3.0)
+        for initial, shape in ((seeded_state(p), (3,)), ([seeded_state(p)] * 2, (3, 2))):
+            incidence = daily_incidence(integrate(p, initial, cfg))
+            assert incidence.shape == shape
+            assert not incidence.flags.writeable
 
 
 class TestCumulativeByClass:
@@ -513,30 +526,18 @@ class TestCumulativeByClass:
         assert breakdown.cum_proportions[2] == pytest.approx(expected, rel=0.01)
 
 
-class TestIncidenceSeries:
-    def test_copies_the_callers_arrays(self):
-        days, values = np.arange(2), np.array([1.0, 2.0])
-        series = IncidenceSeries(days=days, values=values)
-        days[0], values[0] = 5, 3.0
-        assert series.days.tolist() == [0, 1]
-        assert series.values.tolist() == [1.0, 2.0]
-        assert not series.days.flags.writeable
-        assert not series.values.flags.writeable
 
 
 class TestPeak:
     def test_decreasing_series_peaks_at_day_zero(self):
-        series = IncidenceSeries(days=np.arange(4), values=np.array([9.0, 5.0, 2.0, 1.0]))
-        assert peak(series) == (0, 9.0)
+        assert peak(np.array([9.0, 5.0, 2.0, 1.0])) == (0, 9.0)
 
     def test_earliest_maximum_wins(self):
-        series = IncidenceSeries(days=np.arange(4), values=np.array([1.0, 5.0, 5.0, 2.0]))
-        assert peak(series) == (1, 5.0)
+        assert peak(np.array([1.0, 5.0, 5.0, 2.0])) == (1, 5.0)
 
     def test_empty_series_rejected(self):
-        series = IncidenceSeries(days=np.arange(0), values=np.array([]))
         with pytest.raises(ValueError, match="empty"):
-            peak(series)
+            peak(np.array([]))
 
     def test_supercritical_wave_peaks_in_the_interior(self):
         p = VARIANT_614G
@@ -544,6 +545,6 @@ class TestPeak:
                          IntegratorConfig(t_end=365.0, sample_per_day=1))
         series = daily_incidence(traj)
         day, value = peak(series)
-        assert 0 < day < series.days[-1]
-        assert value > series.values[0]
-        assert value > series.values[-1]
+        assert 0 < day < len(series) - 1
+        assert value > series[0]
+        assert value > series[-1]

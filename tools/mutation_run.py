@@ -60,6 +60,8 @@ MUTANTS = (
      "values = np.diff(traj.cum_I2[idx], axis=0)"),
     ("incidence differenced across members", "simulate",
      "values = np.diff(traj.cum_I1[idx], axis=0)", "values = np.diff(traj.cum_I1[idx], axis=-1)"),
+    ("peak across the flattened block", "simulate", "np.argmax(incidence, axis=0)",
+     "np.argmax(incidence)"),
     ("prevalence of E2, I1, I2", "simulate", "prev = traj.states[-1, 3:6]",
      "prev = traj.states[-1, 2:5]"),
     ("restart ties keep the later", "calibrate", "result.fun < best[0].fun",
