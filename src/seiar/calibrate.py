@@ -317,8 +317,9 @@ def synthesize_data(params: ModelParameters, initial, days: int,
                     integrator: IntegratorConfig | None = None) -> ObservedSeries:
     """Simulate days 0 to ``days`` of daily incidence and apply a noise model.
 
-    ``noise`` is "none", "lognormal" (multiplicative exp(sigma*Z)) or
-    "round" (nearest integer). Deterministic for a fixed seed.
+    ``days`` must be a whole number, at least 1.  ``noise`` is "none",
+    "lognormal" (multiplicative exp(sigma*Z)) or "round" (nearest integer).
+    Deterministic for a fixed seed.
     """
     if not (days >= 1 and float(days).is_integer()):
         raise ValueError(f"days must be a whole number, at least 1; got {days!r}")

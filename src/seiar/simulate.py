@@ -144,11 +144,11 @@ class ClassBreakdown:
     """Cumulative inflows by infected class and their shares at the endpoint.
 
     Counts are numpy scalars and shares (3,) for one run, or (m,) and
-    (3, m) for m runs.  Proportions are NaN when
-    the corresponding total is zero (an undefined marker, never a division
-    by zero).  Both the cumulative-inflow shares and the point-prevalence
-    shares at t_end are reported; which one a given summary statistic
-    refers to is for the caller to decide.
+    (3, m) for m runs.  Proportions are NaN when the corresponding total is
+    zero (an undefined marker, never a division by zero).  Both the
+    cumulative-inflow shares and the point-prevalence shares at t_end are
+    reported; which one a given summary statistic refers to is for the
+    caller to decide.
     """
 
     cum_I1: np.floating | np.ndarray
