@@ -276,50 +276,92 @@ def _run_rk4(f, y, out_times, out, step, band):
 
 
 def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
-    t = out_times[0]
+    # On (10,) and (10, m) arrays a numpy call costs more than its
+    # arithmetic, so the loop makes as few as it can.  Every intermediate is
+    # written into a buffer allocated here, ``out`` passed by position (numpy
+    # parses that faster than a keyword, but np.maximum takes only the
+    # keyword).  Each is the same operation on the same operands as the plain
+    # expression in its comment, so the results are the same to the bit.
+    # ``y`` and ``y5`` are two buffers that trade places on every accepted
+    # step, and so are ``ay`` and ``ay5``, which carry |y| over to the next
+    # step; ``y`` starts as the caller's initial state and is overwritten.
+    # ``out[next_out] = y`` copies, so a stored row keeps its values when
+    # its buffer is reused.
+    grid = out_times.tolist()
+    t = grid[0]
     next_out = 1
-    h_prop = min(0.25, out_times[-1] - t)
-    hmin = 1e-12 * max(1.0, abs(out_times[-1] - out_times[0]))
+    h_prop = min(0.25, grid[-1] - t)
+    hmin = 1e-12 * max(1.0, abs(grid[-1] - grid[0]))
     # stages are kept flat, (6, 10*m), so that each combination of them is
     # one matrix-vector product into a preallocated buffer for any m
     k = np.empty((6,) + y.shape)
     k_flat = k.reshape(6, -1)
+    k0, stages = k[0], [(_A_ROWS[s], k_flat[:s], k[s]) for s in range(1, 6)]
     comb = np.empty(y.shape)
     comb_flat = comb.reshape(-1)
+    y5, ay, ay5, scale = np.empty(y.shape), np.abs(y), np.empty(y.shape), np.empty(y.shape)
+    # h, rtol and atol filled out to the state's shape: a ufunc takes an
+    # array operand faster than a scalar one
+    hs, rtols, atols = np.empty(y.shape), np.full(y.shape, rtol), np.full(y.shape, atol)
+    # a step is admissible when floor <= y5 <= the largest float: that refuses
+    # NaN and infinities, and compartments below their band, but no finite
+    # counter; a byte compare reads the verdict, ten times cheaper here than
+    # a reduction
+    huge = np.finfo(float).max
+    floor = np.empty(y.shape)
+    floor[:7] = -band
+    floor[7:] = -huge
+    ceiling = np.full(y.shape, huge)
+    ok = np.empty((2,) + y.shape, dtype=bool)
+    above_floor, below_ceiling = ok
+    admissible = b"\x01" * ok.size
+    # RMS over the 10 components of each member; the worst member decides,
+    # and one run's sum of squares is already a scalar
+    worst = np.maximum.reduce if y.ndim > 1 else float
+    dot, multiply, add, less_equal = np.dot, np.multiply, np.add, np.less_equal
+    maximum, absolute, divide = np.maximum, np.abs, np.divide
     taken = 0
-    while next_out < len(out_times):
-        h = min(h_prop, out_times[next_out] - t)
+    while next_out < len(grid):
+        h = grid[next_out] - t
         clamped = h < h_prop
-        k[0] = f(y)
-        for s in range(1, 6):
-            np.dot(_A_ROWS[s], k_flat[:s], out=comb_flat)
-            k[s] = f(y + h * comb)
-        np.dot(_B5, k_flat, out=comb_flat)
-        y5 = y + h * comb
-        np.dot(_ERR, k_flat, out=comb_flat)
-        q = h * comb / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
-        # RMS over the 10 components of each member; the worst member decides
-        square_sums = (q * q).sum(axis=0)
-        err = math.sqrt(square_sums.max() / len(y))
+        if not clamped:
+            h = h_prop
+        hs.fill(h)
+        k0[...] = f(y)
+        for a_row, k_prev, k_s in stages:
+            dot(a_row, k_prev, comb_flat)
+            # k_s = f(y + h * comb)
+            k_s[...] = f(add(y, multiply(comb, hs, comb), comb))
+        dot(_B5, k_flat, comb_flat)
+        add(y, multiply(comb, hs, comb), y5)  # y5 = y + h * comb
+        dot(_ERR, k_flat, comb_flat)
+        # q = h * comb / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        multiply(comb, hs, comb)
+        multiply(maximum(ay, absolute(y5, ay5), out=scale), rtols, scale)
+        divide(comb, add(scale, atols, scale), comb)
+        square_sums = add.reduce(multiply(comb, comb, comb), 0)
+        err = math.sqrt(worst(square_sums) / len(y))
         if not math.isfinite(err):
             raise IntegrationError("error estimate became non-finite", t,
                                    int(np.argmin(np.isfinite(square_sums))))
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if err <= 1.0:
-            if not np.isfinite(y5).all():
+            less_equal(floor, y5, above_floor)
+            less_equal(y5, ceiling, below_ceiling)
+            if ok.tobytes() == admissible:
+                t = t + h
+                y, y5, ay, ay5 = y5, y, ay5, ay
+                if abs(t - grid[next_out]) <= 1e-12 * max(1.0, abs(t)):
+                    out[next_out] = y
+                    t = grid[next_out]
+                    next_out += 1
+            elif not np.isfinite(y5).all():
                 raise IntegrationError("state became non-finite", t + h,
                                        int(np.argmin(np.isfinite(y5).all(axis=0))))
-            if (y5[:7].min(axis=0) < -band).any():
+            else:
                 # the error test passed, but a compartment fell below its
                 # band: reject the step and retry it at half the length
                 factor = 0.5
-            else:
-                t = t + h
-                y = y5
-                if abs(t - out_times[next_out]) <= 1e-12 * max(1.0, abs(t)):
-                    out[next_out] = y
-                    t = out_times[next_out]
-                    next_out += 1
         candidate = h * factor
         # a step shortened only to land on the output grid must not drag the
         # controller's proposal down with it

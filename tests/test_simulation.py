@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import audit_seedings, scale_to_rc
+from fehlberg_reference import run_fehlberg_reference
 from scipy.integrate import solve_ivp
 
 from seiar import (
@@ -52,6 +53,37 @@ def dop853_reference(params, y0, times):
     return solve_ivp(lambda t, y: f(y), (times[0], times[-1]),
                      np.concatenate([y0, np.zeros(3)]), method="DOP853",
                      rtol=1e-13, atol=1e-6, t_eval=times).y.T
+
+
+def wrapped_field(wrap):
+    """A stand-in for ``extended_field`` whose f(y) is ``wrap(f, y)``, with f
+    the model's field."""
+    field = extended_field
+
+    def make(params):
+        f = field(params)
+        return lambda y: wrap(f, y)
+    return make
+
+
+def overflowing_r(f, y):
+    # member 1's R rises by 5e306 a day and its own derivative does not read
+    # it, so the field stays finite while R overflows to +inf after about 36
+    # days; that step passes the error test, since an infinite scale divides
+    # R's error to 0
+    y = y.copy()
+    y[6, 1] = 0.0
+    out = f(y)
+    out[6, 1] += 5e306
+    return out
+
+
+def draining_cum_a(f, y):
+    # the counter of inflows into A falls at 1000 a day, soon far below the
+    # band the compartments are held to
+    out = f(y)
+    out[9] = -1e3
+    return out
 
 
 def _exact_dot(u, v):
@@ -298,6 +330,27 @@ class TestIntegrate:
         solution = np.hstack([traj.states, traj.cumulative_inflows])
         assert np.max(np.abs(solution - ref)) < 1e-3 * n0
 
+    def test_member_overflowing_to_inf_fails_as_non_finite(self, monkeypatch):
+        monkeypatch.setattr(simulate, "extended_field", wrapped_field(overflowing_r))
+        p = VARIANT_614G
+        with pytest.raises(IntegrationError) as info, np.errstate(over="ignore"):
+            integrate(p, [seeded_state(p), seeded_state(p)],
+                      IntegratorConfig(t_end=60.0, sample_per_day=1))
+        assert info.value.args[0] == "state became non-finite"
+        assert info.value.member == 1
+        assert 30.0 < info.value.t < 40.0
+
+    def test_counter_below_the_band_is_not_rejected(self, monkeypatch):
+        # only compartments are held to the band; a counter is integrated as
+        # it comes, here exactly, since its derivative is constant
+        monkeypatch.setattr(simulate, "extended_field", wrapped_field(draining_cum_a))
+        p = VARIANT_614G
+        y0 = seeded_state(p)
+        traj = integrate(p, y0, IntegratorConfig(t_end=10.0, sample_per_day=1))
+        assert traj.cum_A[-1] < -NEGATIVITY_BAND * y0.sum()
+        np.testing.assert_allclose(traj.cum_A, -1e3 * traj.times, rtol=1e-12)
+        assert np.all(traj.states >= 0.0)
+
 
 class TestIntegrateEnsemble:
     @pytest.mark.parametrize("method", ["adaptive", "rk4"])
@@ -425,6 +478,82 @@ class TestIntegrateEnsemble:
         cfg = IntegratorConfig(t_end=3.0, sample_per_day=1)
         with pytest.raises(ValueError, match="7 components"):
             integrate(VARIANT_614G, [1.0] * 6, cfg)
+
+
+def reference_cases():
+    """(params, initial states, config, field wrapper, MAX_STEPS, expected
+    failure) for :class:`TestFehlbergReference`."""
+    p, fast = VARIANT_614G, fast_614g()
+    n_fast = float(seeded_state(fast).sum())
+    omicron = VARIANTS["Omicron"].with_updates(rho=0.8)
+    broken = seeded_state(p)
+    broken[2] = float("nan")
+    band_setup = {"t_end": 365.0 / 40.0, "sample_per_day": 1, "rtol": 1e-4}
+    cases = {
+        "614G-60d-daily": (
+            p, seeded_state(p), IntegratorConfig(t_end=60.0, sample_per_day=1),
+            None, None, None),
+        "614G-365d-10-per-day": (
+            p, seeded_state(p), IntegratorConfig(t_end=365.0, sample_per_day=10),
+            None, None, None),
+        "20-audit-seeds-rtol-1e-10": (
+            omicron, audit_seedings(omicron),
+            IntegratorConfig(t_end=2000.0, rtol=1e-10, sample_per_day=1), None, None, None),
+        "4-rho-per-member-sweep": (
+            [p.with_updates(rho=rho) for rho in (0.2, 0.4, 0.6, 0.8)], [seeded_state(p)] * 4,
+            IntegratorConfig(t_end=365.0, sample_per_day=10), None, None, None),
+        "band-rejections-atol-1e-5": (
+            fast, seeded_state(fast), IntegratorConfig(atol=1e-5 * n_fast, **band_setup),
+            None, None, None),
+        "band-rejections-atol-1e-4": (
+            fast, seeded_state(fast), IntegratorConfig(atol=1e-4 * n_fast, **band_setup),
+            None, None, None),
+        "counter-below-the-band": (
+            p, seeded_state(p), IntegratorConfig(t_end=10.0, sample_per_day=1),
+            draining_cum_a, None, None),
+        "nan-member": (
+            p, [seeded_state(p), broken], IntegratorConfig(t_end=10.0, sample_per_day=1),
+            None, None, "error estimate became non-finite"),
+        "member-overflowing-to-inf": (
+            p, [seeded_state(p)] * 2, IntegratorConfig(t_end=60.0, sample_per_day=1),
+            overflowing_r, None, "state became non-finite"),
+        "max-steps-50": (
+            p, seeded_state(p), IntegratorConfig(t_end=200.0, sample_per_day=1),
+            None, 50, "step budget exhausted"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+class TestFehlbergReference:
+    @pytest.mark.parametrize("params, initial, config, wrap, max_steps, fails",
+                             reference_cases())
+    def test_stores_the_reference_bytes_or_fails_alike(self, monkeypatch, params, initial,
+                                                       config, wrap, max_steps, fails):
+        # the step loop against its plain-expression reference: the same
+        # stored block to the bit, or the same error at the same t and member
+        if wrap is not None:
+            monkeypatch.setattr(simulate, "extended_field", wrapped_field(wrap))
+        if max_steps is not None:
+            monkeypatch.setattr(simulate, "MAX_STEPS", max_steps)
+        y0 = simulate._initial_block(initial)
+        outcomes = []
+        for loop in (simulate._run_fehlberg, run_fehlberg_reference):
+            monkeypatch.setattr(simulate, "_run_fehlberg", loop)
+            try:
+                with np.errstate(over="ignore"):
+                    outcomes.append(simulate._solve(params, y0, config))
+            except IntegrationError as error:
+                outcomes.append(error)
+        new, reference = outcomes
+        if fails is None:
+            assert np.array_equal(new[0], reference[0])
+            assert np.array_equal(new[1], reference[1])
+            assert new[1].tobytes() == reference[1].tobytes()
+        else:
+            assert reference.args[0] == fails
+            assert isinstance(new, IntegrationError)
+            assert ((new.args, new.t, new.member)
+                    == (reference.args, reference.t, reference.member))
 
 
 def assert_member_observables(incidence, breakdown, i, solo, n0):

@@ -54,8 +54,11 @@ MUTANTS = (
     ("controller exponent", "simulate", "0.9 * err ** -0.2)", "0.9 * err ** -0.25)"),
     ("4th-order solution propagated", "simulate", "_B5 = np.array(_FEHLBERG_B5, dtype=float)",
      "_B5 = np.array(_FEHLBERG_B4, dtype=float)"),
-    ("best member sets the step", "simulate", "square_sums.max() / len(y)",
-     "square_sums.min() / len(y)"),
+    ("best member sets the step", "simulate", "worst = np.maximum.reduce if",
+     "worst = np.minimum.reduce if"),
+    ("band applied to the counters", "simulate", "floor[7:] = -huge", "floor[7:] = -band"),
+    ("+inf not refused", "simulate", "ceiling = np.full(y.shape, huge)",
+     "ceiling = np.full(y.shape, np.inf)"),
     ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx], axis=0)",
      "values = np.diff(traj.cum_I2[idx], axis=0)"),
     ("incidence differenced across members", "simulate",
