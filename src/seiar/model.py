@@ -221,8 +221,8 @@ def _rate_matrix(p: ModelParameters) -> np.ndarray:
 
 
 def extended_field(params: ModelParameters | Sequence[ModelParameters]
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """The model's vector field, as a function f(y) of a state array.
+                   ) -> Callable[..., np.ndarray]:
+    """The model's vector field, as a function f(y, out=None) of a state array.
 
     f returns 10 components: the derivatives of the seven compartments, then
     the inflows rho*alpha*E2 into I1, (1-rho)*alpha*E2 into I2 and
@@ -237,23 +237,28 @@ def extended_field(params: ModelParameters | Sequence[ModelParameters]
     read, from a (7,) or (10,) state or one with a trailing axis of m
     columns.  ``params`` is one set shared by every column, or a sequence of
     m sets, one per column, whose matrices are stacked as (m, 10, 7).
+
+    ``out`` is an output buffer, not an option: a C-contiguous float array
+    of the field's shape, (10,) or (10, m), that must not overlap ``y``.  f
+    writes the field into it and returns it, the same values as f(y) returns
+    in a new array; an integrator's stage buffer saves the allocation.
     """
     if isinstance(params, ModelParameters):
-        linear = _rate_matrix(params).__matmul__
+        linear = _rate_matrix(params).dot
         L, beta, omega = params.Lambda, params.beta, params.omega
     else:
         members = list(params)
         stacked = np.stack([_rate_matrix(p) for p in members])
 
-        def linear(y: np.ndarray) -> np.ndarray:
-            return np.einsum("mij,jm->im", stacked, y)
+        def linear(y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+            return np.einsum("mij,jm->im", stacked, y, out=out)
 
         L, beta, omega = (np.array([getattr(p, name) for p in members])
                           for name in ("Lambda", "beta", "omega"))
 
-    def f(y: np.ndarray) -> np.ndarray:
+    def f(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         force = beta * y[0] * (y[2] + y[4] + omega * y[5])
-        out = linear(y[:7])
+        out = linear(y[:7], out)
         out[0] += L - force
         out[1] += force
         return out

@@ -211,10 +211,13 @@ def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
     out = np.empty((len(out_times),) + y.shape)
     out[0] = y
 
-    if config.method == "rk4":
-        _run_rk4(f, y, out_times, out, config.step, band)
-    else:
-        _run_fehlberg(f, y, out_times, out, config.rtol, atol, band)
+    # a state that overflows is diagnosed by the steppers' own checks, as a
+    # non-finite state, not reported by numpy as a warning on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.method == "rk4":
+            _run_rk4(f, y, out_times, out, config.step, band)
+        else:
+            _run_fehlberg(f, y, out_times, out, config.rtol, atol, band)
     return out_times, out
 
 
@@ -259,10 +262,10 @@ def _rk4_step(f, y, h):
 def _run_rk4(f, y, out_times, out, step, band):
     # the step is snapped so that a whole number of steps fills each output
     # interval; with the defaults (h = 0.01 d, 10 samples/d) it is unchanged.
-    # Every step is known before the first, so the budget is checked first
+    # Every step is known before the first, so the budget is checked first;
+    # a tiny step overflows to an infinite count, which fails it
     spans = np.diff(out_times)
-    with np.errstate(over="ignore"):  # a tiny step: an infinite count fails below
-        n_subs = np.maximum(1.0, np.rint(spans / step))
+    n_subs = np.maximum(1.0, np.rint(spans / step))
     taken = np.cumsum(n_subs)
     if taken[-1] > MAX_STEPS:
         raise IntegrationError("step budget exhausted",
@@ -285,8 +288,9 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
     # ``y`` and ``y5`` are two buffers that trade places on every accepted
     # step, and so are ``ay`` and ``ay5``, which carry |y| over to the next
     # step; ``y`` starts as the caller's initial state and is overwritten.
-    # ``out[next_out] = y`` copies, so a stored row keeps its values when
-    # its buffer is reused.
+    # The field writes each stage straight into its row of ``k`` through its
+    # ``out`` buffer.  ``out[next_out] = y`` copies, so a stored row keeps
+    # its values when its buffer is reused.
     grid = out_times.tolist()
     t = grid[0]
     next_out = 1
@@ -327,11 +331,10 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
         if not clamped:
             h = h_prop
         hs.fill(h)
-        k0[...] = f(y)
+        f(y, k0)
         for a_row, k_prev, k_s in stages:
             dot(a_row, k_prev, comb_flat)
-            # k_s = f(y + h * comb)
-            k_s[...] = f(add(y, multiply(comb, hs, comb), comb))
+            f(add(y, multiply(comb, hs, comb), comb), k_s)  # k_s = f(y + h * comb)
         dot(_B5, k_flat, comb_flat)
         add(y, multiply(comb, hs, comb), y5)  # y5 = y + h * comb
         dot(_ERR, k_flat, comb_flat)

@@ -1,10 +1,13 @@
 """The Fehlberg step loop as written before its numpy calls were cut down,
-kept as the bit-for-bit reference of ``simulate._run_fehlberg``.
+and the model field as written before it took an output buffer, kept as the
+bit-for-bit reference of ``simulate._run_fehlberg`` and
+``model.extended_field``.
 
-It computes every value with plain array expressions that allocate their
-results.  The rewritten loop must store the same bytes and fail with the
-same error; ``test_simulation.TestFehlbergReference`` runs both.  Only
-``MAX_STEPS`` is read through the module, so that a test can patch it.
+Both compute every value with plain array expressions that allocate their
+results.  The rewritten loop with the rewritten field must store the same
+bytes and fail with the same error as this loop with this field;
+``test_simulation.TestFehlbergReference`` runs both.  Only ``MAX_STEPS`` is
+read through the module, so that a test can patch it.
 """
 
 import math
@@ -13,7 +16,33 @@ import numpy as np
 
 from seiar import simulate
 from seiar.errors import IntegrationError
+from seiar.model import ModelParameters, _rate_matrix
 from seiar.simulate import _A_ROWS, _B5, _ERR
+
+
+def reference_field(params):
+    """``model.extended_field`` as written before it took ``out``: f(y) only."""
+    if isinstance(params, ModelParameters):
+        linear = _rate_matrix(params).__matmul__
+        L, beta, omega = params.Lambda, params.beta, params.omega
+    else:
+        members = list(params)
+        stacked = np.stack([_rate_matrix(p) for p in members])
+
+        def linear(y: np.ndarray) -> np.ndarray:
+            return np.einsum("mij,jm->im", stacked, y)
+
+        L, beta, omega = (np.array([getattr(p, name) for p in members])
+                          for name in ("Lambda", "beta", "omega"))
+
+    def f(y: np.ndarray) -> np.ndarray:
+        force = beta * y[0] * (y[2] + y[4] + omega * y[5])
+        out = linear(y[:7])
+        out[0] += L - force
+        out[1] += force
+        return out
+
+    return f
 
 
 def run_fehlberg_reference(f, y, out_times, out, rtol, atol, band):

@@ -12,6 +12,7 @@ from conftest import (
     draw_params,
     draw_params_at_rc,
 )
+from fehlberg_reference import reference_field
 
 from seiar import (
     StateVector,
@@ -172,6 +173,21 @@ class TestRateTable:
                 for value, alone, terms in zip(batch[:, k], single,
                                                docstring_terms(p, ys[:, k])):
                     assert abs(value - alone) <= few_ulps(terms)
+
+    def test_field_writes_the_reference_bytes_into_out(self, rng):
+        # f(y, out) returns out itself, holding the bytes of f(y) and of the
+        # field as written before it took a buffer; out is a row of a larger
+        # buffer, as an integrator's stage is, and starts as NaN
+        for _ in range(20):
+            p, members = draw_params(rng), [draw_params(rng) for _ in range(4)]
+            one = np.concatenate([random_state(rng), rng.uniform(size=3)])
+            ys = np.stack([np.concatenate([random_state(rng), rng.uniform(size=3)])
+                           for _ in members], axis=1)
+            for params, y in ((p, one), (p, ys), (members, ys)):
+                f = extended_field(params)
+                out = np.full((2,) + y.shape, np.nan)[1]
+                assert f(y, out) is out
+                assert out.tobytes() == f(y).tobytes() == reference_field(params)(y).tobytes()
 
 
 class TestPopulationBalance:

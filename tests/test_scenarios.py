@@ -105,9 +105,9 @@ class TestRhoSweep:
         def counted(params):
             f = field(params)
 
-            def g(y):
+            def g(y, out=None):
                 calls[0] += 1
-                return f(y)
+                return f(y, out)
             return g
 
         monkeypatch.setattr("seiar.simulate.extended_field", counted)

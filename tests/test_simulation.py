@@ -1,11 +1,12 @@
 """Integrator behavior, incidence observables, cumulative breakdowns, peaks."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import audit_seedings, scale_to_rc
-from fehlberg_reference import run_fehlberg_reference
+from fehlberg_reference import reference_field, run_fehlberg_reference
 from scipy.integrate import solve_ivp
 
 from seiar import (
@@ -55,14 +56,20 @@ def dop853_reference(params, y0, times):
                      rtol=1e-13, atol=1e-6, t_eval=times).y.T
 
 
-def wrapped_field(wrap):
+def wrapped_field(wrap, field=extended_field):
     """A stand-in for ``extended_field`` whose f(y) is ``wrap(f, y)``, with f
-    the model's field."""
-    field = extended_field
-
+    ``field``'s field, the model's by default.  f(y, out) copies that into
+    ``out``, as the model's field writes into its buffer."""
     def make(params):
         f = field(params)
-        return lambda y: wrap(f, y)
+
+        def g(y, out=None):
+            value = wrap(f, y)
+            if out is None:
+                return value
+            out[...] = value
+            return out
+        return g
     return make
 
 
@@ -220,7 +227,7 @@ class TestIntegrate:
 
     def test_window_beyond_step_budget_fails_before_stepping(self, monkeypatch):
         def unevaluable_field(params):
-            def f(y):
+            def f(y, out=None):
                 pytest.fail("the field was evaluated")
             return f
 
@@ -236,7 +243,7 @@ class TestIntegrate:
     def test_rk4_steps_beyond_budget_fail_before_stepping(self, step, monkeypatch):
         # RK4's steps are known in advance: 10 days at 1e-6 take 1e7 of them
         def unevaluable_field(params):
-            def f(y):
+            def f(y, out=None):
                 pytest.fail("the field was evaluated")
             return f
 
@@ -306,9 +313,9 @@ class TestIntegrate:
         def counted(params):
             f = field(params)
 
-            def g(y):
+            def g(y, out=None):
                 calls[0] += 1
-                return f(y)
+                return f(y, out)
             return g
 
         monkeypatch.setattr(simulate, "extended_field", counted)
@@ -331,11 +338,21 @@ class TestIntegrate:
         assert np.max(np.abs(solution - ref)) < 1e-3 * n0
 
     def test_member_overflowing_to_inf_fails_as_non_finite(self, monkeypatch):
+        self.assert_overflow_fails_as_non_finite("adaptive", monkeypatch)
+
+    def test_rk4_member_overflowing_to_inf_fails_as_non_finite(self, monkeypatch):
+        self.assert_overflow_fails_as_non_finite("rk4", monkeypatch)
+
+    @staticmethod
+    def assert_overflow_fails_as_non_finite(method, monkeypatch):
+        # the overflow reaches the caller as this error, not as a numpy
+        # RuntimeWarning on the way there
         monkeypatch.setattr(simulate, "extended_field", wrapped_field(overflowing_r))
         p = VARIANT_614G
-        with pytest.raises(IntegrationError) as info, np.errstate(over="ignore"):
+        with pytest.raises(IntegrationError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
             integrate(p, [seeded_state(p), seeded_state(p)],
-                      IntegratorConfig(t_end=60.0, sample_per_day=1))
+                      IntegratorConfig(t_end=60.0, method=method, sample_per_day=1))
         assert info.value.args[0] == "state became non-finite"
         assert info.value.member == 1
         assert 30.0 < info.value.t < 40.0
@@ -531,17 +548,17 @@ class TestFehlbergReference:
                                                        config, wrap, max_steps, fails):
         # the step loop against its plain-expression reference: the same
         # stored block to the bit, or the same error at the same t and member
-        if wrap is not None:
-            monkeypatch.setattr(simulate, "extended_field", wrapped_field(wrap))
         if max_steps is not None:
             monkeypatch.setattr(simulate, "MAX_STEPS", max_steps)
         y0 = simulate._initial_block(initial)
         outcomes = []
-        for loop in (simulate._run_fehlberg, run_fehlberg_reference):
+        for loop, field in ((simulate._run_fehlberg, extended_field),
+                            (run_fehlberg_reference, reference_field)):
             monkeypatch.setattr(simulate, "_run_fehlberg", loop)
+            monkeypatch.setattr(simulate, "extended_field",
+                                field if wrap is None else wrapped_field(wrap, field))
             try:
-                with np.errstate(over="ignore"):
-                    outcomes.append(simulate._solve(params, y0, config))
+                outcomes.append(simulate._solve(params, y0, config))
             except IntegrationError as error:
                 outcomes.append(error)
         new, reference = outcomes

@@ -36,6 +36,7 @@ MUTANTS = (
     ("in_I1 drops rho", "model", "in_I1=p.rho * p.alpha", "in_I1=p.alpha"),
     ("force drops omega", "model", "(y[2] + y[4] + omega * y[5])", "(y[2] + y[4] + y[5])"),
     ("half the incidence enters E1", "model", "out[1] += force", "out[1] += 0.5 * force"),
+    ("field ignores out", "model", "out = linear(y[:7], out)", "out = linear(y[:7], None)"),
     ("R recovers I2 at gamma1", "model", "p.gamma1,  p.gamma2,  p.gamma3,  -p.mu",
      "p.gamma1,  p.gamma1,  p.gamma3,  -p.mu"),
     ("S0 = Lambda*mu", "model", "return self.Lambda / self.mu", "return self.Lambda * self.mu"),
