@@ -12,7 +12,9 @@ are reproducible bit for bit under a fixed seed.
 
 The free coordinates are laid out once (``ParameterSpec._layout``), and a
 spec loads only if every point of its box assembles.  Every run integrates
-days 0 to the series length with the integrator's other settings (``_window``).
+days 0 to the series length at one sample a day, with the integrator's method
+and tolerances (``_window``): steps land on whole days at any sample density,
+so a denser grid would only add samples that nothing reads.
 """
 
 from __future__ import annotations
@@ -205,9 +207,10 @@ class FitResult:
 
 
 def _window(integrator: IntegratorConfig | None, n_days: int) -> IntegratorConfig:
-    """``integrator``'s settings (1 sample/day if unset) over days 0 to ``n_days``."""
-    return replace(integrator or IntegratorConfig(sample_per_day=1),
-                   t0=0.0, t_end=float(n_days))
+    """``integrator``'s method and tolerances over days 0 to ``n_days``, at
+    1 sample/day."""
+    return replace(integrator or IntegratorConfig(), t0=0.0, t_end=float(n_days),
+                   sample_per_day=1)
 
 
 def _model_series(free_values, spec: ParameterSpec,
@@ -241,8 +244,8 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         integrator: IntegratorConfig | None = None) -> FitResult:
     """Minimize the SSE objective over the spec's free coordinates.
 
-    Every run integrates over the data window, days 0 to ``len(data)``,
-    with ``integrator``'s other settings (1 sample/day if unset).
+    Every run integrates over the data window, days 0 to ``len(data)``, at
+    1 sample/day with ``integrator``'s method and tolerances.
     With no free coordinates this degenerates to a single evaluation of the
     fixed configuration.
     """

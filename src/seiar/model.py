@@ -238,8 +238,9 @@ def extended_field(params: ModelParameters | Sequence[ModelParameters]
     columns.  ``params`` is one set shared by every column, or a sequence of
     m sets, one per column, whose matrices are stacked as (m, 10, 7).
 
-    ``out`` is an output buffer, not an option: a C-contiguous float array
-    of the field's shape, (10,) or (10, m), that must not overlap ``y``.  f
+    ``out`` is an output buffer, not an option: a C-contiguous array of the
+    field's shape, (10,) or (10, m), and of ``y``'s dtype (complex for a
+    complex probe), that must not overlap ``y``.  f
     writes the field into it and returns it, the same values as f(y) returns
     in a new array; an integrator's stage buffer saves the allocation.
     """

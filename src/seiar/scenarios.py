@@ -6,9 +6,8 @@ infections" is the cumulative inflow into I1+I2+A over the horizon and
 "asymptomatic infections" the cumulative inflow into A; both are horizon
 stable, unlike point prevalences.  A sweep integrates all its rho values as
 one ensemble with one parameter set per member, so the members share every
-step.  It reads only each run's endpoint, but still stores 1 sample/day:
-steps land on every stored sample, so that grid sets where they land, and so
-the numbers.
+step.  It reads only each run's endpoint and stores 1 sample/day, the
+least the integrator stores; the steps land on whole days at any density.
 """
 
 from __future__ import annotations
@@ -75,9 +74,8 @@ def rho_sweep(base: tuple[ModelParameters, object],
     ``t0 + horizon``.  The members share every step, and the worst member's
     error sets it.  So permuting ``rho_values`` permutes the results bit
     for bit, while adding or removing a value moves the others within the
-    tolerance.  The metrics read only the endpoint; the runs are still
-    stored at 1 sample/day, because that grid sets where steps land, and so
-    the numbers.  A horizon under one day is integrated like any other.
+    tolerance.  The metrics read only the endpoint, and the runs are stored
+    at 1 sample/day.  A horizon under one day is integrated like any other.
     The scenarios follow the input order of ``rho_values``.  A failure names
     the rho of the member that failed, or the first rho when the failure is
     shared (step budget, step underflow).

@@ -10,10 +10,15 @@ one column per run for m runs, and :func:`peak` reads each column's peak.
 
 Two steppers are provided: an embedded Fehlberg 4(5) pair with proportional
 step control (default) and a fixed-step classical 4th-order Runge-Kutta kept
-for convergence checks.  Neither clips a compartment that undershoots below
+for convergence checks.  The Fehlberg stepper lands a step only on whole days
+and on the window's end, and fills the samples inside a day by quintic
+Hermite interpolation on y, f and y'' = J*f at the step's two ends, so its
+whole-day rows are those of a run at one sample a day, at any density; RK4
+steps onto every sample.  Neither clips a compartment that undershoots below
 -1e-9 * N(0), since clipping would silently break the population balance.
-The Fehlberg stepper rejects such a step and retries it at half the length,
-failing only when the step underflows; RK4, whose step is fixed, aborts.
+The Fehlberg stepper rejects such a step, or one whose interpolated samples
+undershoot, and retries it at half the length, failing only when the step
+underflows; RK4, whose step is fixed, aborts.
 An initial state may undershoot by as much, so a run can resume from a
 state it stored.
 Both abort on a non-finite state.  Both step a component-major state of shape
@@ -26,6 +31,7 @@ each; either way the field is one call per stage.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -63,6 +69,24 @@ _A_ROWS = tuple(np.array(row, dtype=float) for row in _FEHLBERG_A)
 _B5 = np.array(_FEHLBERG_B5, dtype=float)
 _ERR = _B5 - np.array(_FEHLBERG_B4, dtype=float)
 
+# Quintic Hermite basis on theta in [0, 1], in exact rationals: row j holds
+# the coefficients of theta**0 .. theta**5 of the basis function that takes
+# the value 1 at the j-th of p(0), p'(0), p''(0), p(1), p'(1), p''(1) and 0
+# at the other five (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  Over
+# a step of length h, with p(theta) = y(t + theta*h), the data are y, h*f
+# and h*h*y'' at both ends, so the interpolant is exact for any state that
+# is a polynomial of degree 5 or less in t.
+_HERMITE = (
+    (1, 0, 0, -10, 15, -6),
+    (0, 1, 0, -6, 8, -3),
+    (0, 0, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 2), Fraction(-1, 2)),
+    (0, 0, 0, 10, -15, 6),
+    (0, 0, 0, -4, 7, -3),
+    (0, 0, 0, Fraction(1, 2), -1, Fraction(1, 2)),
+)
+_HERMITE_WEIGHTS = np.array(_HERMITE, dtype=float).T
+_POWERS = np.arange(6)
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -71,7 +95,9 @@ class IntegratorConfig:
     ``method`` is "adaptive" (embedded 4(5)) or "rk4" (fixed step ``step``).
     ``atol=None`` resolves to 1e-10 * N(0) at integration time.  States are
     recorded on a uniform grid of ``sample_per_day`` points per day, so day
-    boundaries always land on stored samples.
+    boundaries always land on stored samples.  The adaptive method's steps
+    land only on whole days (and on ``t_end``), so ``sample_per_day`` sets
+    the output only: the whole-day rows are the same bytes at any density.
     """
 
     t0: float = 0.0
@@ -165,7 +191,8 @@ class ClassBreakdown:
 def _output_grid(config: IntegratorConfig) -> np.ndarray:
     span = config.t_end - config.t0
     n_full = int(math.floor(span * config.sample_per_day + 1e-9))
-    # every stored sample costs at least one step of either stepper
+    # the stored block is bounded with the steps: a window with more samples
+    # than the step budget fails before anything is allocated
     if n_full > MAX_STEPS:
         raise IntegrationError("step budget exhausted",
                                config.t0 + MAX_STEPS / config.sample_per_day)
@@ -217,7 +244,8 @@ def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
         if config.method == "rk4":
             _run_rk4(f, y, out_times, out, config.step, band)
         else:
-            _run_fehlberg(f, y, out_times, out, config.rtol, atol, band)
+            _run_fehlberg(f, y, out_times, out, config.rtol, atol, band,
+                          config.sample_per_day)
     return out_times, out
 
 
@@ -278,7 +306,11 @@ def _run_rk4(f, y, out_times, out, step, band):
         out[j + 1] = y
 
 
-def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
+def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
+    # Steps land only on whole days since t0, every ``per_day``-th sample,
+    # and on the last sample; the samples inside an accepted step are
+    # interpolated (see ``_HERMITE``).  With one sample a day every sample is
+    # a landing point, and nothing is interpolated.
     # On (10,) and (10, m) arrays a numpy call costs more than its
     # arithmetic, so the loop makes as few as it can.  Every intermediate is
     # written into a buffer allocated here, ``out`` passed by position (numpy
@@ -292,8 +324,10 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
     # ``out`` buffer.  ``out[next_out] = y`` copies, so a stored row keeps
     # its values when its buffer is reused.
     grid = out_times.tolist()
+    last = len(grid) - 1
     t = grid[0]
-    next_out = 1
+    next_out = min(per_day, last)
+    filled = 1  # the first sample not yet stored
     h_prop = min(0.25, grid[-1] - t)
     hmin = 1e-12 * max(1.0, abs(grid[-1] - grid[0]))
     # stages are kept flat, (6, 10*m), so that each combination of them is
@@ -319,19 +353,29 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
     ok = np.empty((2,) + y.shape, dtype=bool)
     above_floor, below_ceiling = ok
     admissible = b"\x01" * ok.size
+    # the Hermite data of a step, y, f and y'' at its start, then at its
+    # end, flat like ``k``.  ``f_fresh``: k0 already holds f(y);
+    # ``ypp_fresh``: ``ypp_start`` holds y'' at y
+    ends = np.empty((6,) + y.shape)
+    ends_flat = ends.reshape(6, -1)
+    y_start, f_start, ypp_start, y_end, f_end, ypp_end = ends
+    probe, probe_f = np.empty(y.shape, complex), np.empty(y.shape, complex)
+    f_fresh = ypp_fresh = False
     # RMS over the 10 components of each member; the worst member decides,
     # and one run's sum of squares is already a scalar
     worst = np.maximum.reduce if y.ndim > 1 else float
     dot, multiply, add, less_equal = np.dot, np.multiply, np.add, np.less_equal
-    maximum, absolute, divide = np.maximum, np.abs, np.divide
+    maximum, absolute, divide, copyto = np.maximum, np.abs, np.divide, np.copyto
     taken = 0
-    while next_out < len(grid):
+    while filled <= last:
         h = grid[next_out] - t
         clamped = h < h_prop
         if not clamped:
             h = h_prop
         hs.fill(h)
-        f(y, k0)
+        if not f_fresh:
+            f(y, k0)
+        f_fresh = False
         for a_row, k_prev, k_s in stages:
             dot(a_row, k_prev, comb_flat)
             f(add(y, multiply(comb, hs, comb), comb), k_s)  # k_s = f(y + h * comb)
@@ -351,23 +395,57 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
         if err <= 1.0:
             less_equal(floor, y5, above_floor)
             less_equal(y5, ceiling, below_ceiling)
-            if ok.tobytes() == admissible:
+            admitted = ok.tobytes() == admissible
+            if admitted and filled < next_out:
+                inside = bisect_right(grid, t + h, filled, next_out)
+                if inside > filled:
+                    # fill the samples inside the step, which must pass the
+                    # endpoint's rule: out[filled:inside] = W @ ends, W the
+                    # Hermite weights at theta = (t_i - t) / h, the rows of
+                    # f and y'' scaled by h and h*h
+                    if not ypp_fresh:
+                        _second_derivative(f, y, k0, probe, probe_f, ypp_start)
+                        ypp_fresh = True
+                    copyto(y_start, y)
+                    copyto(f_start, k0)
+                    copyto(y_end, y5)
+                    _second_derivative(f, y5, f(y5, f_end), probe, probe_f, ypp_end)
+                    theta = out_times[filled:inside] - t
+                    theta /= h
+                    weights = dot(theta[:, None] ** _POWERS, _HERMITE_WEIGHTS)
+                    weights *= (1.0, h, h * h, 1.0, h, h * h)
+                    block = out[filled:inside]
+                    dot(weights, ends_flat, block.reshape(len(block), -1))
+                    admitted = (floor <= block).all() and (block <= ceiling).all()
+                    if admitted:
+                        # f and y'' at the step's end serve the next step
+                        copyto(k0, f_end)
+                        copyto(ypp_start, ypp_end)
+                        f_fresh = True
+                        filled = inside
+                    else:
+                        _refuse_non_finite(block, grid[filled:inside])
+            if admitted:
                 t = t + h
                 y, y5, ay, ay5 = y5, y, ay5, ay
+                ypp_fresh = f_fresh
                 if abs(t - grid[next_out]) <= 1e-12 * max(1.0, abs(t)):
                     out[next_out] = y
                     t = grid[next_out]
-                    next_out += 1
-            elif not np.isfinite(y5).all():
-                raise IntegrationError("state became non-finite", t + h,
-                                       int(np.argmin(np.isfinite(y5).all(axis=0))))
+                    filled = next_out + 1
+                    next_out += per_day
+                    if next_out > last:
+                        next_out = last
             else:
-                # the error test passed, but a compartment fell below its
-                # band: reject the step and retry it at half the length
+                # the error test passed, but the step's end is not finite,
+                # which fails the run, or a compartment fell below its band,
+                # at the step's end or inside it: reject the step and retry
+                # it at half the length
+                _refuse_non_finite(y5[None], (t + h,))
                 factor = 0.5
         candidate = h * factor
-        # a step shortened only to land on the output grid must not drag the
-        # controller's proposal down with it
+        # a step shortened only to land on a whole day or on the last sample
+        # must not drag the controller's proposal down with it
         if not clamped or candidate < h_prop:
             h_prop = candidate
         if h_prop < hmin:
@@ -375,6 +453,25 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band):
         taken += 1
         if taken > MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
+
+
+def _second_derivative(f, y, fy, probe, probe_f, into):
+    """y'' = J*f at ``y``, with ``fy`` = f(y), written into ``into``: the
+    imaginary part of f at the complex probe y + i*fy, exact for this
+    quadratic field; ``probe`` and ``probe_f`` are complex buffers."""
+    f(np.add(np.multiply(fy, 1j, probe), y, probe), probe_f)  # f(y + 1j * fy)
+    np.copyto(into, probe_f.imag)
+
+
+def _refuse_non_finite(block: np.ndarray, times: Sequence[float]) -> None:
+    """Fail on the first state of ``block``, (n, 10) or (n, 10, m) at
+    ``times``, that is not finite, naming its time and its first non-finite
+    member; return when all are finite."""
+    bad = ~np.isfinite(block).all(axis=1)
+    rows = bad.reshape(len(bad), -1).any(axis=1)
+    if rows.any():
+        row = int(np.argmax(rows))
+        raise IntegrationError("state became non-finite", times[row], int(np.argmax(bad[row])))
 
 
 def daily_incidence(traj: Trajectory) -> np.ndarray:

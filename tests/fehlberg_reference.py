@@ -4,9 +4,10 @@ bit-for-bit reference of ``simulate._run_fehlberg`` and
 ``model.extended_field``.
 
 Both compute every value with plain array expressions that allocate their
-results.  The rewritten loop with the rewritten field must store the same
-bytes and fail with the same error as this loop with this field;
-``test_simulation.TestFehlbergReference`` runs both.  Only ``MAX_STEPS`` is
+results.  This loop lands a step on every stored sample.  The rewritten loop,
+which lands only on whole days, with the rewritten field must store the same
+bytes on whole days as this loop with this field at 1 sample/day, and fail
+with the same error; ``test_simulation.TestFehlbergReference`` runs both.  Only ``MAX_STEPS`` is
 read through the module, so that a test can patch it.
 """
 

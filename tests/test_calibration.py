@@ -158,6 +158,13 @@ class TestSseObjective:
         shifted = ObservedSeries(counts=clean.counts + 1.0)
         assert sse_objective([], spec, shifted) == 30.0
 
+    def test_residuals_are_squared(self, truth, seeded_initial):
+        # residuals of 2 weigh 4 each: a sum of absolute residuals reads 60
+        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
+        clean = synthesize_data(truth, seeded_initial, days=30)
+        shifted = ObservedSeries(counts=clean.counts + 2.0)
+        assert sse_objective([], spec, shifted) == pytest.approx(120.0, rel=1e-12)
+
     def test_truth_beats_perturbed_beta_on_noisy_data(self, truth, seeded_initial):
         spec = recovery_spec(truth)
         data = synthesize_data(truth, seeded_initial, days=60,
@@ -217,8 +224,9 @@ class TestFit:
         short = IntegratorConfig(t0=3.0, t_end=5.0, sample_per_day=2)
         result = fit(spec, data, integrator=short)
         assert (result.integrator.t0, result.integrator.t_end) == (0.0, 25.0)
-        assert result.integrator.sample_per_day == 2
-        assert result.objective < 1e-6  # data were synthesized at 1 sample/day
+        # a fit stores 1 sample/day, and its run is the one the data came from
+        assert result.integrator.sample_per_day == 1
+        assert result.objective == 0.0
 
     def test_synthetic_recovery_identifies_rc(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=60,

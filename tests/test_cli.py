@@ -401,6 +401,40 @@ class TestFitCommand:
         assert statuses["beta"] == "fixed"
         assert statuses["S(0)"] == "derived"
 
+    def test_daily_refit_of_a_denser_run_is_exact(self, tmp_path):
+        # the 25-day series simulate wrote at 2 samples/day, refitted at 1:
+        # its whole days are the daily run's, so the objective is 0.0
+        cfg, _, data_path = self.make_synthetic(tmp_path)
+        cfg["integrator"]["sample_per_day"] = 1
+        cfg_path = write_config(tmp_path / "daily.yaml", cfg)
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", cfg_path, "--data", data_path,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["objective"] == 0.0
+
+    def test_fit_and_predict_write_the_same_bytes_at_any_density(self, tmp_path):
+        # a fit stores 1 sample/day whatever the config asks, and its steps
+        # land on whole days at any density
+        cfg, _, data_path = self.make_synthetic(tmp_path)
+        cfg["parameters"]["beta"] = {
+            "free": {"lo": P.beta / 4, "hi": P.beta * 4, "guess": P.beta * 1.5}}
+        cfg["fit"] = {"restarts": 1, "max_evals": 40, "seed": 0}
+        cfg["forecast"] = {"horizon": 20}
+        written = []
+        for name, window in (("default", {"t0": 0.0, "t_end": 25.0}),
+                             ("daily", {"t0": 0.0, "t_end": 25.0, "sample_per_day": 1})):
+            cfg["integrator"] = window
+            cfg_path = write_config(tmp_path / f"{name}.yaml", cfg)
+            for command in ("fit", "predict"):
+                assert main([command, "--config", cfg_path, "--data", data_path,
+                             "--out", str(tmp_path / name / command)]) == 0
+            written.append({path.relative_to(tmp_path / name): path.read_bytes()
+                            for path in sorted((tmp_path / name).rglob("*.*"))})
+        default, daily = written
+        assert {"fit/fit.csv", "fit/residuals.csv", "fit/summary.json",
+                "predict/forecast.csv"} <= {str(path) for path in default}
+        assert default == daily
+
     def test_recovers_free_parameter(self, tmp_path):
         cfg, _, data_path = self.make_synthetic(tmp_path, days=30)
         cfg["parameters"]["beta"] = {

@@ -1,6 +1,8 @@
 """Integrator behavior, incidence observables, cumulative breakdowns, peaks."""
 
+import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from seiar.simulate import (
     _FEHLBERG_A,
     _FEHLBERG_B4,
     _FEHLBERG_B5,
+    _HERMITE,
     NEGATIVITY_BAND,
     _check_state,
 )
@@ -137,6 +140,26 @@ class TestFehlbergTableau:
         for q in range(1, order + 1):
             for phi, density in trees[q]:
                 assert _exact_dot(weights, phi) == Fraction(1, density)
+
+
+class TestHermiteWeights:
+    @staticmethod
+    def derivative(coeffs, at, order):
+        """``order``-th derivative at ``at`` of sum(c_p * theta**p), exactly."""
+        return sum((Fraction(math.factorial(q), math.factorial(q - order)) * c
+                    * Fraction(at) ** (q - order)
+                    for q, c in enumerate(coeffs) if q >= order), Fraction(0))
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_reproduce_polynomials_up_to_degree_5(self, degree):
+        # the interpolant's counterpart of the order conditions: from the
+        # end data p, p', p'' at 0 and 1 of theta**degree, the weighted sum
+        # of the basis rows is theta**degree itself, exactly
+        monomial = [Fraction(int(q == degree)) for q in range(6)]
+        data = [self.derivative(monomial, at, order) for at in (0, 1) for order in range(3)]
+        rebuilt = [sum((d * Fraction(row[q]) for d, row in zip(data, _HERMITE)), Fraction(0))
+                   for q in range(6)]
+        assert rebuilt == monomial
 
 
 class TestIntegratorConfig:
@@ -547,22 +570,32 @@ class TestFehlbergReference:
     def test_stores_the_reference_bytes_or_fails_alike(self, monkeypatch, params, initial,
                                                        config, wrap, max_steps, fails):
         # the step loop against its plain-expression reference: the same
-        # stored block to the bit, or the same error at the same t and member
+        # stored block to the bit, or the same error at the same t and member.
+        # The reference lands a step on every sample, the loop only on whole
+        # days, so the reference runs at 1 sample/day and a denser run's
+        # whole-day rows are compared with its block
         if max_steps is not None:
             monkeypatch.setattr(simulate, "MAX_STEPS", max_steps)
         y0 = simulate._initial_block(initial)
+
+        def reference_loop(f, y, out_times, out, rtol, atol, band, per_day):
+            run_fehlberg_reference(f, y, out_times, out, rtol, atol, band)
+
         outcomes = []
-        for loop, field in ((simulate._run_fehlberg, extended_field),
-                            (run_fehlberg_reference, reference_field)):
+        for loop, field, window in (
+                (simulate._run_fehlberg, extended_field, config),
+                (reference_loop, reference_field, replace(config, sample_per_day=1))):
             monkeypatch.setattr(simulate, "_run_fehlberg", loop)
             monkeypatch.setattr(simulate, "extended_field",
                                 field if wrap is None else wrapped_field(wrap, field))
             try:
-                outcomes.append(simulate._solve(params, y0, config))
+                outcomes.append(simulate._solve(params, y0, window))
             except IntegrationError as error:
                 outcomes.append(error)
         new, reference = outcomes
         if fails is None:
+            whole_days = slice(None, None, config.sample_per_day)
+            new = new[0][whole_days], new[1][whole_days]
             assert np.array_equal(new[0], reference[0])
             assert np.array_equal(new[1], reference[1])
             assert new[1].tobytes() == reference[1].tobytes()
@@ -571,6 +604,138 @@ class TestFehlbergReference:
             assert isinstance(new, IntegrationError)
             assert ((new.args, new.t, new.member)
                     == (reference.args, reference.t, reference.member))
+
+
+def dense_and_daily(params, initial, config):
+    """The run at ``config``'s density and the same run at 1 sample/day."""
+    return (integrate(params, initial, config),
+            integrate(params, initial, replace(config, sample_per_day=1)))
+
+
+def dense_cases():
+    p = VARIANT_614G
+    omicron = VARIANTS["Omicron"].with_updates(rho=0.8)
+    runs = {
+        "one-run": (p, seeded_state(p)),
+        "20-shared-members": (omicron, audit_seedings(omicron)),
+        "4-rho-per-member": ([p.with_updates(rho=rho) for rho in (0.2, 0.4, 0.6, 0.8)],
+                             [seeded_state(p)] * 4),
+    }
+    windows = {
+        "10-per-day": IntegratorConfig(t_end=60.0, sample_per_day=10),
+        "3-per-day-off-grid": IntegratorConfig(t0=0.5, t_end=40.7, sample_per_day=3),
+    }
+    return [pytest.param(*run, window, id=f"{run_name}-{window_name}")
+            for run_name, run in runs.items() for window_name, window in windows.items()]
+
+
+def chain_field(rate):
+    """A field whose every solution is a polynomial of degree 5 in t:
+    y_k' = rate * y_(k-1) for the compartments k = 1..5, every other
+    component constant."""
+    chain = np.zeros((10, 10))
+    chain[range(1, 6), range(5)] = rate
+    return wrapped_field(lambda f, y: chain @ y)
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("params, initial, config", dense_cases())
+    def test_whole_day_rows_are_the_daily_runs_rows(self, params, initial, config):
+        # steps land on whole days at any density, so the dense run's
+        # whole-day rows, its endpoint and its incidence are the daily run's
+        dense, daily = dense_and_daily(params, initial, config)
+        days, daily_days = dense.day_boundary_indices(), daily.day_boundary_indices()
+        assert len(days) == len(daily_days)
+        for name in ("times", "states", "cumulative_inflows"):
+            rows, daily_rows = getattr(dense, name), getattr(daily, name)
+            assert rows[days].tobytes() == daily_rows[daily_days].tobytes()
+            assert rows[-1].tobytes() == daily_rows[-1].tobytes()
+        assert daily_incidence(dense).tobytes() == daily_incidence(daily).tobytes()
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_every_row_agrees_with_dop853(self, name):
+        # the samples inside a day are as accurate as the whole days they
+        # lie between: the interior rows' worst error is at most twice the
+        # whole-day rows'
+        p = VARIANTS[name]
+        y0 = seeded_state(p)
+        n0 = float(y0.sum())
+        traj = integrate(p, y0, IntegratorConfig(t_end=365.0, sample_per_day=10))
+        got = np.concatenate([traj.states, traj.cumulative_inflows], axis=1)
+        error = np.max(np.abs(got - dop853_reference(p, y0, traj.times)), axis=1)
+        assert np.max(error) <= 1e-7 * n0
+        whole_days = traj.day_boundary_indices()
+        assert np.max(np.delete(error, whole_days)) <= 2.0 * np.max(error[whole_days])
+
+    @pytest.mark.parametrize("rate", [1.0, 3.0])
+    def test_polynomial_solutions_are_stored_exactly(self, rate, monkeypatch):
+        # the fifth-order solution is exact on a nilpotent linear field and
+        # so is the quintic interpolant, whatever the steps, so every stored
+        # row, inside a day or on one, is the polynomial to rounding
+        monkeypatch.setattr(simulate, "extended_field", chain_field(rate))
+        y0 = np.zeros(7)
+        y0[0] = 1e6
+        traj = integrate(VARIANT_614G, [y0, 2.0 * y0],
+                         IntegratorConfig(t_end=20.0, sample_per_day=10))
+        t = rate * traj.times
+        exact = np.stack([1e6 * t ** k / math.factorial(k) for k in range(6)], axis=1)
+        for member, scale in enumerate((1.0, 2.0)):
+            np.testing.assert_allclose(traj.states[:, :6, member], scale * exact,
+                                       rtol=1e-13, atol=1e-6)
+
+    def test_step_whose_samples_leave_the_band_is_retried_shorter(self, monkeypatch):
+        # without epsilon, A stays 0; a field whose y'' for A reads
+        # -100 * band (the imaginary part at the complex probe) bends the
+        # interpolant below the band inside every long step, never at its end
+        p = VARIANT_614G.with_updates(epsilon=0.0)
+        y0 = seeded_state(p)
+        band = NEGATIVITY_BAND * float(y0.sum())
+
+        def sagging_a(f, y):
+            out = f(y)
+            if np.iscomplexobj(out):
+                out[5] -= 100j * band
+            return out
+
+        calls = []
+
+        def counted(field):
+            def make(params):
+                g = field(params)
+
+                def h(y, out=None):
+                    calls.append(np.iscomplexobj(y))
+                    return g(y, out)
+                return h
+            return make
+
+        cfg = IntegratorConfig(t_end=30.0, sample_per_day=10)
+        real_calls = []
+        for field in (extended_field, wrapped_field(sagging_a)):
+            calls.clear()
+            monkeypatch.setattr(simulate, "extended_field", counted(field))
+            traj = integrate(p, y0, cfg)
+            real_calls.append(calls.count(False))
+        assert real_calls[1] > real_calls[0]  # the rejected steps were retried
+        assert np.min(traj.states) >= -band
+        assert np.min(traj.states[:, 5]) < -0.5 * band  # the sag was there
+
+    def test_non_finite_interpolated_sample_names_its_member(self, monkeypatch):
+        # member 1's y'' is NaN while every state the steps reach is finite
+        def nan_curvature(f, y):
+            out = f(y)
+            if np.iscomplexobj(out):
+                out.imag[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(simulate, "extended_field", wrapped_field(nan_curvature))
+        p = VARIANT_614G
+        with pytest.raises(IntegrationError, match="state became non-finite") as caught:
+            integrate(p, [seeded_state(p)] * 2, IntegratorConfig(t_end=10.0, sample_per_day=10))
+        assert caught.value.member == 1
+        assert 0.0 < caught.value.t < 1.0
+        # at one sample a day nothing is interpolated, and the run completes
+        integrate(p, [seeded_state(p)] * 2, IntegratorConfig(t_end=10.0, sample_per_day=1))
 
 
 def assert_member_observables(incidence, breakdown, i, solo, n0):
@@ -608,7 +773,11 @@ class TestDailyIncidence:
 
     def test_matches_midpoint_quadrature_of_inflow_rate(self):
         p = VARIANT_614G
-        cfg = IntegratorConfig(t_end=15.0, sample_per_day=1000, rtol=1e-10)
+        # tolerances that ask for the accuracy asserted: the dense grid
+        # does not set the step
+        n0 = float(seeded_state(p).sum())
+        cfg = IntegratorConfig(t_end=15.0, sample_per_day=1000, rtol=1e-12,
+                               atol=1e-14 * n0)
         traj = integrate(p, seeded_state(p), cfg)
         series = daily_incidence(traj)
         rate = p.rho * p.alpha * traj.states[:, 2]

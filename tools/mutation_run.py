@@ -60,6 +60,13 @@ MUTANTS = (
     ("band applied to the counters", "simulate", "floor[7:] = -huge", "floor[7:] = -band"),
     ("+inf not refused", "simulate", "ceiling = np.full(y.shape, huge)",
      "ceiling = np.full(y.shape, np.inf)"),
+    ("interpolated block skips the band check", "simulate",
+     "admitted = (floor <= block).all() and (block <= ceiling).all()",
+     "admitted = (block <= ceiling).all()"),
+    ("stale y'' kept across a step without interior samples", "simulate",
+     "ypp_fresh = f_fresh", "ypp_fresh = True"),
+    ("h*h dropped from the y'' weights", "simulate",
+     "weights *= (1.0, h, h * h, 1.0, h, h * h)", "weights *= (1.0, h, 1.0, 1.0, h, 1.0)"),
     ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx], axis=0)",
      "values = np.diff(traj.cum_I2[idx], axis=0)"),
     ("incidence differenced across members", "simulate",
