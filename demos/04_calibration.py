@@ -1,8 +1,8 @@
 """Recover transmission parameters from noisy daily case counts.
 
 Generates 60 days of synthetic detected-case data from known parameters with
-5% multiplicative log-normal noise, then fits beta, epsilon and rho with the
-Nelder–Mead simplex (scipy's, over bounded sine coordinates) starting from
+5% multiplicative log-normal noise, then fits beta, epsilon and rho by bounded
+least squares on log1p residuals (scipy's trust-region solver) starting from
 deliberately wrong guesses. Individual rates trade off against each other, so
 the meaningful score is the recovered reproduction number.
 """
@@ -36,8 +36,9 @@ spec = ParameterSpec(params=entries,
 
 result = fit(spec, data, FitConfig(restarts=3, max_evals=400, seed=42))
 
-print(f"\nsearch: {result.n_evals} evaluations in the winning restart, "
-      f"{result.iterations} iterations, converged = {result.converged}")
+print(f"\nsearch: {result.n_evals} residual evaluations and {result.iterations} "
+      f"accepted steps in the winning restart, converged = {result.converged}")
+print(f"log1p loss (minimised): {result.loss:.4f}")
 print(f"objective (sum of squared daily residuals): {result.objective:,.1f}")
 
 rc_true = control_reproduction_number(truth)

@@ -1,14 +1,18 @@
 """Least-squares calibration against daily new-confirmed-case series.
 
-The observable is the model's daily inflow into the detected compartment I1,
-compared with observed counts by an unweighted sum of squared residuals.
-Search is scipy's Nelder-Mead simplex (``scipy.optimize.minimize``) over
-unconstrained sine coordinates: each coordinate is mapped onto its [lo, hi]
-box through a smooth sine bijection, so the search is independent of the
-parameters' scales, returned points satisfy their bounds exactly and no
-gradient is ever needed.  Multi-start restarts jitter the initial guess; the
-best replicate wins, ties resolved toward the earlier replicate so results
-are reproducible bit for bit under a fixed seed.
+The observable is the model's daily inflow into the detected compartment I1.
+A fit minimises the log1p loss, the sum of squared residuals
+log1p(model) - log1p(data), which weighs every day by its relative error, as
+multiplicative noise does; zero counts are fine.  :func:`sse_objective`, the
+sum of squared residuals in counts, is what a fit reports as its objective.
+Search is scipy's bounded trust-region least squares
+(``scipy.optimize.least_squares``, method "trf") in box-scaled coordinates
+u = (x - lo) / (hi - lo), so it is independent of the parameters' scales and
+returned points satisfy their bounds.  Its Jacobian comes from one ensemble
+``integrate`` call over the point and one copy per free coordinate, moved by
+a forward step (:func:`_jacobian`).  Multi-start restarts jitter the initial
+guess; the best replicate wins, ties resolved toward the earlier replicate
+so results are reproducible bit for bit under a fixed seed.
 
 The free coordinates are laid out once (``ParameterSpec._layout``), and a
 spec loads only if every point of its box assembles.  Every run integrates
@@ -36,9 +40,11 @@ from .model import (
 )
 from .simulate import IntegratorConfig, daily_incidence, integrate
 
-#: objective value reported when the integrator fails at a trial point;
-#: finite so the simplex can retreat from the region
+#: what :func:`sse_objective` returns when the integrator fails
 INTEGRATION_FAILURE_PENALTY = 1e30
+
+#: step of the Jacobian's forward differences, as a fraction of each box
+JACOBIAN_STEP = 2.0 ** -26
 
 
 @dataclass(frozen=True)
@@ -165,10 +171,13 @@ class ObservedSeries:
 class FitConfig:
     """Search settings for each restart.
 
-    ``max_evals`` caps objective evaluations per restart (scipy's ``maxfev``);
-    a restart converges once every simplex vertex lies within
-    ``diameter_tol`` of the best one in the sine coordinates (``xatol``).
-    The integrator settings are :func:`fit`'s own argument.
+    ``max_evals`` caps residual evaluations per restart (scipy's
+    ``max_nfev``); each accepted step adds one ensemble run for the
+    Jacobian.  ``diameter_tol`` is scipy's ``xtol``: a restart converges once
+    a step moves the box-scaled point u by less than
+    ``diameter_tol * (diameter_tol + |u|)``, or by scipy's default ``ftol``
+    and ``gtol`` tests.  The integrator settings are :func:`fit`'s own
+    argument.
     """
 
     restarts: int = 5
@@ -188,11 +197,19 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Calibrated parameters with diagnostics of the search."""
+    """Calibrated parameters with diagnostics of the search.
+
+    ``objective`` is the sum of squared residuals in counts, which
+    ``residuals`` sums to; ``loss`` is the log1p loss the search minimised,
+    and ``history`` that loss at the start and after each accepted step of
+    the winning restart.  ``iterations`` counts accepted steps and
+    ``n_evals`` residual evaluations, both of the winning restart.
+    """
 
     params: ModelParameters
     initial: StateVector
     objective: float
+    loss: float
     residuals: np.ndarray
     modeled: np.ndarray
     r_c: float
@@ -221,8 +238,8 @@ def _model_series(free_values, spec: ParameterSpec,
 
 def sse_objective(free_values, spec: ParameterSpec, data: ObservedSeries,
                   integrator: IntegratorConfig | None = None) -> float:
-    """Sum of squared residuals over days 0 to ``len(data)``; failure maps
-    to a finite penalty."""
+    """Sum of squared residuals in counts over days 0 to ``len(data)``;
+    failure maps to a finite penalty."""
     try:
         _, _, model = _model_series(free_values, spec, _window(integrator, len(data)))
     except IntegrationError:
@@ -230,42 +247,74 @@ def sse_objective(free_values, spec: ParameterSpec, data: ObservedSeries,
     return float(np.sum((model - data.counts) ** 2))
 
 
-def _to_box(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.clip(lo + (hi - lo) * 0.5 * (np.sin(z) + 1.0), lo, hi)
+def _jacobian(free_values: np.ndarray, spec: ParameterSpec, window: IntegratorConfig,
+              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(days, n) Jacobian of log1p(model) by forward differences.
 
-
-def _from_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    u = np.clip(2.0 * (x - lo) / (hi - lo) - 1.0, -1.0, 1.0)
-    return np.arcsin(u)
+    The point and its n copies, copy j moved by ``JACOBIAN_STEP * (hi - lo)``
+    along coordinate j, run as one ensemble, so every member takes the same
+    steps and the differences carry no step-size noise.  A step that would
+    leave the box points inward.  A copy that fails to integrate has its step
+    reversed once, where that stays in the box; otherwise :class:`FitError`
+    names the coordinate.
+    """
+    steps = JACOBIAN_STEP * (hi - lo)
+    steps = np.where(free_values + steps <= hi, steps, -steps)
+    turned = np.zeros(len(steps), dtype=bool)
+    while True:
+        points = np.vstack([free_values, free_values + np.diag(steps)])
+        params, initial = zip(*(spec.assemble(point) for point in points))
+        try:
+            traj = integrate(list(params), list(initial), window)
+            break
+        except IntegrationError as exc:
+            if not exc.member:  # the point itself, or every member
+                raise FitError(f"the Jacobian's base run does not integrate: {exc}") from exc
+            j = exc.member - 1
+            if turned[j] or not lo[j] <= free_values[j] - steps[j] <= hi[j]:
+                raise FitError(f"the Jacobian's run perturbing {spec.free_names[j]} "
+                               f"does not integrate: {exc}") from exc
+            steps[j], turned[j] = -steps[j], True
+    columns = np.log1p(daily_incidence(traj))
+    taken = points[1:].diagonal() - free_values
+    return (columns[:, 1:] - columns[:, :1]) / taken
 
 
 def fit(spec: ParameterSpec, data: ObservedSeries,
         fit_config: FitConfig | None = None,
         integrator: IntegratorConfig | None = None) -> FitResult:
-    """Minimize the SSE objective over the spec's free coordinates.
+    """Minimize the log1p loss over the spec's free coordinates.
 
     Every run integrates over the data window, days 0 to ``len(data)``, at
-    1 sample/day with ``integrator``'s method and tolerances.
+    1 sample/day with ``integrator``'s method and tolerances.  A trial point
+    that does not integrate shrinks the trust region, and a restart whose
+    start does not integrate is skipped; :class:`FitError` is raised when
+    every restart is, or when :func:`_jacobian` fails.
     With no free coordinates this degenerates to a single evaluation of the
     fixed configuration.
     """
     cfg = fit_config or FitConfig()
     integrator = _window(integrator, len(data))
     names = spec.free_names
+    observed = np.log1p(data.counts)
 
-    def package(free_values, objective, iterations, n_evals, converged, history):
+    def package(free_values, n_evals, converged, history):
         try:
             params, y0, model = _model_series(free_values, spec, integrator)
         except IntegrationError as exc:
-            raise FitError(f"best candidate does not integrate: {exc}") from exc
+            raise FitError(f"the fitted point does not integrate: {exc}") from exc
+        log_residuals = np.log1p(model) - observed
+        loss = float(log_residuals @ log_residuals)
+        history = history or [loss]
         return FitResult(
             params=params,
             initial=StateVector.from_array(y0),
-            objective=float(objective),
+            objective=float(np.sum((model - data.counts) ** 2)),
+            loss=loss,
             residuals=model - data.counts,
             modeled=model,
             r_c=control_reproduction_number(params),
-            iterations=iterations,
+            iterations=len(history) - 1,
             n_evals=n_evals,
             converged=converged,
             history=np.asarray(history, dtype=float),
@@ -276,43 +325,62 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         )
 
     if not names:
-        objective = sse_objective([], spec, data, integrator)
-        if objective >= INTEGRATION_FAILURE_PENALTY:
-            raise FitError("fixed configuration does not integrate")
-        return package(np.array([]), objective, 0, 1, True, [objective])
+        return package(np.array([]), 1, True, None)
 
-    from scipy.optimize import minimize
+    from scipy.optimize import least_squares
 
     lo, hi = spec.bounds()
+    width = hi - lo
     guess = spec.guesses()
     rng = np.random.default_rng(cfg.seed)
 
-    def objective(z):
-        return sse_objective(_to_box(z, lo, hi), spec, data, integrator)
+    # the search runs in box-scaled coordinates u = (x - lo) / (hi - lo)
+    def to_box(u):
+        return np.clip(lo + width * u, lo, hi)
+
+    def residuals(u):
+        try:
+            _, _, model = _model_series(to_box(u), spec, integrator)
+        except IntegrationError:
+            return np.full(len(data), np.inf)  # the trust region shrinks
+        return np.log1p(model) - observed
+
+    def jacobian(u):
+        return _jacobian(to_box(u), spec, integrator, lo, hi) * width
 
     best = None
     for replicate in range(cfg.restarts):
         if replicate == 0:
             x_start = guess
         else:
-            offset = cfg.jitter * (hi - lo) * rng.uniform(-1.0, 1.0, size=len(names))
+            offset = cfg.jitter * width * rng.uniform(-1.0, 1.0, size=len(names))
             x_start = np.clip(guess + offset, lo, hi)
-        z0 = _from_box(x_start, lo, hi)
-        history = []
-        result = minimize(
-            objective, z0, method="Nelder-Mead",
-            callback=lambda intermediate_result: history.append(intermediate_result.fun),
-            options={"initial_simplex": np.vstack([z0, z0 + 0.5 * np.eye(len(z0))]),
-                     "maxfev": cfg.max_evals, "xatol": cfg.diameter_tol,
-                     "fatol": np.inf})
-        history.append(result.fun)
-        if best is None or result.fun < best[0].fun:
+        u0 = (x_start - lo) / width
+        r0 = residuals(u0)
+        if not np.isfinite(r0).all():
+            continue  # a start that does not integrate
+        history = [float(r0 @ r0)]
+
+        def fun(u):
+            # least_squares evaluates the start first: it is known already
+            return r0 if np.array_equal(u, u0) else residuals(u)
+
+        def record(intermediate_result):
+            # called once per iteration; the loss falls only when a step is
+            # accepted
+            loss = 2.0 * intermediate_result.cost
+            if loss < history[-1]:
+                history.append(loss)
+
+        result = least_squares(fun, u0, jac=jacobian, bounds=(0.0, 1.0), method="trf",
+                               xtol=cfg.diameter_tol, max_nfev=cfg.max_evals,
+                               callback=record)
+        if best is None or result.cost < best[0].cost:
             best = result, history
+    if best is None:
+        raise FitError("no restart's start point integrates; check bounds and data")
     result, history = best
-    if result.fun >= INTEGRATION_FAILURE_PENALTY:
-        raise FitError("every restart failed to integrate; check bounds and data")
-    return package(_to_box(result.x, lo, hi), result.fun, result.nit, result.nfev,
-                   result.status == 0, history)
+    return package(to_box(result.x), result.nfev, result.status > 0, history)
 
 
 def synthesize_data(params: ModelParameters, initial, days: int,

@@ -125,6 +125,7 @@ def cmd_fit(config: RunConfig, args) -> None:
                for d in range(len(data))))
     write_json(out / "summary.json", {
         "objective": result.objective,
+        "log1p_loss": result.loss,
         "r_c": result.r_c,
         "converged": result.converged,
         "iterations": result.iterations,

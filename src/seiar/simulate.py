@@ -443,6 +443,9 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
                 # it at half the length
                 _refuse_non_finite(y5[None], (t + h,))
                 factor = 0.5
+                f_fresh = True  # y is unchanged, and k0 still holds f(y)
+        else:
+            f_fresh = True
         candidate = h * factor
         # a step shortened only to land on a whole day or on the last sample
         # must not drag the controller's proposal down with it

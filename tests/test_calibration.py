@@ -1,4 +1,7 @@
-"""Parameter specs, SSE objective, simplex search, synthetic data."""
+"""Parameter specs, SSE objective, least-squares search and its Jacobian,
+synthetic data."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +19,10 @@ from seiar import (
 )
 from seiar import calibrate, simulate
 from seiar.calibrate import INTEGRATION_FAILURE_PENALTY
-from seiar.errors import FitError
+from seiar.errors import FitError, IntegrationError
+from seiar.model import ModelParameters
 from seiar.presets import VARIANT_614G
-from seiar.simulate import IntegratorConfig
+from seiar.simulate import IntegratorConfig, daily_incidence, integrate
 
 
 def fixed_spec(params, initial):
@@ -33,6 +37,29 @@ def recovery_spec(truth, e1=1000.0):
     entries["rho"] = FreeValue(lo=0.05, hi=0.95, guess=0.30)
     return ParameterSpec(params=entries,
                          initial={"S": truth.S0 - e1, "E1": e1})
+
+
+def failing_above(beta_limit):
+    """``integrate`` that fails, naming the member, where beta > beta_limit."""
+    def run(params, initial, config):
+        solo = isinstance(params, ModelParameters)
+        for member, p in enumerate([params] if solo else params):
+            if p.beta > beta_limit:
+                raise IntegrationError("beta beyond the limit", config.t0, member)
+        return integrate(params, initial, config)
+    return run
+
+
+def always(truth, single_runs=None):
+    """``integrate`` that runs ``truth`` whatever the parameters; the
+    (beta, epsilon, rho) asked of each single run go to ``single_runs``."""
+    def run(params, initial, config):
+        if isinstance(params, ModelParameters):
+            if single_runs is not None:
+                single_runs.append(np.array([params.beta, params.epsilon, params.rho]))
+            return integrate(truth, initial, config)
+        return integrate([truth] * len(params), initial, config)
+    return run
 
 
 @pytest.fixture
@@ -235,7 +262,7 @@ class TestFit:
                      FitConfig(restarts=2, max_evals=300, seed=0))
         rc_true = control_reproduction_number(truth)
         assert abs(result.r_c - rc_true) / rc_true < 0.05
-        assert result.objective <= result.history[0]
+        assert result.loss == result.history[-1] <= result.history[0]
 
     def test_history_nonincreasing(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=40,
@@ -256,9 +283,9 @@ class TestFit:
         assert result.converged
         assert result.n_evals < 400
         assert result.free_values[0] == pytest.approx(truth.beta, rel=1e-6)
-        bound = fit(spec, data, FitConfig(restarts=1, max_evals=20))
+        bound = fit(spec, data, FitConfig(restarts=1, max_evals=3))
         assert not bound.converged
-        assert bound.n_evals == 20
+        assert bound.n_evals == 3
 
     def test_bitwise_deterministic(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=30,
@@ -273,9 +300,9 @@ class TestFit:
 
     def test_restart_ties_keep_the_earlier_replicate(self, truth, seeded_initial,
                                                       monkeypatch):
-        # every candidate scores the same, so each later restart ties the
-        # first and must not replace it
-        monkeypatch.setattr(calibrate, "sse_objective", lambda *args, **kwargs: 1.0)
+        # every run is the truth's whatever its parameters, so each later
+        # restart ties the first and must not replace it
+        monkeypatch.setattr(calibrate, "integrate", always(truth))
         entries = truth.as_dict()
         entries["beta"] = FreeValue(lo=truth.beta / 4, hi=truth.beta * 4,
                                     guess=truth.beta * 1.5)
@@ -290,35 +317,25 @@ class TestFit:
     def test_restarts_start_from_jittered_guesses(self, truth, seeded_initial,
                                                   monkeypatch):
         # the first restart starts at the guess, each later one at its own
-        # draw within jitter * (hi - lo) of it, clipped to the box, and each
-        # start is a point the search evaluates
-        starts, evaluated = [], []
-        from_box = calibrate._from_box
-
-        def recording(x, lo, hi):
-            starts.append(np.array(x))
-            return from_box(x, lo, hi)
-
-        def objective(free_values, *args, **kwargs):
-            evaluated.append(np.array(free_values))
-            return 1.0
-
-        monkeypatch.setattr(calibrate, "_from_box", recording)
-        monkeypatch.setattr(calibrate, "sse_objective", objective)
+        # draw within jitter * (hi - lo) of it, clipped to the box.  Every run
+        # is the truth's, so the gradient is zero and each restart evaluates
+        # its start alone; the last single run repeats the winner
+        evaluated = []
         spec = recovery_spec(truth)
         data = synthesize_data(truth, seeded_initial, days=30)
+        monkeypatch.setattr(calibrate, "integrate", always(truth, evaluated))
         fit(spec, data, FitConfig(restarts=3, max_evals=10, jitter=0.1))
         lo, hi = spec.bounds()
         guess = spec.guesses()
-        assert len(starts) == 3
-        assert np.array_equal(starts[0], guess)
-        assert not np.array_equal(starts[1], starts[2])
+        assert len(evaluated) == 4
+        # a start goes to box-scaled coordinates and back, to within a rounding
+        starts = evaluated[:3]
+        assert np.allclose(starts[0], guess, rtol=1e-12, atol=0.0)
+        assert not np.allclose(starts[1], starts[2], rtol=1e-12, atol=0.0)
         for start in starts[1:]:
-            assert not np.array_equal(start, guess)
-            assert np.all(np.abs(start - guess) <= 0.1 * (hi - lo))
+            assert not np.allclose(start, guess, rtol=1e-12, atol=0.0)
+            assert np.all(np.abs(start - guess) <= 0.1 * (hi - lo) * (1.0 + 1e-12))
             assert np.all((lo <= start) & (start <= hi))
-        for start in starts:
-            assert any(np.allclose(point, start, rtol=1e-9, atol=0.0) for point in evaluated)
 
     def test_fitted_values_respect_bounds(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=30,
@@ -337,6 +354,139 @@ class TestFit:
         starving = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1)
         with pytest.raises(FitError, match="integrate"):
             fit(spec, data, integrator=starving)
+
+
+class TestJacobian:
+    """The ensemble Jacobian of log1p(model) on criterion 7's window."""
+
+    WINDOW = IntegratorConfig(t0=0.0, t_end=60.0, sample_per_day=1)
+
+    @staticmethod
+    def central_differences(spec, x, window):
+        # solo runs on both sides of x, straddling a box edge if need be
+        lo, hi = spec.bounds()
+        columns = []
+        for j in range(len(x)):
+            plus, minus = x.copy(), x.copy()
+            plus[j] += 1e-5 * (hi[j] - lo[j])
+            minus[j] -= 1e-5 * (hi[j] - lo[j])
+            runs = [daily_incidence(integrate(*spec.assemble(point), window))
+                    for point in (plus, minus)]
+            columns.append((np.log1p(runs[0]) - np.log1p(runs[1])) / (plus[j] - minus[j]))
+        return np.stack(columns, axis=1)
+
+    @pytest.mark.parametrize("point", ["guess", "rho on its upper edge"])
+    @pytest.mark.parametrize("atol_rel, bound", [(None, 5e-5), (1e-12, 2e-6)])
+    def test_agrees_with_central_differences(self, truth, monkeypatch, point,
+                                             atol_rel, bound):
+        # the reference runs at rtol 1e-12; at the default atol of
+        # 1e-10 * N(0) the integrator's own error leaves 1.6e-5-1.7e-5 in the
+        # epsilon column, and at 1e-12 * N(0) under 4e-7
+        spec = recovery_spec(truth)
+        lo, hi = spec.bounds()
+        x = spec.guesses() if point == "guess" else np.array([truth.beta, truth.epsilon, hi[2]])
+        window = self.WINDOW if atol_rel is None else \
+            replace(self.WINDOW, atol=atol_rel * truth.S0)
+        reference = self.central_differences(
+            spec, x, replace(window, rtol=1e-12, atol=1e-14 * truth.S0))
+        ensembles = []
+
+        def recording(params, initial, config):
+            ensembles.append(np.array([[p.beta, p.epsilon, p.rho] for p in params]))
+            return integrate(params, initial, config)
+
+        monkeypatch.setattr(calibrate, "integrate", recording)
+        jacobian = calibrate._jacobian(x, spec, window, lo, hi)
+        # one call: the point, then one copy per coordinate, inside the box
+        [points] = ensembles
+        assert np.array_equal(points[0], x)
+        assert np.all((lo <= points) & (points <= hi))
+        assert np.count_nonzero(points[1:] != x) == 3
+        error = np.max(np.abs(jacobian - reference), axis=0) / np.max(np.abs(reference), axis=0)
+        assert np.all(error < bound)
+
+    def test_failing_copy_steps_the_other_way(self, truth, monkeypatch):
+        # the forward copy of beta fails, so beta's copy is retried below the
+        # point; its derivative agrees with the forward one
+        spec = recovery_spec(truth)
+        lo, hi = spec.bounds()
+        x = spec.guesses()
+        forward = calibrate._jacobian(x, spec, self.WINDOW, lo, hi)
+        fails, copies = failing_above(x[0]), []
+
+        def recording(params, initial, config):
+            copies.append([p.beta for p in params[1:]])
+            return fails(params, initial, config)
+
+        monkeypatch.setattr(calibrate, "integrate", recording)
+        backward = calibrate._jacobian(x, spec, self.WINDOW, lo, hi)
+        assert len(copies) == 2
+        assert copies[0][0] > x[0] > copies[1][0]
+        assert copies[0][1:] == copies[1][1:] == [x[0], x[0]]
+        error = np.max(np.abs(backward - forward), axis=0) / np.max(np.abs(forward), axis=0)
+        assert np.all(error < 1e-5)
+
+    def test_copy_failing_both_ways_names_its_coordinate(self, truth, monkeypatch):
+        spec = recovery_spec(truth)
+        lo, hi = spec.bounds()
+        x = spec.guesses()
+        real = calibrate.integrate
+
+        def failing_beta_copies(params, initial, config):
+            if len(params) > 1 and params[1].beta != x[0]:
+                raise IntegrationError("copy fails", config.t0, 1)
+            return real(params, initial, config)
+
+        monkeypatch.setattr(calibrate, "integrate", failing_beta_copies)
+        with pytest.raises(FitError, match="perturbing beta"):
+            calibrate._jacobian(x, spec, self.WINDOW, lo, hi)
+
+
+class TestSearchAcrossFailures:
+    def test_returns_the_best_point_that_integrates(self, truth, seeded_initial,
+                                                    monkeypatch):
+        # every run with beta above 0.8 * the truth's fails, so the search,
+        # started below, can approach the data only up to that wall
+        limit = 0.8 * truth.beta
+        entries = truth.as_dict()
+        entries["beta"] = FreeValue(lo=truth.beta / 4, hi=truth.beta * 4,
+                                    guess=truth.beta / 2)
+        entries["rho"] = FreeValue(lo=0.05, hi=0.95, guess=0.30)
+        spec = ParameterSpec(params=entries,
+                             initial={"S": truth.S0 - 1000.0, "E1": 1000.0})
+        data = synthesize_data(truth, seeded_initial, days=30,
+                               noise="lognormal", sigma=0.05, seed=4)
+        fails = failing_above(limit)
+        integrated, failed = [], []
+
+        def recording(params, initial, config):
+            try:
+                traj = fails(params, initial, config)
+            except IntegrationError:
+                failed.append(params)
+                raise
+            if isinstance(params, ModelParameters):
+                integrated.append(params)
+            return traj
+
+        monkeypatch.setattr(calibrate, "integrate", recording)
+        result = fit(spec, data, FitConfig(restarts=1, max_evals=60))
+        assert any(isinstance(params, ModelParameters) for params in failed)
+        assert result.params.beta <= limit
+        # no point the search integrated scores below the one it returns
+        _, y0 = spec.assemble(spec.guesses())
+
+        def loss(params):
+            model = daily_incidence(integrate(params, y0, result.integrator))
+            return float(np.sum((np.log1p(model) - np.log1p(data.counts)) ** 2))
+
+        assert result.loss == min(loss(params) for params in integrated)
+
+    def test_every_start_failing_raises(self, truth, seeded_initial, monkeypatch):
+        data = synthesize_data(truth, seeded_initial, days=30)
+        monkeypatch.setattr(calibrate, "integrate", failing_above(0.0))
+        with pytest.raises(FitError, match="start point integrates"):
+            fit(recovery_spec(truth), data, FitConfig(restarts=2, max_evals=20))
 
 
 class TestSynthesizeData:

@@ -8,7 +8,8 @@ simulate,calibrate}.py`` with a wrong one; the fragment must occur exactly
 once in its module.  For each mutant the checkout's ``src``, ``tests`` and
 ``demos`` and its ``pyproject.toml`` are copied to a fresh temporary
 directory, the substitution is made there, and ``pytest -x`` runs the tier-1
-tests without acceptance criterion 7 (a 40-second calibration).  A mutant is
+tests without acceptance criterion 7 (eleven two-restart calibrations, the
+slowest test).  A mutant is
 killed when pytest fails.  The unmutated copy runs first and must pass.  The
 checkout itself is only read.  Prints one line per mutant and the score.
 """
@@ -75,13 +76,19 @@ MUTANTS = (
      "np.argmax(incidence)"),
     ("prevalence of E2, I1, I2", "simulate", "prev = traj.states[-1, 3:6]",
      "prev = traj.states[-1, 2:5]"),
-    ("restart ties keep the later", "calibrate", "result.fun < best[0].fun",
-     "result.fun <= best[0].fun"),
-    ("absolute residuals", "calibrate", "np.sum((model - data.counts) ** 2)",
-     "np.sum(np.abs(model - data.counts))"),
+    ("restart ties keep the later", "calibrate", "result.cost < best[0].cost",
+     "result.cost <= best[0].cost"),
+    ("residuals in counts", "calibrate", "return np.log1p(model) - observed",
+     "return model - data.counts"),
     ("restarts start at the guess", "calibrate", "x_start = np.clip(guess + offset, lo, hi)",
      "x_start = guess"),
-    ("box map by cosine", "calibrate", "0.5 * (np.sin(z) + 1.0)", "0.5 * (np.cos(z) + 1.0)"),
+    ("Jacobian left in parameter units", "calibrate",
+     "_jacobian(to_box(u), spec, integrator, lo, hi) * width",
+     "_jacobian(to_box(u), spec, integrator, lo, hi)"),
+    ("Jacobian keeps column 0", "calibrate", "(columns[:, 1:] - columns[:, :1]) / taken",
+     "columns[:, 1:] / taken"),
+    ("Jacobian steps out of the box", "calibrate",
+     "np.where(free_values + steps <= hi, steps, -steps)", "steps"),
 )
 
 
