@@ -8,11 +8,13 @@ sum of squared residuals in counts, is what a fit reports as its objective.
 Search is scipy's bounded trust-region least squares
 (``scipy.optimize.least_squares``, method "trf") in box-scaled coordinates
 u = (x - lo) / (hi - lo), so it is independent of the parameters' scales and
-returned points satisfy their bounds.  Its Jacobian comes from one ensemble
-``integrate`` call over the point and one copy per free coordinate, moved by
-a forward step (:func:`_jacobian`).  Multi-start restarts jitter the initial
-guess; the best replicate wins, ties resolved toward the earlier replicate
-so results are reproducible bit for bit under a fixed seed.
+returned points satisfy their bounds.  Each trial point is integrated once,
+as one ensemble ``integrate`` call over the point and one copy per free
+coordinate, moved by a forward step (:func:`_ensemble_run`): member 0 gives
+the point's residuals, the copies its Jacobian, and the winning point's run
+is the fitted one.  Multi-start restarts jitter the initial guess; the best
+replicate wins, ties resolved toward the earlier replicate so results are
+reproducible bit for bit under a fixed seed.
 
 The free coordinates are laid out once (``ParameterSpec._layout``), and a
 spec loads only if every point of its box assembles.  Every run integrates
@@ -26,7 +28,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +47,11 @@ INTEGRATION_FAILURE_PENALTY = 1e30
 
 #: step of the Jacobian's forward differences, as a fraction of each box
 JACOBIAN_STEP = 2.0 ** -26
+
+#: how far inside the unit box a start is moved off an edge, in box-scaled
+#: coordinates: scipy's trf starts that far inside, so the search's start
+#: is the point evaluated first
+START_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,12 +179,13 @@ class FitConfig:
     """Search settings for each restart.
 
     ``max_evals`` caps residual evaluations per restart (scipy's
-    ``max_nfev``); each accepted step adds one ensemble run for the
-    Jacobian.  ``diameter_tol`` is scipy's ``xtol``: a restart converges once
-    a step moves the box-scaled point u by less than
+    ``max_nfev``); each is one ensemble run of the trial point and its
+    copies, which also yields the point's Jacobian.  ``diameter_tol`` is
+    scipy's ``xtol``, at least machine epsilon: a restart converges once a
+    step moves the box-scaled point u by less than
     ``diameter_tol * (diameter_tol + |u|)``, or by scipy's default ``ftol``
-    and ``gtol`` tests.  The integrator settings are :func:`fit`'s own
-    argument.
+    and ``gtol`` tests.  ``jitter`` is nonnegative.  The integrator settings
+    are :func:`fit`'s own argument.
     """
 
     restarts: int = 5
@@ -191,6 +199,12 @@ class FitConfig:
             raise ValueError("at least one restart is required")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
+        # below epsilon scipy silently drops the xtol test
+        if not self.diameter_tol >= np.finfo(float).eps:
+            raise ValueError(f"diameter_tol must be at least machine epsilon, "
+                             f"got {self.diameter_tol!r}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be nonnegative and finite, got {self.jitter!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -203,7 +217,9 @@ class FitResult:
     ``residuals`` sums to; ``loss`` is the log1p loss the search minimised,
     and ``history`` that loss at the start and after each accepted step of
     the winning restart.  ``iterations`` counts accepted steps and
-    ``n_evals`` residual evaluations, both of the winning restart.
+    ``n_evals`` residual evaluations, both of the winning restart; each
+    evaluation is one ensemble run, its point and one copy per free
+    coordinate.  ``modeled`` is member 0 of the returned point's run.
     """
 
     params: ModelParameters
@@ -247,16 +263,27 @@ def sse_objective(free_values, spec: ParameterSpec, data: ObservedSeries,
     return float(np.sum((model - data.counts) ** 2))
 
 
-def _jacobian(free_values: np.ndarray, spec: ParameterSpec, window: IntegratorConfig,
-              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(days, n) Jacobian of log1p(model) by forward differences.
+class EnsembleRun(NamedTuple):
+    """A point's run: its parameters and initial state, its daily incidence
+    and the (days, n) Jacobian of log1p of that incidence."""
 
-    The point and its n copies, copy j moved by ``JACOBIAN_STEP * (hi - lo)``
-    along coordinate j, run as one ensemble, so every member takes the same
-    steps and the differences carry no step-size noise.  A step that would
-    leave the box points inward.  A copy that fails to integrate has its step
-    reversed once, where that stays in the box; otherwise :class:`FitError`
-    names the coordinate.
+    params: ModelParameters
+    initial: np.ndarray
+    model: np.ndarray
+    jacobian: np.ndarray
+
+
+def _ensemble_run(free_values: np.ndarray, spec: ParameterSpec, window: IntegratorConfig,
+                  lo: np.ndarray, hi: np.ndarray) -> EnsembleRun:
+    """Integrate the point and its n copies as one ensemble, copy j moved by
+    ``JACOBIAN_STEP * (hi - lo)`` along coordinate j; the Jacobian is their
+    forward differences.
+
+    Every member takes the same steps, so the differences carry no
+    step-size noise.  A step that would leave the box points inward.  A copy
+    that fails to integrate has its step reversed once, where that stays in
+    the box; otherwise :class:`FitError` names the coordinate, or the point
+    itself when it is the point that fails.
     """
     steps = JACOBIAN_STEP * (hi - lo)
     steps = np.where(free_values + steps <= hi, steps, -steps)
@@ -269,15 +296,17 @@ def _jacobian(free_values: np.ndarray, spec: ParameterSpec, window: IntegratorCo
             break
         except IntegrationError as exc:
             if not exc.member:  # the point itself, or every member
-                raise FitError(f"the Jacobian's base run does not integrate: {exc}") from exc
+                raise FitError(f"the point does not integrate: {exc}") from exc
             j = exc.member - 1
             if turned[j] or not lo[j] <= free_values[j] - steps[j] <= hi[j]:
-                raise FitError(f"the Jacobian's run perturbing {spec.free_names[j]} "
+                raise FitError(f"the run perturbing {spec.free_names[j]} "
                                f"does not integrate: {exc}") from exc
             steps[j], turned[j] = -steps[j], True
-    columns = np.log1p(daily_incidence(traj))
+    incidence = daily_incidence(traj)
+    columns = np.log1p(incidence)
     taken = points[1:].diagonal() - free_values
-    return (columns[:, 1:] - columns[:, :1]) / taken
+    return EnsembleRun(params[0], initial[0], np.ascontiguousarray(incidence[:, 0]),
+                       (columns[:, 1:] - columns[:, :1]) / taken)
 
 
 def fit(spec: ParameterSpec, data: ObservedSeries,
@@ -286,10 +315,14 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
     """Minimize the log1p loss over the spec's free coordinates.
 
     Every run integrates over the data window, days 0 to ``len(data)``, at
-    1 sample/day with ``integrator``'s method and tolerances.  A trial point
-    that does not integrate shrinks the trust region, and a restart whose
-    start does not integrate is skipped; :class:`FitError` is raised when
-    every restart is, or when :func:`_jacobian` fails.
+    1 sample/day with ``integrator``'s method and tolerances.  Each trial
+    point is one :func:`_ensemble_run`; the Jacobian is read off the run of
+    the point just accepted, and the result off the winning point's run, so
+    nothing is integrated twice.  A trial point whose run fails, the point
+    or a copy stepped both ways, does not integrate: it shrinks the trust
+    region, and a restart whose start does not integrate is skipped.
+    :class:`FitError` is raised when every restart is, naming the last
+    failure's coordinate.
     With no free coordinates this degenerates to a single evaluation of the
     fixed configuration.
     """
@@ -298,11 +331,8 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
     names = spec.free_names
     observed = np.log1p(data.counts)
 
-    def package(free_values, n_evals, converged, history):
-        try:
-            params, y0, model = _model_series(free_values, spec, integrator)
-        except IntegrationError as exc:
-            raise FitError(f"the fitted point does not integrate: {exc}") from exc
+    def package(run, n_evals, converged, history, free_values):
+        params, y0, model, _ = run
         log_residuals = np.log1p(model) - observed
         loss = float(log_residuals @ log_residuals)
         history = history or [loss]
@@ -325,7 +355,11 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         )
 
     if not names:
-        return package(np.array([]), 1, True, None)
+        try:
+            run = EnsembleRun(*_model_series(np.array([]), spec, integrator), jacobian=None)
+        except IntegrationError as exc:
+            raise FitError(f"the fitted point does not integrate: {exc}") from exc
+        return package(run, 1, True, None, np.array([]))
 
     from scipy.optimize import least_squares
 
@@ -338,15 +372,32 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
     def to_box(u):
         return np.clip(lo + width * u, lo, hi)
 
+    # the point last evaluated and its run, None where it does not
+    # integrate; trf asks for the Jacobian only at the point it has just
+    # evaluated and accepted, so the run is read, not repeated, and the last
+    # point accepted is the one a restart returns
+    last_u = last_run = accepted = failure = None
+
+    def run_at(u):
+        nonlocal last_u, last_run, failure
+        if not np.array_equal(u, last_u):
+            try:
+                last_run = _ensemble_run(to_box(u), spec, integrator, lo, hi)
+            except FitError as exc:
+                last_run, failure = None, exc
+            last_u = np.array(u, dtype=float)
+        return last_run
+
     def residuals(u):
-        try:
-            _, _, model = _model_series(to_box(u), spec, integrator)
-        except IntegrationError:
+        run = run_at(u)
+        if run is None:
             return np.full(len(data), np.inf)  # the trust region shrinks
-        return np.log1p(model) - observed
+        return np.log1p(run.model) - observed
 
     def jacobian(u):
-        return _jacobian(to_box(u), spec, integrator, lo, hi) * width
+        nonlocal accepted
+        accepted = run_at(u)
+        return accepted.jacobian * width
 
     best = None
     for replicate in range(cfg.restarts):
@@ -355,15 +406,11 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         else:
             offset = cfg.jitter * width * rng.uniform(-1.0, 1.0, size=len(names))
             x_start = np.clip(guess + offset, lo, hi)
-        u0 = (x_start - lo) / width
+        u0 = np.clip((x_start - lo) / width, START_MARGIN, 1.0 - START_MARGIN)
         r0 = residuals(u0)
         if not np.isfinite(r0).all():
             continue  # a start that does not integrate
         history = [float(r0 @ r0)]
-
-        def fun(u):
-            # least_squares evaluates the start first: it is known already
-            return r0 if np.array_equal(u, u0) else residuals(u)
 
         def record(intermediate_result):
             # called once per iteration; the loss falls only when a step is
@@ -372,15 +419,16 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
             if loss < history[-1]:
                 history.append(loss)
 
-        result = least_squares(fun, u0, jac=jacobian, bounds=(0.0, 1.0), method="trf",
+        result = least_squares(residuals, u0, jac=jacobian, bounds=(0.0, 1.0), method="trf",
                                xtol=cfg.diameter_tol, max_nfev=cfg.max_evals,
                                callback=record)
         if best is None or result.cost < best[0].cost:
-            best = result, history
+            best = result, history, accepted
     if best is None:
-        raise FitError("no restart's start point integrates; check bounds and data")
-    result, history = best
-    return package(to_box(result.x), result.nfev, result.status > 0, history)
+        raise FitError(f"no restart's start point integrates; check bounds and data "
+                       f"({failure})")
+    result, history, run = best
+    return package(run, result.nfev, result.status > 0, history, to_box(result.x))
 
 
 def synthesize_data(params: ModelParameters, initial, days: int,

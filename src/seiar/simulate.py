@@ -84,7 +84,12 @@ _HERMITE = (
     (0, 0, 0, -4, 7, -3),
     (0, 0, 0, Fraction(1, 2), -1, Fraction(1, 2)),
 )
-_HERMITE_WEIGHTS = np.array(_HERMITE, dtype=float).T
+# The p(0) and p(1) functions sum to 1, so the interpolant is evaluated in
+# increment form, y_start + (y_end - y_start) * [p(1) function] + ...: the
+# p(0) row gives way to the constant 1, and y_end to the increment.  A state
+# that does not move (f = y'' = 0, y_end = y_start) then stays exactly put
+# at every sample, in whatever order the product sums.
+_HERMITE_WEIGHTS = np.array(((1, 0, 0, 0, 0, 0),) + _HERMITE[1:], dtype=float).T
 _POWERS = np.arange(6)
 
 
@@ -353,12 +358,13 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     ok = np.empty((2,) + y.shape, dtype=bool)
     above_floor, below_ceiling = ok
     admissible = b"\x01" * ok.size
-    # the Hermite data of a step, y, f and y'' at its start, then at its
-    # end, flat like ``k``.  ``f_fresh``: k0 already holds f(y);
+    # the Hermite data of a step in increment form (see ``_HERMITE_WEIGHTS``),
+    # y, f and y'' at its start, y_end - y_start, then f and y'' at its end,
+    # flat like ``k``.  ``f_fresh``: k0 already holds f(y);
     # ``ypp_fresh``: ``ypp_start`` holds y'' at y
     ends = np.empty((6,) + y.shape)
     ends_flat = ends.reshape(6, -1)
-    y_start, f_start, ypp_start, y_end, f_end, ypp_end = ends
+    y_start, f_start, ypp_start, increment, f_end, ypp_end = ends
     probe, probe_f = np.empty(y.shape, complex), np.empty(y.shape, complex)
     f_fresh = ypp_fresh = False
     # RMS over the 10 components of each member; the worst member decides,
@@ -366,6 +372,7 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     worst = np.maximum.reduce if y.ndim > 1 else float
     dot, multiply, add, less_equal = np.dot, np.multiply, np.add, np.less_equal
     maximum, absolute, divide, copyto = np.maximum, np.abs, np.divide, np.copyto
+    subtract = np.subtract
     taken = 0
     while filled <= last:
         h = grid[next_out] - t
@@ -408,7 +415,7 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
                         ypp_fresh = True
                     copyto(y_start, y)
                     copyto(f_start, k0)
-                    copyto(y_end, y5)
+                    subtract(y5, y, increment)
                     _second_derivative(f, y5, f(y5, f_end), probe, probe_f, ypp_end)
                     theta = out_times[filled:inside] - t
                     theta /= h

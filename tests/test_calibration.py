@@ -50,14 +50,15 @@ def failing_above(beta_limit):
     return run
 
 
-def always(truth, single_runs=None):
+def always(truth, points=None):
     """``integrate`` that runs ``truth`` whatever the parameters; the
-    (beta, epsilon, rho) asked of each single run go to ``single_runs``."""
+    (beta, epsilon, rho) of each ensemble call's member 0, the point a fit
+    evaluates, go to ``points``."""
     def run(params, initial, config):
-        if isinstance(params, ModelParameters):
-            if single_runs is not None:
-                single_runs.append(np.array([params.beta, params.epsilon, params.rho]))
+        if isinstance(params, ModelParameters):  # a single run, not a fit's
             return integrate(truth, initial, config)
+        if points is not None:
+            points.append(np.array([params[0].beta, params[0].epsilon, params[0].rho]))
         return integrate([truth] * len(params), initial, config)
     return run
 
@@ -319,7 +320,7 @@ class TestFit:
         # the first restart starts at the guess, each later one at its own
         # draw within jitter * (hi - lo) of it, clipped to the box.  Every run
         # is the truth's, so the gradient is zero and each restart evaluates
-        # its start alone; the last single run repeats the winner
+        # its start alone, and the winner is not run again
         evaluated = []
         spec = recovery_spec(truth)
         data = synthesize_data(truth, seeded_initial, days=30)
@@ -327,7 +328,7 @@ class TestFit:
         fit(spec, data, FitConfig(restarts=3, max_evals=10, jitter=0.1))
         lo, hi = spec.bounds()
         guess = spec.guesses()
-        assert len(evaluated) == 4
+        assert len(evaluated) == 3
         # a start goes to box-scaled coordinates and back, to within a rounding
         starts = evaluated[:3]
         assert np.allclose(starts[0], guess, rtol=1e-12, atol=0.0)
@@ -354,6 +355,51 @@ class TestFit:
         starving = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1)
         with pytest.raises(FitError, match="integrate"):
             fit(spec, data, integrator=starving)
+
+
+class TestWork:
+    """Each trial point is integrated once, as one ensemble call."""
+
+    @pytest.mark.parametrize("case", ["inside", "copies reversed", "start on an edge"])
+    def test_one_ensemble_call_per_evaluation(self, truth, seeded_initial, monkeypatch,
+                                              case):
+        # with the wall every run with beta above the guess's fails, so the
+        # start's beta copy, and those of the points near it, step backwards,
+        # one call more each.  A start on the box's edge is evaluated where
+        # the search starts, just inside it, once
+        data = synthesize_data(truth, seeded_initial, days=40,
+                               noise="lognormal", sigma=0.05, seed=2)
+        spec = recovery_spec(truth)
+        if case == "start on an edge":
+            entries = dict(spec.params, rho=FreeValue(lo=0.05, hi=0.95, guess=0.95))
+            spec = ParameterSpec(params=entries, initial=spec.initial)
+        wall = case == "copies reversed"
+        run = failing_above(spec.guesses()[0]) if wall else integrate
+        calls, copy_failures = [], []
+
+        def counting(params, initial, config):
+            try:
+                traj = run(params, initial, config)
+            except IntegrationError as exc:
+                copy_failures.append(exc.member)
+                calls.append((params, None))
+                raise
+            calls.append((params, traj))
+            return traj
+
+        monkeypatch.setattr(calibrate, "integrate", counting)
+        result = fit(spec, data, FitConfig(restarts=1, max_evals=150, seed=2))
+        assert len(calls) == result.n_evals + len(copy_failures)
+        assert all(member >= 1 for member in copy_failures)
+        assert (len(copy_failures) > 0) == wall
+        # no single run: each call is the point and one copy per coordinate
+        assert all(not isinstance(params, ModelParameters) and len(params) == 4
+                   for params, _ in calls)
+        # the fitted run is member 0 of the returned point's run, bit for bit
+        returned = [traj for params, traj in calls
+                    if traj is not None and params[0] == result.params]
+        assert np.array_equal(result.modeled, daily_incidence(returned[-1])[:, 0])
+        assert result.loss == result.history[-1]
 
 
 class TestJacobian:
@@ -396,7 +442,7 @@ class TestJacobian:
             return integrate(params, initial, config)
 
         monkeypatch.setattr(calibrate, "integrate", recording)
-        jacobian = calibrate._jacobian(x, spec, window, lo, hi)
+        jacobian = calibrate._ensemble_run(x, spec, window, lo, hi).jacobian
         # one call: the point, then one copy per coordinate, inside the box
         [points] = ensembles
         assert np.array_equal(points[0], x)
@@ -411,7 +457,7 @@ class TestJacobian:
         spec = recovery_spec(truth)
         lo, hi = spec.bounds()
         x = spec.guesses()
-        forward = calibrate._jacobian(x, spec, self.WINDOW, lo, hi)
+        forward = calibrate._ensemble_run(x, spec, self.WINDOW, lo, hi).jacobian
         fails, copies = failing_above(x[0]), []
 
         def recording(params, initial, config):
@@ -419,7 +465,7 @@ class TestJacobian:
             return fails(params, initial, config)
 
         monkeypatch.setattr(calibrate, "integrate", recording)
-        backward = calibrate._jacobian(x, spec, self.WINDOW, lo, hi)
+        backward = calibrate._ensemble_run(x, spec, self.WINDOW, lo, hi).jacobian
         assert len(copies) == 2
         assert copies[0][0] > x[0] > copies[1][0]
         assert copies[0][1:] == copies[1][1:] == [x[0], x[0]]
@@ -439,7 +485,7 @@ class TestJacobian:
 
         monkeypatch.setattr(calibrate, "integrate", failing_beta_copies)
         with pytest.raises(FitError, match="perturbing beta"):
-            calibrate._jacobian(x, spec, self.WINDOW, lo, hi)
+            calibrate._ensemble_run(x, spec, self.WINDOW, lo, hi).jacobian
 
 
 class TestSearchAcrossFailures:
@@ -460,32 +506,46 @@ class TestSearchAcrossFailures:
         integrated, failed = [], []
 
         def recording(params, initial, config):
+            # each call is a point, its member 0, and its copies
             try:
                 traj = fails(params, initial, config)
-            except IntegrationError:
-                failed.append(params)
+            except IntegrationError as exc:
+                failed.append(exc.member)
                 raise
-            if isinstance(params, ModelParameters):
-                integrated.append(params)
+            integrated.append(daily_incidence(traj)[:, 0])
             return traj
 
         monkeypatch.setattr(calibrate, "integrate", recording)
         result = fit(spec, data, FitConfig(restarts=1, max_evals=60))
-        assert any(isinstance(params, ModelParameters) for params in failed)
+        assert 0 in failed  # a trial point itself failed
         assert result.params.beta <= limit
         # no point the search integrated scores below the one it returns
-        _, y0 = spec.assemble(spec.guesses())
 
-        def loss(params):
-            model = daily_incidence(integrate(params, y0, result.integrator))
+        def loss(model):
             return float(np.sum((np.log1p(model) - np.log1p(data.counts)) ** 2))
 
-        assert result.loss == min(loss(params) for params in integrated)
+        assert result.loss == min(loss(model) for model in integrated)
 
     def test_every_start_failing_raises(self, truth, seeded_initial, monkeypatch):
         data = synthesize_data(truth, seeded_initial, days=30)
         monkeypatch.setattr(calibrate, "integrate", failing_above(0.0))
         with pytest.raises(FitError, match="start point integrates"):
+            fit(recovery_spec(truth), data, FitConfig(restarts=2, max_evals=20))
+
+    def test_start_whose_copy_fails_both_ways_is_skipped(self, truth, seeded_initial,
+                                                         monkeypatch):
+        # a copy that fails on both sides fails its point like the point
+        # itself: each start is skipped, and the error names the coordinate
+        data = synthesize_data(truth, seeded_initial, days=30)
+        real = calibrate.integrate
+
+        def failing_rho_copies(params, initial, config):
+            if not isinstance(params, ModelParameters) and params[3].rho != params[0].rho:
+                raise IntegrationError("copy fails", config.t0, 3)
+            return real(params, initial, config)
+
+        monkeypatch.setattr(calibrate, "integrate", failing_rho_copies)
+        with pytest.raises(FitError, match="start point integrates.*perturbing rho"):
             fit(recovery_spec(truth), data, FitConfig(restarts=2, max_evals=20))
 
 

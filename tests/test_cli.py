@@ -386,6 +386,25 @@ class TestFitCommand:
         write_case_series(data_path, ObservedSeries(counts=counts))
         return cfg, cfg_path, str(data_path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("diameter_tol", 0.0, "diameter_tol must be at least machine epsilon"),
+        ("diameter_tol", -1.0, "diameter_tol must be at least machine epsilon"),
+        ("diameter_tol", 1e-17, "diameter_tol must be at least machine epsilon"),
+        ("jitter", -0.1, "jitter must be nonnegative"),
+    ])
+    def test_bad_search_setting_exits_2_naming_the_key(self, tmp_path, capsys, key, value,
+                                                       message):
+        # below machine epsilon scipy drops the xtol test, warning on stderr
+        cfg, _, data_path = self.make_synthetic(tmp_path)
+        cfg["parameters"]["beta"] = {"free": {"lo": 1e-9, "hi": 1e-8, "guess": 5e-9}}
+        cfg["fit"] = {key: value}
+        cfg_path = write_config(tmp_path / "bad.yaml", cfg)
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", cfg_path, "--data", data_path,
+                     "--out", str(out)]) == 2
+        assert f"config error: fit: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_to_own_output_is_exact(self, tmp_path):
         _, cfg_path, data_path = self.make_synthetic(tmp_path)
         out = tmp_path / "fit"

@@ -180,14 +180,17 @@ class TestIntegratorConfig:
 
 class TestIntegrate:
     def test_dfe_stays_exactly_put(self):
-        p = VARIANT_614G
-        dfe = disease_free_equilibrium(p).as_array()
-        for method in ("adaptive", "rk4"):
-            cfg = IntegratorConfig(t0=0.0, t_end=30.0, method=method, step=0.1,
-                                   sample_per_day=2)
-            traj = integrate(p, dfe, cfg)
-            assert np.all(traj.states == dfe)
-            assert np.all(traj.cumulative_inflows == 0.0)
+        # at 3 and 10 samples a day the interpolation weights do not sum to
+        # exactly 1; the increment form keeps the samples put all the same
+        for p in VARIANTS.values():
+            dfe = disease_free_equilibrium(p).as_array()
+            for method in ("adaptive", "rk4"):
+                for per_day in (2, 3, 10):
+                    cfg = IntegratorConfig(t0=0.0, t_end=30.0, method=method, step=0.1,
+                                           sample_per_day=per_day)
+                    traj = integrate(p, dfe, cfg)
+                    assert np.all(traj.states == dfe)
+                    assert np.all(traj.cumulative_inflows == 0.0)
 
     def test_rejects_negative_initial(self):
         y0 = seeded_state(VARIANT_614G)

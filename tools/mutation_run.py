@@ -68,6 +68,8 @@ MUTANTS = (
      "ypp_fresh = f_fresh", "ypp_fresh = True"),
     ("h*h dropped from the y'' weights", "simulate",
      "weights *= (1.0, h, h * h, 1.0, h, h * h)", "weights *= (1.0, h, 1.0, 1.0, h, 1.0)"),
+    ("interpolated increment reversed", "simulate",
+     "subtract(y5, y, increment)", "subtract(y, y5, increment)"),
     ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx], axis=0)",
      "values = np.diff(traj.cum_I2[idx], axis=0)"),
     ("incidence differenced across members", "simulate",
@@ -78,13 +80,14 @@ MUTANTS = (
      "prev = traj.states[-1, 2:5]"),
     ("restart ties keep the later", "calibrate", "result.cost < best[0].cost",
      "result.cost <= best[0].cost"),
-    ("residuals in counts", "calibrate", "return np.log1p(model) - observed",
-     "return model - data.counts"),
+    ("residuals in counts", "calibrate", "return np.log1p(run.model) - observed",
+     "return run.model - data.counts"),
+    ("residuals read from a perturbed copy", "calibrate",
+     "np.ascontiguousarray(incidence[:, 0])", "np.ascontiguousarray(incidence[:, 1])"),
     ("restarts start at the guess", "calibrate", "x_start = np.clip(guess + offset, lo, hi)",
      "x_start = guess"),
     ("Jacobian left in parameter units", "calibrate",
-     "_jacobian(to_box(u), spec, integrator, lo, hi) * width",
-     "_jacobian(to_box(u), spec, integrator, lo, hi)"),
+     "return accepted.jacobian * width", "return accepted.jacobian"),
     ("Jacobian keeps column 0", "calibrate", "(columns[:, 1:] - columns[:, :1]) / taken",
      "columns[:, 1:] / taken"),
     ("Jacobian steps out of the box", "calibrate",
