@@ -16,7 +16,6 @@ from .calibrate import (
     ObservedSeries,
     ParameterSpec,
     fit,
-    sse_objective,
     synthesize_data,
 )
 from .errors import ConfigError, DataError, FitError, IntegrationError

@@ -3,8 +3,8 @@
 The observable is the model's daily inflow into the detected compartment I1.
 A fit minimises the log1p loss, the sum of squared residuals
 log1p(model) - log1p(data), which weighs every day by its relative error, as
-multiplicative noise does; zero counts are fine.  :func:`sse_objective`, the
-sum of squared residuals in counts, is what a fit reports as its objective.
+multiplicative noise does; zero counts are fine.  The sum of squared
+residuals in counts is what a fit reports as its objective.
 Search is scipy's bounded trust-region least squares
 (``scipy.optimize.least_squares``, method "trf") in box-scaled coordinates
 u = (x - lo) / (hi - lo), so it is independent of the parameters' scales and
@@ -41,9 +41,6 @@ from .model import (
     control_reproduction_number,
 )
 from .simulate import IntegratorConfig, daily_incidence, integrate
-
-#: what :func:`sse_objective` returns when the integrator fails
-INTEGRATION_FAILURE_PENALTY = 1e30
 
 #: step of the Jacobian's forward differences, as a fraction of each box
 JACOBIAN_STEP = 2.0 ** -26
@@ -184,8 +181,8 @@ class FitConfig:
     scipy's ``xtol``, at least machine epsilon: a restart converges once a
     step moves the box-scaled point u by less than
     ``diameter_tol * (diameter_tol + |u|)``, or by scipy's default ``ftol``
-    and ``gtol`` tests.  ``jitter`` is nonnegative.  The integrator settings
-    are :func:`fit`'s own argument.
+    and ``gtol`` tests.  ``jitter`` is nonnegative.  Every setting is
+    finite.  The integrator settings are :func:`fit`'s own argument.
     """
 
     restarts: int = 5
@@ -195,18 +192,19 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("at least one restart is required")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
+        # each check is written so that NaN fails it
+        if not 1 <= self.restarts < math.inf:
+            raise ValueError(f"restarts must be at least 1 and finite, got {self.restarts!r}")
+        if not 1 <= self.max_evals < math.inf:
+            raise ValueError(f"max_evals must be positive and finite, got {self.max_evals!r}")
         # below epsilon scipy silently drops the xtol test
-        if not self.diameter_tol >= np.finfo(float).eps:
-            raise ValueError(f"diameter_tol must be at least machine epsilon, "
+        if not np.finfo(float).eps <= self.diameter_tol < math.inf:
+            raise ValueError(f"diameter_tol must be at least machine epsilon and finite, "
                              f"got {self.diameter_tol!r}")
         if not 0.0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be nonnegative and finite, got {self.jitter!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError(f"seed must be nonnegative and finite, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -244,23 +242,6 @@ def _window(integrator: IntegratorConfig | None, n_days: int) -> IntegratorConfi
     1 sample/day."""
     return replace(integrator or IntegratorConfig(), t0=0.0, t_end=float(n_days),
                    sample_per_day=1)
-
-
-def _model_series(free_values, spec: ParameterSpec,
-                  window: IntegratorConfig) -> tuple[ModelParameters, np.ndarray, np.ndarray]:
-    params, y0 = spec.assemble(free_values)
-    return params, y0, daily_incidence(integrate(params, y0, window))
-
-
-def sse_objective(free_values, spec: ParameterSpec, data: ObservedSeries,
-                  integrator: IntegratorConfig | None = None) -> float:
-    """Sum of squared residuals in counts over days 0 to ``len(data)``;
-    failure maps to a finite penalty."""
-    try:
-        _, _, model = _model_series(free_values, spec, _window(integrator, len(data)))
-    except IntegrationError:
-        return INTEGRATION_FAILURE_PENALTY
-    return float(np.sum((model - data.counts) ** 2))
 
 
 class EnsembleRun(NamedTuple):
@@ -331,8 +312,7 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
     names = spec.free_names
     observed = np.log1p(data.counts)
 
-    def package(run, n_evals, converged, history, free_values):
-        params, y0, model, _ = run
+    def package(params, y0, model, n_evals, converged, history, free_values):
         log_residuals = np.log1p(model) - observed
         loss = float(log_residuals @ log_residuals)
         history = history or [loss]
@@ -355,11 +335,12 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         )
 
     if not names:
+        params, y0 = spec.assemble([])
         try:
-            run = EnsembleRun(*_model_series(np.array([]), spec, integrator), jacobian=None)
+            model = daily_incidence(integrate(params, y0, integrator))
         except IntegrationError as exc:
             raise FitError(f"the fitted point does not integrate: {exc}") from exc
-        return package(run, 1, True, None, np.array([]))
+        return package(params, y0, model, 1, True, None, np.array([]))
 
     from scipy.optimize import least_squares
 
@@ -428,7 +409,8 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         raise FitError(f"no restart's start point integrates; check bounds and data "
                        f"({failure})")
     result, history, run = best
-    return package(run, result.nfev, result.status > 0, history, to_box(result.x))
+    return package(run.params, run.initial, run.model, result.nfev, result.status > 0,
+                   history, to_box(result.x))
 
 
 def synthesize_data(params: ModelParameters, initial, days: int,

@@ -37,8 +37,9 @@ class ScenarioConfig:
             raise ValueError("rho_values must be nonempty")
         if any(not 0.0 <= r <= 1.0 for r in self.rho_values):
             raise ValueError("rho_values must lie in [0, 1]")
-        if self.horizon < 1.0:
-            raise ValueError("horizon must be at least one day")
+        if not 1.0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be at least one day and finite, "
+                             f"got {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,16 @@ class StabilityConfig:
     seed_scale: float = 2e-6
 
     def __post_init__(self):
-        if self.audit_seeds < 1:
-            raise ValueError("audit_seeds must be positive")
-        if self.audit_horizon <= 0 or self.seed_scale <= 0:
-            raise ValueError("audit_horizon and seed_scale must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        # each check is written so that NaN fails it
+        if not 1 <= self.audit_seeds < math.inf:
+            raise ValueError(f"audit_seeds must be positive and finite, "
+                             f"got {self.audit_seeds!r}")
+        for name in ("audit_horizon", "seed_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError(f"seed must be nonnegative and finite, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,8 @@ class ForecastConfig:
     horizon: int = 120
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1 day")
+        if not 1 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be at least 1 day and finite, got {self.horizon!r}")
 
 
 _BLOCKS = {"integrator": IntegratorConfig, "fit": FitConfig,

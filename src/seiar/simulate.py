@@ -103,6 +103,7 @@ class IntegratorConfig:
     boundaries always land on stored samples.  The adaptive method's steps
     land only on whole days (and on ``t_end``), so ``sample_per_day`` sets
     the output only: the whole-day rows are the same bytes at any density.
+    Every number is finite.
     """
 
     t0: float = 0.0
@@ -116,14 +117,19 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("adaptive", "rk4"):
             raise ValueError(f"unknown integration method {self.method!r}")
+        # each check is written so that NaN fails it
+        for name in ("t0", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.rtol <= 0 or (self.atol is not None and self.atol <= 0):
-            raise ValueError("tolerances must be positive")
-        if self.sample_per_day < 1:
-            raise ValueError("sample_per_day must be at least 1")
+        for name in ("step", "rtol", "atol"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 1 <= self.sample_per_day < math.inf:
+            raise ValueError(f"sample_per_day must be at least 1 and finite, "
+                             f"got {self.sample_per_day!r}")
 
 
 @dataclass(frozen=True)

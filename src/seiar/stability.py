@@ -131,8 +131,9 @@ def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertif
     positive; the root inside is then refined by a standard bracketing
     root finder.
     """
-    # imported here, as minimize is in calibrate.fit: scipy.optimize is most
-    # of the package's import time, and only this certificate and the fit use it
+    # imported here, as least_squares is in calibrate.fit: scipy.optimize is
+    # most of the package's import time, and only this certificate and the fit
+    # use it
     from scipy.optimize import brentq
 
     if not coeffs.a4 < 0.0:

@@ -1,4 +1,4 @@
-"""Parameter specs, SSE objective, least-squares search and its Jacobian,
+"""Parameter specs, least-squares search, its objective and Jacobian,
 synthetic data."""
 
 from dataclasses import replace
@@ -14,11 +14,9 @@ from seiar import (
     ParameterSpec,
     control_reproduction_number,
     fit,
-    sse_objective,
     synthesize_data,
 )
 from seiar import calibrate, simulate
-from seiar.calibrate import INTEGRATION_FAILURE_PENALTY
 from seiar.errors import FitError, IntegrationError
 from seiar.model import ModelParameters
 from seiar.presets import VARIANT_614G
@@ -137,6 +135,13 @@ class TestParameterSpec:
         spec_b = ParameterSpec(params=entries_b, initial={"E1": FreeValue(0, 1e6, 10)})
         assert spec_a.free_names == ("beta", "rho", "E1(0)")
         assert spec_b.free_names == spec_a.free_names
+        for a, b in zip(spec_a.bounds(), spec_b.bounds()):
+            assert np.array_equal(a, b)
+        values = [truth.beta, truth.rho, 1000.0]
+        params_a, y0_a = spec_a.assemble(values)
+        params_b, y0_b = spec_b.assemble(values)
+        assert params_a == params_b
+        assert np.array_equal(y0_a, y0_b)
 
     def test_susceptible_pool_derived_from_seeds(self, truth):
         spec = ParameterSpec(params=truth.as_dict(),
@@ -174,68 +179,6 @@ class TestObservedSeries:
         assert not series.counts.flags.writeable
 
 
-class TestSseObjective:
-    def test_zero_against_own_output(self, truth, seeded_initial):
-        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
-        data = synthesize_data(truth, seeded_initial, days=30)
-        assert sse_objective([], spec, data) == 0.0
-
-    def test_unit_residuals_sum_to_day_count(self, truth, seeded_initial):
-        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
-        clean = synthesize_data(truth, seeded_initial, days=30)
-        shifted = ObservedSeries(counts=clean.counts + 1.0)
-        assert sse_objective([], spec, shifted) == 30.0
-
-    def test_residuals_are_squared(self, truth, seeded_initial):
-        # residuals of 2 weigh 4 each: a sum of absolute residuals reads 60
-        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
-        clean = synthesize_data(truth, seeded_initial, days=30)
-        shifted = ObservedSeries(counts=clean.counts + 2.0)
-        assert sse_objective([], spec, shifted) == pytest.approx(120.0, rel=1e-12)
-
-    def test_truth_beats_perturbed_beta_on_noisy_data(self, truth, seeded_initial):
-        spec = recovery_spec(truth)
-        data = synthesize_data(truth, seeded_initial, days=60,
-                               noise="lognormal", sigma=0.05, seed=7)
-        at_truth = sse_objective([truth.beta, truth.epsilon, truth.rho], spec, data)
-        at_doubled = sse_objective([2 * truth.beta, truth.epsilon, truth.rho],
-                                   spec, data)
-        assert at_truth < at_doubled
-
-    def test_objective_invariant_to_free_listing_order(self, truth, seeded_initial):
-        data = synthesize_data(truth, seeded_initial, days=20,
-                               noise="lognormal", sigma=0.1, seed=1)
-        entries = truth.as_dict()
-        entries["beta"] = FreeValue(1e-10, 1e-7, truth.beta)
-        entries["rho"] = FreeValue(0.0, 1.0, truth.rho)
-        initial = {"S": truth.S0 - 1000.0, "E1": 1000.0}
-        forward = ParameterSpec(params=dict(entries), initial=initial)
-        backward = ParameterSpec(params=dict(reversed(list(entries.items()))),
-                                 initial=initial)
-        values = [truth.beta, truth.rho]
-        assert sse_objective(values, forward, data) \
-            == sse_objective(values, backward, data)
-
-    @pytest.mark.parametrize("window", [(0.0, 10.0), (5.0, 35.0)],
-                             ids=["shorter", "shifted"])
-    def test_window_is_the_data_window(self, truth, seeded_initial, window):
-        spec = recovery_spec(truth)
-        data = synthesize_data(truth, seeded_initial, days=30,
-                               noise="lognormal", sigma=0.05, seed=3)
-        values = [truth.beta * 1.2, truth.epsilon, truth.rho]
-        t0, t_end = window
-        other = IntegratorConfig(t0=t0, t_end=t_end, sample_per_day=1)
-        assert sse_objective(values, spec, data, other) \
-            == sse_objective(values, spec, data)
-
-    def test_integration_failure_maps_to_penalty(self, truth, seeded_initial, monkeypatch):
-        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
-        data = synthesize_data(truth, seeded_initial, days=30)
-        monkeypatch.setattr(simulate, "MAX_STEPS", 5)
-        starving = IntegratorConfig(t0=0.0, t_end=30.0, sample_per_day=1)
-        assert sse_objective([], spec, data, starving) == INTEGRATION_FAILURE_PENALTY
-
-
 class TestFit:
     def test_all_fixed_degenerates_to_evaluation(self, truth, seeded_initial):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
@@ -246,15 +189,36 @@ class TestFit:
         assert result.params == truth
         assert result.converged
 
-    def test_window_is_the_data_window(self, truth, seeded_initial):
+    @pytest.mark.parametrize("window", [(3.0, 5.0, 2), (0.0, 10.0, 1), (5.0, 35.0, 1)],
+                             ids=["inside", "shorter", "shifted"])
+    def test_window_is_the_data_window(self, truth, seeded_initial, window):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
         data = synthesize_data(truth, seeded_initial, days=25)
-        short = IntegratorConfig(t0=3.0, t_end=5.0, sample_per_day=2)
-        result = fit(spec, data, integrator=short)
+        t0, t_end, per_day = window
+        other = IntegratorConfig(t0=t0, t_end=t_end, sample_per_day=per_day)
+        result = fit(spec, data, integrator=other)
         assert (result.integrator.t0, result.integrator.t_end) == (0.0, 25.0)
         # a fit stores 1 sample/day, and its run is the one the data came from
         assert result.integrator.sample_per_day == 1
         assert result.objective == 0.0
+
+    @pytest.mark.parametrize("shift, objective", [(1.0, 30.0), (2.0, 120.0)],
+                             ids=["unit", "squared"])
+    def test_objective_is_the_sum_of_squared_residuals(self, truth, seeded_initial,
+                                                       shift, objective):
+        # residuals of 2 weigh 4 each: a sum of absolute residuals reads 60
+        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
+        clean = synthesize_data(truth, seeded_initial, days=30)
+        shifted = ObservedSeries(counts=clean.counts + shift)
+        assert fit(spec, shifted).objective == objective
+
+    def test_truth_beats_doubled_beta_on_noisy_data(self, truth, seeded_initial):
+        initial = {"S": truth.S0 - 1000.0, "E1": 1000.0}
+        data = synthesize_data(truth, seeded_initial, days=60,
+                               noise="lognormal", sigma=0.05, seed=7)
+        at_truth = fit(fixed_spec(truth, initial), data)
+        at_doubled = fit(fixed_spec(replace(truth, beta=2 * truth.beta), initial), data)
+        assert at_truth.objective < at_doubled.objective
 
     def test_synthetic_recovery_identifies_rc(self, truth, seeded_initial):
         data = synthesize_data(truth, seeded_initial, days=60,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,15 @@ import pytest
 import yaml
 
 import seiar
-from seiar import ObservedSeries, peak, rho_sweep
+from seiar import FitConfig, ObservedSeries, peak, rho_sweep
 from seiar.cli import main
-from seiar.config import load_config, parse_config
+from seiar.config import (
+    ForecastConfig,
+    ScenarioConfig,
+    StabilityConfig,
+    load_config,
+    parse_config,
+)
 from seiar.errors import ConfigError, DataError
 from seiar.io import read_case_series, write_case_series
 from seiar.presets import VARIANT_614G
@@ -189,6 +196,28 @@ class TestConfigParsing:
         f.write_text("parameters: {beta: 1" + "0" * 5000 + "}")
         with pytest.raises(ConfigError, match="YAML"):
             load_config(f)
+
+
+#: every numeric field of the settings records, as (record, field)
+SETTINGS_FIELDS = [
+    *((IntegratorConfig, name)
+      for name in ("t0", "t_end", "step", "rtol", "atol", "sample_per_day")),
+    *((FitConfig, name) for name in ("restarts", "max_evals", "diameter_tol", "jitter", "seed")),
+    (ScenarioConfig, "rho_values"), (ScenarioConfig, "horizon"),
+    *((StabilityConfig, name) for name in ("audit_seeds", "audit_horizon", "seed", "seed_scale")),
+    (ForecastConfig, "horizon"),
+]
+
+
+@pytest.mark.parametrize("record, name, value", [
+    pytest.param(record, name, value, id=f"{record.__name__}.{name}={value}")
+    for record, name in SETTINGS_FIELDS for value in (math.nan, math.inf, -math.inf)
+])
+def test_non_finite_setting_refused_naming_the_field(record, name, value):
+    # built directly, as a library caller does; the YAML reader refuses these first
+    value = (value,) if name == "rho_values" else value
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        record(**{name: value})
 
 
 class TestSimulateCommand:

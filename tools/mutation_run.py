@@ -84,6 +84,8 @@ MUTANTS = (
      "return run.model - data.counts"),
     ("residuals read from a perturbed copy", "calibrate",
      "np.ascontiguousarray(incidence[:, 0])", "np.ascontiguousarray(incidence[:, 1])"),
+    ("objective not squared", "calibrate", "float(np.sum((model - data.counts) ** 2))",
+     "float(np.sum(np.abs(model - data.counts)))"),
     ("restarts start at the guess", "calibrate", "x_start = np.clip(guess + offset, lo, hi)",
      "x_start = guess"),
     ("Jacobian left in parameter units", "calibrate",
