@@ -179,6 +179,33 @@ class TestObservedSeries:
         assert not series.counts.flags.writeable
 
 
+class TestSseObjective:
+    """The sum of squared residuals that fit reports as its objective."""
+
+    def test_zero_against_own_output(self, truth, seeded_initial):
+        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
+        data = synthesize_data(truth, seeded_initial, days=30)
+        result = fit(spec, data)
+        assert result.objective == 0.0
+        assert not result.residuals.any()
+
+    def test_objective_invariant_to_free_listing_order(self, truth, seeded_initial):
+        data = synthesize_data(truth, seeded_initial, days=20,
+                               noise="lognormal", sigma=0.1, seed=1)
+        entries = truth.as_dict()
+        entries["beta"] = FreeValue(1e-10, 1e-7, truth.beta)
+        entries["rho"] = FreeValue(0.0, 1.0, truth.rho)
+        initial = {"S": truth.S0 - 1000.0, "E1": 1000.0}
+        forward = ParameterSpec(params=dict(entries), initial=initial)
+        backward = ParameterSpec(params=dict(reversed(list(entries.items()))),
+                                 initial=initial)
+        config = FitConfig(restarts=2, max_evals=20, seed=1)
+        a, b = fit(forward, data, config), fit(backward, data, config)
+        assert a.objective == b.objective
+        assert np.array_equal(a.free_values, b.free_values)
+        assert np.array_equal(a.history, b.history)
+
+
 class TestFit:
     def test_all_fixed_degenerates_to_evaluation(self, truth, seeded_initial):
         spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
