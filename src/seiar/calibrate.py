@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FitError, IntegrationError
+from .errors import FitError, IntegrationError, require_integers
 from .model import (
     COMPARTMENTS,
     PARAMETER_NAMES,
@@ -182,7 +182,8 @@ class FitConfig:
     step moves the box-scaled point u by less than
     ``diameter_tol * (diameter_tol + |u|)``, or by scipy's default ``ftol``
     and ``gtol`` tests.  ``jitter`` is nonnegative.  Every setting is
-    finite.  The integrator settings are :func:`fit`'s own argument.
+    finite, and ``restarts``, ``max_evals`` and ``seed`` are integers.  The
+    integrator settings are :func:`fit`'s own argument.
     """
 
     restarts: int = 5
@@ -192,19 +193,20 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 1 <= self.restarts < math.inf:
-            raise ValueError(f"restarts must be at least 1 and finite, got {self.restarts!r}")
-        if not 1 <= self.max_evals < math.inf:
-            raise ValueError(f"max_evals must be positive and finite, got {self.max_evals!r}")
-        # below epsilon scipy silently drops the xtol test
+        require_integers(self, "restarts", "max_evals", "seed")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
+        if self.max_evals < 1:
+            raise ValueError(f"max_evals must be positive, got {self.max_evals!r}")
+        # each check of a float is written so that NaN fails it; below
+        # epsilon scipy silently drops the xtol test
         if not np.finfo(float).eps <= self.diameter_tol < math.inf:
             raise ValueError(f"diameter_tol must be at least machine epsilon and finite, "
                              f"got {self.diameter_tol!r}")
         if not 0.0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be nonnegative and finite, got {self.jitter!r}")
-        if not 0 <= self.seed < math.inf:
-            raise ValueError(f"seed must be nonnegative and finite, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -312,13 +314,14 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
     names = spec.free_names
     observed = np.log1p(data.counts)
 
-    def package(params, y0, model, n_evals, converged, history, free_values):
+    def package(run, n_evals, converged, history, free_values):
+        params, model = run.params, run.model
         log_residuals = np.log1p(model) - observed
         loss = float(log_residuals @ log_residuals)
         history = history or [loss]
         return FitResult(
             params=params,
-            initial=StateVector.from_array(y0),
+            initial=StateVector.from_array(run.initial),
             objective=float(np.sum((model - data.counts) ** 2)),
             loss=loss,
             residuals=model - data.counts,
@@ -334,17 +337,14 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
             integrator=integrator,
         )
 
+    lo, hi = spec.bounds()
     if not names:
-        params, y0 = spec.assemble([])
-        try:
-            model = daily_incidence(integrate(params, y0, integrator))
-        except IntegrationError as exc:
-            raise FitError(f"the fitted point does not integrate: {exc}") from exc
-        return package(params, y0, model, 1, True, None, np.array([]))
+        # a one-member ensemble, the fixed point alone (lo is empty)
+        run = _ensemble_run(lo, spec, integrator, lo, hi)
+        return package(run, 1, True, None, lo)
 
     from scipy.optimize import least_squares
 
-    lo, hi = spec.bounds()
     width = hi - lo
     guess = spec.guesses()
     rng = np.random.default_rng(cfg.seed)
@@ -409,8 +409,7 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         raise FitError(f"no restart's start point integrates; check bounds and data "
                        f"({failure})")
     result, history, run = best
-    return package(run.params, run.initial, run.model, result.nfev, result.status > 0,
-                   history, to_box(result.x))
+    return package(run, result.nfev, result.status > 0, history, to_box(result.x))
 
 
 def synthesize_data(params: ModelParameters, initial, days: int,

@@ -22,7 +22,7 @@ from typing import Any, Mapping
 import yaml
 
 from .calibrate import FitConfig, FreeValue, ParameterSpec
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .model import COMPARTMENTS, PARAMETER_NAMES, ModelParameters
 from .simulate import IntegratorConfig
 
@@ -50,16 +50,16 @@ class StabilityConfig:
     seed_scale: float = 2e-6
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 1 <= self.audit_seeds < math.inf:
-            raise ValueError(f"audit_seeds must be positive and finite, "
-                             f"got {self.audit_seeds!r}")
+        require_integers(self, "audit_seeds", "seed")
+        if self.audit_seeds < 1:
+            raise ValueError(f"audit_seeds must be positive, got {self.audit_seeds!r}")
+        # each check of a float is written so that NaN fails it
         for name in ("audit_horizon", "seed_scale"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)!r}")
-        if not 0 <= self.seed < math.inf:
-            raise ValueError(f"seed must be nonnegative and finite, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ class ForecastConfig:
     horizon: int = 120
 
     def __post_init__(self):
-        if not 1 <= self.horizon < math.inf:
-            raise ValueError(f"horizon must be at least 1 day and finite, got {self.horizon!r}")
+        require_integers(self, "horizon")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1 day, got {self.horizon!r}")
 
 
 _BLOCKS = {"integrator": IntegratorConfig, "fit": FitConfig,

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the
+settings records."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class IntegrationError(RuntimeError):
@@ -35,3 +38,12 @@ class DataError(ValueError):
 
 class FitError(RuntimeError):
     """Calibration could not produce a usable result."""
+
+
+def require_integers(record, *names: str) -> None:
+    """Raise ValueError naming the first of ``record``'s fields ``names``
+    that is not an integer: a float, even a whole one, and a bool are not."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")

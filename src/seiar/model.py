@@ -22,11 +22,12 @@ Dynamics (persons/day):
 
 This module holds the parameter and state containers, the table of grouped
 rates every closed form is built from (``ModelParameters.rates``), the vector
-field (``extended_field``: a constant rate matrix plus the one incidence
-term, for one parameter set or one per ensemble member), the Jacobian and
-the next-generation matrices
-read off that field rather than written out a second time, the control
-reproduction number R_c, and both equilibria (disease-free and endemic).
+field (``extended_field``: one product of a constant coefficient matrix, which
+holds the births, the flows and the incidence term, with the features
+(y, S*E2, S*I1, S*I2, S*A, 1), for one parameter set or one per ensemble
+member), the Jacobian and the next-generation matrices read off that field
+rather than written out a second time, the control reproduction number R_c,
+and both equilibria (disease-free and endemic).
 """
 
 from __future__ import annotations
@@ -201,11 +202,15 @@ def equilibrium_tolerance(params: ModelParameters) -> float:
     return 1e-8 * max(params.Lambda, 1.0)
 
 
-def _rate_matrix(p: ModelParameters) -> np.ndarray:
-    """The linear part M of :func:`extended_field`: 10x7, entry (i, j) is the
-    rate at which compartment j feeds component i of the field."""
+def _coefficient_matrix(p: ModelParameters) -> np.ndarray:
+    """The coefficients C of :func:`extended_field`, 10x12, entry (i, j) the
+    weight of feature j in component i of the field: first the linear part
+    M, the rate at which each compartment feeds each component, then the
+    columns of S*E2, S*I1, S*I2 and S*A, which carry the incidence out of S
+    and into E1 (S*I1 with weight 0: I1 is isolated), and that of the
+    constant 1, which carries the births into S."""
     r = p.rates
-    return np.array([
+    linear = np.array([
         # S     E1         E2        I1         I2         A          R
         [-p.mu, 0.0,       0.0,      0.0,       0.0,       0.0,       0.0],    # S
         [0.0,   -r.k_E1,   0.0,      0.0,       0.0,       0.0,       0.0],    # E1
@@ -218,6 +223,11 @@ def _rate_matrix(p: ModelParameters) -> np.ndarray:
         [0.0,   0.0,       r.in_I2,  0.0,       0.0,       0.0,       0.0],    # into I2
         [0.0,   p.epsilon, 0.0,      0.0,       0.0,       0.0,       0.0],    # into A
     ])
+    bw = p.beta * p.omega
+    incidence = np.zeros((10, 5))
+    incidence[0] = -p.beta, 0.0, -p.beta, -bw, p.Lambda
+    incidence[1, :4] = p.beta, 0.0, p.beta, bw
+    return np.hstack([linear, incidence])
 
 
 def extended_field(params: ModelParameters | Sequence[ModelParameters]
@@ -232,36 +242,62 @@ def extended_field(params: ModelParameters | Sequence[ModelParameters]
 
         f(y) = Lambda*e_S + M*y[:7] + beta*S*(E2 + I2 + omega*A)*(e_E1 - e_S),
 
-    with M the constant rate matrix of :func:`_rate_matrix`, filled once,
-    here, because f runs in the integrators' inner loop.  Only y[0:7] is
-    read, from a (7,) or (10,) state or one with a trailing axis of m
-    columns.  ``params`` is one set shared by every column, or a sequence of
-    m sets, one per column, whose matrices are stacked as (m, 10, 7).
+    with M the constant rate matrix.  f evaluates it as one product
+    f(y) = C*phi of the 10x12 coefficient matrix C of
+    :func:`_coefficient_matrix`, which holds M, filled once, here, because f
+    runs in the integrators' inner loop, and the features
+
+        phi = (S, E1, E2, I1, I2, A, R, S*E2, S*I1, S*I2, S*A, 1),
+
+    so each component is one sum of products taken in phi's order.  Only
+    y[0:7] is read, from a (7,) or (10,) state or one with a trailing axis
+    of m columns, float or complex.  ``params`` is one set shared by every
+    column, whose C multiplies all columns at once, or a sequence of m sets,
+    one per column, whose matrices are stacked as (m, 10, 12), each
+    multiplying its own column: that column's field is then the bytes of
+    its member's one-set field.
 
     ``out`` is an output buffer, not an option: a C-contiguous array of the
-    field's shape, (10,) or (10, m), and of ``y``'s dtype (complex for a
-    complex probe), that must not overlap ``y``.  f
+    field's shape, (10,) or (10, m), and of ``y``'s dtype promoted to at
+    least float (complex for a complex probe), that must not overlap ``y``.  f
     writes the field into it and returns it, the same values as f(y) returns
     in a new array; an integrator's stage buffer saves the allocation.
     """
-    if isinstance(params, ModelParameters):
-        linear = _rate_matrix(params).dot
-        L, beta, omega = params.Lambda, params.beta, params.omega
+    shared = isinstance(params, ModelParameters)
+    if shared:
+        coefficients = _coefficient_matrix(params)
     else:
-        members = list(params)
-        stacked = np.stack([_rate_matrix(p) for p in members])
+        coefficients = np.stack([_coefficient_matrix(p) for p in params])
 
-        def linear(y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-            return np.einsum("mij,jm->im", stacked, y, out=out)
-
-        L, beta, omega = (np.array([getattr(p, name) for p in members])
-                          for name in ("Lambda", "beta", "omega"))
+    # for each state shape and dtype f meets, phi and the views f uses, and
+    # C, in the field's dtype (at least float), so that a complex probe
+    # casts nothing: phi's constant row is set once, and S is read through a
+    # stride-0 view that repeats row 0 in the products' own shape, since a
+    # multiply of equal shapes costs less than one that broadcasts
+    features = {}
+    dot, matmul, multiply = np.dot, np.matmul, np.multiply
 
     def f(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        force = beta * y[0] * (y[2] + y[4] + omega * y[5])
-        out = linear(y[:7], out)
-        out[0] += L - force
-        out[1] += force
+        key = y.shape, y.dtype
+        views = features.get(key)
+        if views is None:
+            dtype = np.promote_types(y.dtype, float)
+            phi = np.empty((12,) + y.shape[1:], dtype)
+            phi[11] = 1.0
+            views = features[key] = (
+                phi[:7], np.broadcast_to(phi[:1], (4,) + y.shape[1:]), phi[2:6],
+                phi[7:11], coefficients.astype(dtype, copy=False),
+                phi if shared else phi.T[:, :, None])
+        linear, susceptible, infected, products, c, operand = views
+        linear[...] = y[:7]
+        multiply(susceptible, infected, products)
+        if out is None:
+            out = np.empty((10,) + y.shape[1:], c.dtype)
+        if shared:
+            return dot(c, operand, out)
+        # member j's column is c[j] @ phi[:, j]: the operand is phi's
+        # (m, 12, 1) transposed view, and out is written through its own
+        matmul(c, operand, out.T[:, :, None])
         return out
 
     return f
@@ -294,10 +330,13 @@ def jacobian(state, params: ModelParameters) -> np.ndarray:
     imaginary part of the field at the complex probe y + i*e_j, all seven
     probes in one call as the columns of one (7, 7) state (the complex step
     of Squire & Trapp 1998).  The result is exact, not an approximation:
-    the rate matrix maps the imaginary unit e_j to its own column j, and the
-    one quadratic term gives its partial derivatives by the same products
-    and sums as written out, with no truncation term whatever the step.  A
-    unit step needs no rescaling, and no product of small rates underflows.
+    the imaginary part of the features phi at the probe is their partial
+    derivative along e_j, e_j itself in the seven linear rows and one
+    product, S*e_j[k] + y[k]*e_j[0], in each of the four quadratic ones,
+    with no truncation term whatever the step.  Column j is then C times
+    that derivative, summed over phi's twelve rows in the product's own
+    order, the order the field's values are summed in.  A unit step needs
+    no rescaling, and no product of small rates underflows.
     """
     y = _finite_state(state)
     return extended_field(params)(y[:, None] + 1j * np.eye(7)).imag[:7]

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, require_integers
 from .model import ModelParameters, StateVector, extended_field, state_array
 
 #: undershoot tolerance band, relative to the initial total population
@@ -103,7 +103,7 @@ class IntegratorConfig:
     boundaries always land on stored samples.  The adaptive method's steps
     land only on whole days (and on ``t_end``), so ``sample_per_day`` sets
     the output only: the whole-day rows are the same bytes at any density.
-    Every number is finite.
+    Every number is finite, and ``sample_per_day`` an integer.
     """
 
     t0: float = 0.0
@@ -127,9 +127,9 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not 1 <= self.sample_per_day < math.inf:
-            raise ValueError(f"sample_per_day must be at least 1 and finite, "
-                             f"got {self.sample_per_day!r}")
+        require_integers(self, "sample_per_day")
+        if self.sample_per_day < 1:
+            raise ValueError(f"sample_per_day must be at least 1, got {self.sample_per_day!r}")
 
 
 @dataclass(frozen=True)

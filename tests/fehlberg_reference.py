@@ -1,7 +1,6 @@
 """The Fehlberg step loop as written before its numpy calls were cut down,
-and the model field as written before it took an output buffer, kept as the
-bit-for-bit reference of ``simulate._run_fehlberg`` and
-``model.extended_field``.
+and the model field as one allocating product, kept as the bit-for-bit
+reference of ``simulate._run_fehlberg`` and ``model.extended_field``.
 
 Both compute every value with plain array expressions that allocate their
 results.  This loop lands a step on every stored sample.  The rewritten loop,
@@ -17,31 +16,26 @@ import numpy as np
 
 from seiar import simulate
 from seiar.errors import IntegrationError
-from seiar.model import ModelParameters, _rate_matrix
+from seiar.model import ModelParameters, _coefficient_matrix
 from seiar.simulate import _A_ROWS, _B5, _ERR
 
 
 def reference_field(params):
-    """``model.extended_field`` as written before it took ``out``: f(y) only."""
+    """``model.extended_field`` as one allocating product C*phi: f(y) only."""
     if isinstance(params, ModelParameters):
-        linear = _rate_matrix(params).__matmul__
-        L, beta, omega = params.Lambda, params.beta, params.omega
+        coefficients = _coefficient_matrix(params)
+
+        def product(phi: np.ndarray) -> np.ndarray:
+            return coefficients @ phi
     else:
-        members = list(params)
-        stacked = np.stack([_rate_matrix(p) for p in members])
+        stacked = np.stack([_coefficient_matrix(p) for p in params])
 
-        def linear(y: np.ndarray) -> np.ndarray:
-            return np.einsum("mij,jm->im", stacked, y)
-
-        L, beta, omega = (np.array([getattr(p, name) for p in members])
-                          for name in ("Lambda", "beta", "omega"))
+        def product(phi: np.ndarray) -> np.ndarray:
+            return (stacked @ phi.T[:, :, None])[:, :, 0].T
 
     def f(y: np.ndarray) -> np.ndarray:
-        force = beta * y[0] * (y[2] + y[4] + omega * y[5])
-        out = linear(y[:7])
-        out[0] += L - force
-        out[1] += force
-        return out
+        ones = np.ones((1,) + y.shape[1:])
+        return product(np.concatenate([y[:7], y[0] * y[2:6], ones]))
 
     return f
 

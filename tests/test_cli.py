@@ -220,6 +220,23 @@ def test_non_finite_setting_refused_naming_the_field(record, name, value):
         record(**{name: value})
 
 
+#: the settings fields that count something, and so take only integers
+INTEGER_FIELDS = [(IntegratorConfig, "sample_per_day"),
+                  *((FitConfig, name) for name in ("restarts", "max_evals", "seed")),
+                  (StabilityConfig, "audit_seeds"), (StabilityConfig, "seed"),
+                  (ForecastConfig, "horizon")]
+
+
+@pytest.mark.parametrize("record, name, value", [
+    pytest.param(record, name, value, id=f"{record.__name__}.{name}={value}")
+    for record, name in INTEGER_FIELDS for value in (2.5, 3.0, True)
+])
+def test_non_integer_count_refused_naming_the_field(record, name, value):
+    # built directly, as a library caller does; the YAML reader refuses these first
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        record(**{name: value})
+
+
 class TestSimulateCommand:
     def test_writes_trajectory_and_incidence(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.yaml", base_config())

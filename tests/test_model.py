@@ -170,9 +170,17 @@ class TestRateTable:
             for k, p in enumerate(members):
                 assert_field_matches_equations(batch[:, k], p, ys[:, k])
                 single = extended_field(p)(ys[:, k])
-                for value, alone, terms in zip(batch[:, k], single,
-                                               docstring_terms(p, ys[:, k])):
-                    assert abs(value - alone) <= few_ulps(terms)
+                assert batch[:, k].tobytes() == single.tobytes()
+
+    def test_integer_state_reads_as_float(self, rng):
+        # the field's buffers take at least float, so integer counts are not
+        # truncated on their way into the product
+        p, members = draw_params(rng), [draw_params(rng) for _ in range(3)]
+        whole = rng.integers(0, 10**6, size=(10, 3))
+        for params, y in ((p, whole[:, 0]), (p, whole), (members, whole)):
+            value = extended_field(params)(y)
+            assert value.dtype == float
+            assert value.tobytes() == extended_field(params)(y.astype(float)).tobytes()
 
     def test_field_writes_the_reference_bytes_into_out(self, rng):
         # f(y, out) returns out itself, holding the bytes of f(y) and of the
@@ -235,8 +243,9 @@ class TestNextGenerationMatrices:
     def test_structure(self, variant):
         _, p = variant
         F, V = next_generation_matrices(p)
+        # in the field's product order: each coefficient of C times S0
         bS0 = p.beta * p.S0
-        assert np.array_equal(F[0], [0.0, bS0, 0.0, bS0, p.omega * bS0])
+        assert np.array_equal(F[0], [0.0, bS0, 0.0, bS0, (p.beta * p.omega) * p.S0])
         assert np.all(F[1:] == 0.0)
         assert np.all(np.triu(V, k=1) == 0.0)
         diag = [p.sigma + p.epsilon + p.mu, p.alpha + p.mu,

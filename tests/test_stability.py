@@ -405,7 +405,7 @@ class TestAuditStop:
     def test_resumes_from_a_chunk_end_below_zero(self, params_614g, chunks):
         # with fast exits from E2 and A, a chunk ends with a compartment just
         # below zero, inside the integrator's band, and the next starts there
-        p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=10.0), 0.8)
+        p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=20.0), 0.8)
         audits = global_stability_certificate(p, n_seeds=3, horizon=300.0)
         assert min(low for _, low in chunks) < 0.0
         assert all(a.passed for a in audits)

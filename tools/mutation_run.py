@@ -35,9 +35,11 @@ MUTANTS = (
     ("k_A without mu", "model", "k_A = p.gamma3 + p.mu", "k_A = p.gamma3"),
     ("bracket drops omega", "model", "+ p.epsilon * p.omega / k_A)", "+ p.epsilon / k_A)"),
     ("in_I1 drops rho", "model", "in_I1=p.rho * p.alpha", "in_I1=p.alpha"),
-    ("force drops omega", "model", "(y[2] + y[4] + omega * y[5])", "(y[2] + y[4] + y[5])"),
-    ("half the incidence enters E1", "model", "out[1] += force", "out[1] += 0.5 * force"),
-    ("field ignores out", "model", "out = linear(y[:7], out)", "out = linear(y[:7], None)"),
+    ("force drops omega", "model", "bw = p.beta * p.omega", "bw = p.beta"),
+    ("half the incidence enters E1", "model", "incidence[1, :4] = p.beta, 0.0, p.beta, bw",
+     "incidence[1, :4] = 0.5 * p.beta, 0.0, 0.5 * p.beta, 0.5 * bw"),
+    ("births dropped", "model", "-bw, p.Lambda", "-bw, 0.0"),
+    ("field ignores out", "model", "if out is None:", "if True:"),
     ("R recovers I2 at gamma1", "model", "p.gamma1,  p.gamma2,  p.gamma3,  -p.mu",
      "p.gamma1,  p.gamma1,  p.gamma3,  -p.mu"),
     ("S0 = Lambda*mu", "model", "return self.Lambda / self.mu", "return self.Lambda * self.mu"),
