@@ -9,6 +9,16 @@ are rejected everywhere — a silently ignored typo in a rate name is the
 dominant user error this layer exists to prevent.  Numeric fields reject
 booleans, strings and non-finite values.  Integration windows are not set
 here: each library call derives its own from the ``integrator`` block.
+
+The YAML is parsed by libyaml's scanner and parser (PyYAML's
+``CSafeLoader``) where PyYAML was built with it, several times faster, and
+by the pure-Python ``SafeLoader`` where not.  Both build values with the
+same ``SafeConstructor`` and resolver, so a plain or quoted scalar
+resolves to the same value under either.  Two kinds of document read
+differently: libyaml accepts a tab as separating space (after a key's colon,
+in a flow collection, at a line's end), where the pure-Python scanner
+refuses the file, and it reads an empty node tagged with the bare ``!`` as
+``''`` where the other reads ``None``.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from .calibrate import FitConfig, FreeValue, ParameterSpec
 from .errors import ConfigError, require_integers
 from .model import COMPARTMENTS, PARAMETER_NAMES, ModelParameters
 from .simulate import IntegratorConfig
+
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -212,7 +224,7 @@ def load_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return parse_config(raw)

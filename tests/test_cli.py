@@ -1,11 +1,14 @@
 """Config parsing, case-series schema enforcement, CLI subcommands end to end."""
 
 import csv
+import dataclasses
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import yaml
 
 import seiar
 from seiar import FitConfig, ObservedSeries, peak, rho_sweep
+from seiar import config as config_module
 from seiar.cli import main
 from seiar.config import (
     ForecastConfig,
@@ -23,7 +27,7 @@ from seiar.config import (
     parse_config,
 )
 from seiar.errors import ConfigError, DataError
-from seiar.io import read_case_series, write_case_series
+from seiar.io import read_case_series, write_case_series, write_csv
 from seiar.presets import VARIANT_614G
 from seiar.simulate import IntegratorConfig
 
@@ -103,6 +107,47 @@ class TestCaseSeriesIO:
         f.write_text("date,new_confirmed\n2020-01-01," + "9" * 200_000 + "\n")
         with pytest.raises(DataError, match="malformed CSV"):
             read_case_series(f)
+
+
+def retired_cell(value) -> str:
+    """A CSV cell as the writer formatted it one cell at a time."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+#: (name, value) cells of a table whose value column changes type from row
+#: to row, as stability.csv's does
+CELLS = [
+    ("float", 0.1), ("np.float64", np.float64(2.0 / 3.0)), ("np.float32", np.float32(0.1)),
+    ("int", 3), ("np.int64", np.int64(-7)), ("int beyond 2**64", 2**70 + 1),
+    ("bool", True), ("bool", False), ("np.bool_", np.bool_(True)), ("np.bool_", np.bool_(False)),
+    ("str", "stable"), ("Fraction", Fraction(1, 3)),
+    ("+inf", math.inf), ("-inf", -math.inf), ("nan", math.nan), ("-0.0", -0.0),
+    ("5e-324", 5e-324), ("1e300", 1e300),
+    ("R_c", 1.25), ("dfe_verdict", "unstable"), ("positive_root_exists", 0),
+    ("lyapunov_audit", "skipped (R_c >= 1)"), ("S0", np.float64(1e7)),
+]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("container", [list, lambda rows: (row for row in rows)],
+                             ids=["list", "generator"])
+    def test_writes_the_retired_cell_rule_bytes(self, tmp_path, container):
+        rows = [(name, value, row) for row, (name, value) in enumerate(CELLS)]
+        expected = "name,value,row\n" + "".join(
+            ",".join(map(retired_cell, row)) + "\n" for row in rows)
+        target = tmp_path / "table.csv"
+        write_csv(target, ("name", "value", "row"), container(rows))
+        assert target.read_bytes() == expected.encode()
+
+    def test_refused_cell_leaves_no_file(self, tmp_path):
+        target = tmp_path / "table.csv"
+        with pytest.raises(TypeError):
+            write_csv(target, ("name", "value"), [("ok", 1.0), ("bad", None)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigParsing:
@@ -196,6 +241,64 @@ class TestConfigParsing:
         f.write_text("parameters: {beta: 1" + "0" * 5000 + "}")
         with pytest.raises(ConfigError, match="YAML"):
             load_config(f)
+
+
+def configs_the_tests_write() -> dict:
+    """Every config shape the suite writes: the CLI tests' base config, with
+    beta free, the acceptance pipeline's, a stability run's, and the
+    property tests' config that sets every block."""
+    free = base_config(fit={"restarts": 1, "max_evals": 120, "seed": 0})
+    free["parameters"]["beta"] = {
+        "free": {"lo": P.beta / 4, "hi": P.beta * 4, "guess": P.beta * 1.5}}
+    return {
+        "base": base_config(),
+        "beta free": free,
+        "pipeline": {"parameters": P.as_dict(), "initial": {"E1": 100.0},
+                     "integrator": {"t0": 0.0, "t_end": 100.0, "sample_per_day": 1},
+                     "forecast": {"horizon": 60}},
+        "stability": {"parameters": P.with_updates(rho=0.95).as_dict(),
+                      "initial": {"E1": 100.0},
+                      "stability": {"audit_seeds": 3, "audit_horizon": 500.0, "seed": 1,
+                                    "seed_scale": 1e-6}},
+        "every block": base_config(
+            integrator={"t0": 0.0, "t_end": 40.0, "method": "rk4", "step": 0.5,
+                        "rtol": 1e-6, "atol": None, "sample_per_day": 2},
+            fit={"restarts": 2, "max_evals": 100, "diameter_tol": 1e-8, "jitter": 0.1,
+                 "seed": 3},
+            scenario={"rho_values": [0.2, 0.8], "horizon": 60.0},
+            forecast={"horizon": 30}),
+    }
+
+
+class TestYamlLoader:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+    def test_libyaml_parses_where_pyyaml_has_it(self):
+        assert config_module._YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("flow", [False, True], ids=["block", "flow"])
+    @pytest.mark.parametrize("name", sorted(configs_the_tests_write()))
+    def test_same_config_under_the_pure_python_loader(self, tmp_path, monkeypatch, name,
+                                                      flow):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(configs_the_tests_write()[name],
+                                       default_flow_style=flow), encoding="utf-8")
+        loaded = load_config(path)
+        monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(path) == loaded
+
+    def test_falls_back_to_the_pure_python_loader_without_libyaml(self, tmp_path,
+                                                                   monkeypatch):
+        # a fresh copy of the module, imported as if PyYAML had no libyaml
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        name = "seiar._config_without_libyaml"
+        spec = importlib.util.spec_from_file_location(name, config_module.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        assert module._YAML_LOADER is yaml.SafeLoader
+        path = write_config(tmp_path / "run.yaml", configs_the_tests_write()["every block"])
+        assert dataclasses.asdict(module.load_config(path)) == \
+            dataclasses.asdict(load_config(path))
 
 
 #: every numeric field of the settings records, as (record, field)

@@ -25,7 +25,7 @@ from seiar import (
 from seiar import stability
 from seiar.model import COMPARTMENTS, extended_field, jacobian
 from seiar.presets import VARIANTS
-from seiar.simulate import IntegratorConfig, integrate
+from seiar.simulate import NEGATIVITY_BAND, IntegratorConfig, integrate
 
 
 def outflows(p):
@@ -408,6 +408,19 @@ class TestAuditStop:
         p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=20.0), 0.8)
         audits = global_stability_certificate(p, n_seeds=3, horizon=300.0)
         assert min(low for _, low in chunks) < 0.0
+        assert all(a.passed for a in audits)
+
+    def test_starts_from_a_compartment_inside_the_band(self, params_614g, chunks):
+        # the start the test above reaches by rounding, placed directly: one
+        # of E2, I1, I2 and A half the negativity band below zero in each run
+        p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=20.0), 0.8)
+        initials = []
+        for k in range(2, 6):
+            y0 = np.array([p.S0, 1e4, 0.0, 0.0, 0.0, 0.0, 0.0])
+            y0[k] = -0.5 * NEGATIVITY_BAND * y0.sum()
+            initials.append(y0)
+        audits = lyapunov_audit(p, initials, horizon=300.0)
+        assert chunks[0][1] == initials[0][2] < 0.0
         assert all(a.passed for a in audits)
 
     @pytest.mark.parametrize("variant_name, rho", [("Omicron", 0.8), ("614G", 0.95)])

@@ -4,7 +4,7 @@
     python tools/mutation_run.py exponent   # only mutants whose name contains "exponent"
 
 Each mutant replaces one fragment of one line in ``src/seiar/{model,stability,
-simulate,calibrate}.py`` with a wrong one; the fragment must occur exactly
+simulate,calibrate,io}.py`` with a wrong one; the fragment must occur exactly
 once in its module.  For each mutant the checkout's ``src``, ``tests`` and
 ``demos`` and its ``pyproject.toml`` are copied to a fresh temporary
 directory, the substitution is made there, and ``pytest -x`` runs the tier-1
@@ -96,6 +96,9 @@ MUTANTS = (
      "columns[:, 1:] / taken"),
     ("Jacobian steps out of the box", "calibrate",
      "np.where(free_values + steps <= hi, steps, -steps)", "steps"),
+    ("CSV loses a digit", "io", 'return "%.17g"', 'return "%.16g"'),
+    ("bool written as True", "io", "if issubclass(kind, str):",
+     "if issubclass(kind, (str, bool, np.bool_)):"),
 )
 
 
