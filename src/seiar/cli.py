@@ -10,6 +10,7 @@ fault and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,9 +48,8 @@ def cmd_simulate(config: RunConfig, args) -> None:
     except ValueError as exc:  # a window under one whole day
         raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
-    # rows of Python floats and ints format much faster than numpy scalars
     write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
-              np.column_stack((traj.times, traj.states, traj.cumulative_inflows)).tolist())
+              np.column_stack((traj.times, traj.states, traj.cumulative_inflows)))
     write_csv(out / "incidence.csv", ("day", "new_confirmed"),
               enumerate(incidence.tolist()))
 
@@ -178,6 +178,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seiar",

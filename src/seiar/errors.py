@@ -10,8 +10,9 @@ class IntegrationError(RuntimeError):
     """Numerical integration failed; ``t`` is the time of failure.
 
     ``member`` is the index of the ensemble column whose own state failed
-    (turned non-finite or left the nonnegativity band), or None when the
-    failure is shared by every member (step budget, step underflow).
+    (turned non-finite or left the nonnegativity band, also when the step
+    underflowed on the band), or None when the failure is shared by every
+    member (step budget, a step underflow on the error test).
     ``args[0]`` is the message alone; ``str`` appends the time.
     """
 

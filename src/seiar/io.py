@@ -6,7 +6,9 @@ a failing command never leaves a partial file behind.  A CSV row is written
 as one %-template applied to the row's cells, one template per row type
 signature (the tuple of its cells' types): ``%.17g`` for a float or any
 other number, ``%d`` for an integer or a boolean (numpy's too), ``%s`` for a
-string.
+string.  A 2-D float array is one block of float rows: its signature is
+read once, from its shape, and every row takes that template, applied to
+``_BLOCK_ROWS`` rows at a time as one %-operation.
 """
 
 from __future__ import annotations
@@ -65,10 +67,30 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+#: rows of a float block formatted by one %-operation
+_BLOCK_ROWS = 64
+
+
+def _block_lines(block: np.ndarray):
+    """The lines of a 2-D float array, ``_BLOCK_ROWS`` rows to a string: the
+    row template repeated once per row, applied to the rows' floats."""
+    template = _template((float,) * block.shape[1])
+    for first in range(0, len(block), _BLOCK_ROWS):
+        chunk = block[first:first + _BLOCK_ROWS]
+        yield (template * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] | np.ndarray) -> None:
+    """Write ``header`` and ``rows`` to ``path``: an iterable of rows, or a
+    2-D float array, whose rows all take the one template of floats."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        lines = _block_lines(rows)
+    else:
+        lines = map(_line, rows)
+
     def writer(fh):
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(_line, rows))
+        fh.writelines(lines)
 
     _atomic_write(Path(path), writer)
 

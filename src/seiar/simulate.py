@@ -14,11 +14,16 @@ for convergence checks.  The Fehlberg stepper lands a step only on whole days
 and on the window's end, and fills the samples inside a day by quintic
 Hermite interpolation on y, f and y'' = J*f at the step's two ends, so its
 whole-day rows are those of a run at one sample a day, at any density; RK4
-steps onto every sample.  Neither clips a compartment that undershoots below
--1e-9 * N(0), since clipping would silently break the population balance.
-The Fehlberg stepper rejects such a step, or one whose interpolated samples
-undershoot, and retries it at half the length, failing only when the step
-underflows; RK4, whose step is fixed, aborts.
+steps onto every sample.  The interpolation pays per step only for its
+arithmetic: f and y'' at a step's end become the next step's start data in
+place, and a step that starts on a sample takes weights computed once per
+run for its sample count and length.  Neither stepper clips a compartment
+that undershoots below -1e-9 * N(0), since clipping would silently break the
+population balance.  The Fehlberg stepper rejects such a step, or one whose
+interpolated samples undershoot, and retries it at half the length, failing
+only when the step underflows, with an error that names the member and the
+compartment the last such rejection found below the band; RK4, whose step
+is fixed, aborts.
 An initial state may undershoot by as much, so a run can resume from a
 state it stored.
 Both abort on a non-finite state.  Both step a component-major state of shape
@@ -39,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError, require_integers
-from .model import ModelParameters, StateVector, extended_field, state_array
+from .model import COMPARTMENTS, ModelParameters, StateVector, extended_field, state_array
 
 #: undershoot tolerance band, relative to the initial total population
 NEGATIVITY_BAND = 1e-9
@@ -88,8 +93,11 @@ _HERMITE = (
 # increment form, y_start + (y_end - y_start) * [p(1) function] + ...: the
 # p(0) row gives way to the constant 1, and y_end to the increment.  A state
 # that does not move (f = y'' = 0, y_end = y_start) then stays exactly put
-# at every sample, in whatever order the product sums.
+# at every sample, in whatever order the product sums.  The step loop keeps
+# f and y'' of the two ends in two slots that trade roles from step to step,
+# so it takes these columns in either order: start's data first, or end's.
 _HERMITE_WEIGHTS = np.array(((1, 0, 0, 0, 0, 0),) + _HERMITE[1:], dtype=float).T
+_SLOT_WEIGHTS = (_HERMITE_WEIGHTS, _HERMITE_WEIGHTS[:, (0, 4, 5, 3, 1, 2)])
 _POWERS = np.arange(6)
 
 
@@ -333,7 +341,10 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     # step; ``y`` starts as the caller's initial state and is overwritten.
     # The field writes each stage straight into its row of ``k`` through its
     # ``out`` buffer.  ``out[next_out] = y`` copies, so a stored row keeps
-    # its values when its buffer is reused.
+    # its values when its buffer is reused.  Only the samples inside a step
+    # may differ from the formula written out afresh, in their last bits:
+    # their weights' columns follow the slots' order, and a step that starts
+    # on a sample reads theta off the sample indices.
     grid = out_times.tolist()
     last = len(grid) - 1
     t = grid[0]
@@ -365,14 +376,31 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     above_floor, below_ceiling = ok
     admissible = b"\x01" * ok.size
     # the Hermite data of a step in increment form (see ``_HERMITE_WEIGHTS``),
-    # y, f and y'' at its start, y_end - y_start, then f and y'' at its end,
-    # flat like ``k``.  ``f_fresh``: k0 already holds f(y);
-    # ``ypp_fresh``: ``ypp_start`` holds y'' at y
+    # flat like ``k``: y at its start in row 0, y_end - y_start in row 3,
+    # and f and y'' of its two ends in two slots, rows 1-2 and 4-5.  When a
+    # step with samples inside is accepted, its end's slot becomes the next
+    # step's start, so only f(y_end) is copied, into k0.  ``start`` is the
+    # start's slot, and ``_SLOT_WEIGHTS[start]`` orders the weights' columns
+    # to match.  ``f_fresh``: k0 already holds f(y); ``start_fresh``: the
+    # start's slot holds f and y'' at y
     ends = np.empty((6,) + y.shape)
     ends_flat = ends.reshape(6, -1)
-    y_start, f_start, ypp_start, increment, f_end, ypp_end = ends
+    y_start, increment = ends[0], ends[3]
+    slots = ((ends[1], ends[2]), (ends[4], ends[5]))
+    start = 0
     probe, probe_f = np.empty(y.shape, complex), np.empty(y.shape, complex)
-    f_fresh = ypp_fresh = False
+    f_fresh = start_fresh = False
+    # a step that starts on stored sample i0 takes its samples at theta =
+    # (i - i0) / (per_day * h), so its weights depend only on the number of
+    # samples inside, h and the slots' order: each is computed once per run
+    weight_cache = {}
+    # the samples inside a step, fewer than per_day as steps span at most a
+    # day, are admitted like its end, by one byte compare
+    sample_ok = np.empty((per_day - 1, 2) + y.shape, dtype=bool)
+    samples_admissible = b"\x01" * sample_ok.size
+    # (t, the deepest undershoot) of the last step refused for the band,
+    # which names the cause when the step underflows at that t
+    refusal = None
     # RMS over the 10 components of each member; the worst member decides,
     # and one run's sum of squares is already a scalar
     worst = np.maximum.reduce if y.ndim > 1 else float
@@ -414,34 +442,44 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
                 if inside > filled:
                     # fill the samples inside the step, which must pass the
                     # endpoint's rule: out[filled:inside] = W @ ends, W the
-                    # Hermite weights at theta = (t_i - t) / h, the rows of
-                    # f and y'' scaled by h and h*h
-                    if not ypp_fresh:
+                    # Hermite weights at theta = (t_i - t) / h
+                    f_start, ypp_start = slots[start]
+                    f_end, ypp_end = slots[1 - start]
+                    if not start_fresh:
+                        copyto(f_start, k0)
                         _second_derivative(f, y, k0, probe, probe_f, ypp_start)
-                        ypp_fresh = True
+                        start_fresh = True
                     copyto(y_start, y)
-                    copyto(f_start, k0)
                     subtract(y5, y, increment)
                     _second_derivative(f, y5, f(y5, f_end), probe, probe_f, ypp_end)
-                    theta = out_times[filled:inside] - t
-                    theta /= h
-                    weights = dot(theta[:, None] ** _POWERS, _HERMITE_WEIGHTS)
-                    weights *= (1.0, h, h * h, 1.0, h, h * h)
+                    n = inside - filled
+                    if t == grid[filled - 1]:
+                        key = n, h, start
+                        weights = weight_cache.get(key)
+                        if weights is None:
+                            weights = weight_cache[key] = _hermite_weights(
+                                np.arange(1, n + 1) / (per_day * h), h, start)
+                    else:
+                        theta = out_times[filled:inside] - t
+                        theta /= h
+                        weights = _hermite_weights(theta, h, start)
                     block = out[filled:inside]
-                    dot(weights, ends_flat, block.reshape(len(block), -1))
-                    admitted = (floor <= block).all() and (block <= ceiling).all()
+                    dot(weights, ends_flat, block.reshape(n, -1))
+                    checks = sample_ok[:n]
+                    less_equal(floor, block, checks[:, 0])
+                    less_equal(block, ceiling, checks[:, 1])
+                    admitted = checks.tobytes() == samples_admissible[:checks.nbytes]
                     if admitted:
-                        # f and y'' at the step's end serve the next step
+                        # the end's f serves the next step, and its slot
+                        # becomes the start's
                         copyto(k0, f_end)
-                        copyto(ypp_start, ypp_end)
+                        start = 1 - start
                         f_fresh = True
                         filled = inside
-                    else:
-                        _refuse_non_finite(block, grid[filled:inside])
             if admitted:
                 t = t + h
                 y, y5, ay, ay5 = y5, y, ay5, ay
-                ypp_fresh = f_fresh
+                start_fresh = f_fresh
                 if abs(t - grid[next_out]) <= 1e-12 * max(1.0, abs(t)):
                     out[next_out] = y
                     t = grid[next_out]
@@ -450,11 +488,16 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
                     if next_out > last:
                         next_out = last
             else:
-                # the error test passed, but the step's end is not finite,
-                # which fails the run, or a compartment fell below its band,
-                # at the step's end or inside it: reject the step and retry
-                # it at half the length
-                _refuse_non_finite(y5[None], (t + h,))
+                # the error test passed, but a state the step reached is
+                # not finite, which fails the run, or a compartment fell
+                # below its band, at the step's end or inside it: reject the
+                # step and retry it at half the length
+                if ok.tobytes() == admissible:  # the end passed; a sample inside did not
+                    reached, times = out[filled:inside], grid[filled:inside]
+                else:
+                    reached, times = y5[None], (t + h,)
+                _refuse_non_finite(reached, times)
+                refusal = t, _deepest_undershoot(reached, band)
                 factor = 0.5
                 f_fresh = True  # y is unchanged, and k0 still holds f(y)
         else:
@@ -465,10 +508,43 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
         if not clamped or candidate < h_prop:
             h_prop = candidate
         if h_prop < hmin:
-            raise IntegrationError("step size underflow after repeated rejections", t)
+            raise _underflow(t, refusal)
         taken += 1
         if taken > MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
+
+
+def _hermite_weights(theta: np.ndarray, h: float, start: int) -> np.ndarray:
+    """The (n, 6) weights of a step of length ``h`` at the fractions
+    ``theta`` of it, in the column order of slot ``start`` (see
+    ``_SLOT_WEIGHTS``), the columns of f and y'' scaled by h and h*h."""
+    weights = np.dot(theta[:, None] ** _POWERS, _SLOT_WEIGHTS[start])
+    weights *= (1.0, h, h * h, 1.0, h, h * h)
+    return weights
+
+
+def _deepest_undershoot(states: np.ndarray, band) -> tuple[int, str, float, float]:
+    """(member, compartment, value, band) of the compartment deepest below
+    its member's band in ``states``, (n, 10) or (n, 10, m); member 0 for one
+    run."""
+    margin = states[:, :7] + band
+    index = np.unravel_index(np.argmin(margin), margin.shape)
+    member = int(index[2]) if states.ndim == 3 else 0
+    return (member, COMPARTMENTS[index[1]], float(states[:, :7][index]),
+            float(np.ravel(band)[member]))
+
+
+def _underflow(t: float, refusal) -> IntegrationError:
+    """The step underflow at ``t``, naming the compartment, member and depth
+    of the last step refused at ``t`` for the band, if one was."""
+    message = "step size underflow after repeated rejections"
+    if refusal is None or refusal[0] != t:
+        return IntegrationError(message, t)
+    member, name, value, band = refusal[1]
+    return IntegrationError(
+        f"{message}: the last step refused for the nonnegativity band took {name} "
+        f"of member {member} to {value:.6e}, {-band - value:.3e} below the band at "
+        f"{-band:.6e}", t, member)
 
 
 def _second_derivative(f, y, fy, probe, probe_f, into):

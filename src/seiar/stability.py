@@ -131,13 +131,13 @@ def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertif
     positive; the root inside is then refined by a standard bracketing
     root finder.
     """
-    # imported here, as least_squares is in calibrate.fit: scipy.optimize is
-    # most of the package's import time, and only this certificate and the fit
-    # use it
-    from scipy.optimize import brentq
-
     if not coeffs.a4 < 0.0:
         return PositiveRootCertificate(exists=False)
+    # imported here, as least_squares is in calibrate.fit: scipy.optimize is
+    # most of the package's import time, and only a certificate with a root
+    # to refine and the fit use it
+    from scipy.optimize import brentq
+
     hi = max(1.0, coeffs.a1)
     while quartic_value(coeffs, hi) <= 0.0:
         hi *= 2.0
@@ -168,12 +168,22 @@ def lyapunov_values(states, params: ModelParameters) -> np.ndarray:
 
     Raises ValueError if any state has S <= 0.
     """
+    return _lyapunov_values(states, params, _infected_weights(params))
+
+
+def _infected_weights(params: ModelParameters) -> np.ndarray:
+    """V's weights on (E1, E2, I1, I2, A): w^T = f^T T^-1 (see
+    :func:`lyapunov_values`)."""
+    F, V = next_generation_matrices(params)
+    return np.linalg.solve(V.T, F[0])
+
+
+def _lyapunov_values(states, params: ModelParameters, weights: np.ndarray) -> np.ndarray:
+    """:func:`lyapunov_values` with the infected weights given."""
     states = np.asarray(states, dtype=float)
     S = states[..., 0]
     if not np.all(S > 0):
         raise ValueError(f"lyapunov_value requires S > 0, got {float(np.min(S))!r}")
-    F, V = next_generation_matrices(params)
-    weights = np.linalg.solve(V.T, F[0])
     S0 = params.S0
     return S0 * entropy_h(S / S0) + states[..., 1:6] @ weights
 
@@ -260,6 +270,7 @@ def lyapunov_audit(params: ModelParameters, initials,
     _output_grid(config)  # the step-budget check, on the whole horizon's samples
     y = np.stack([state_array(s) for s in initials])
     n0 = np.maximum(y.sum(axis=1), 1.0)
+    weights = _infected_weights(params)
     rise = np.zeros(len(y))
     v_scale = np.ones(len(y))
     t = 0.0
@@ -269,7 +280,7 @@ def lyapunov_audit(params: ModelParameters, initials,
         # (n, m, 7): a chunk starts on the last state of the one before, so
         # the V steps between chunks are judged too
         states = np.moveaxis(traj.states, 2, 1)
-        v = lyapunov_values(states, params)
+        v = _lyapunov_values(states, params, weights)
         rise = np.maximum(rise, np.diff(v, axis=0).max(axis=0))
         v_scale = np.maximum(v_scale, np.abs(v).max(axis=0))
         y, t = states[-1], t_end

@@ -143,6 +143,24 @@ class TestWriteCsv:
         write_csv(target, ("name", "value", "row"), container(rows))
         assert target.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("rows", [
+        [[-0.0, math.nan, math.inf, -math.inf], [5e-324, 1e300, 3.0, -2.0],
+         [0.1, 2.0 / 3.0, 1e-300, 0.0]],
+        [[1.0], [-0.0], [math.nan]],
+        np.zeros((0, 3)).tolist(),
+    ], ids=["specials", "one-column", "no-rows"])
+    def test_float_block_writes_its_rows_bytes(self, tmp_path, rows):
+        # a 2-D float array is written as its rows given as lists of floats
+        header = tuple(f"c{j}" for j in range(len(rows[0]) if rows else 3))
+        block = np.array(rows, dtype=float).reshape(len(rows), len(header))
+        as_block, as_rows = tmp_path / "block.csv", tmp_path / "rows.csv"
+        write_csv(as_block, header, block)
+        write_csv(as_rows, header, rows)
+        assert as_block.read_bytes() == as_rows.read_bytes()
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(map(retired_cell, row)) + "\n" for row in rows)
+        assert as_block.read_bytes() == expected.encode()
+
     def test_refused_cell_leaves_no_file(self, tmp_path):
         target = tmp_path / "table.csv"
         with pytest.raises(TypeError):
@@ -766,6 +784,26 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "False"
+
+    @pytest.mark.parametrize("beta_scale, loaded", [(0.45, False), (1.0, True)])
+    def test_subcritical_stability_leaves_scipy_optimize_unloaded(
+            self, tmp_path, beta_scale, loaded):
+        # below R_c = 1 the quartic has no positive root to refine, so
+        # brentq is never imported; above it, it is
+        cfg = base_config()
+        cfg["parameters"]["beta"] = P.beta * beta_scale  # R_c ~ 0.75 or 1.66
+        cfg["stability"] = {"audit_seeds": 3, "audit_horizon": 500.0, "seed": 1}
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        src = str(Path(seiar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from seiar.cli import main; "
+                "code = main(sys.argv[1:]); print(code, 'scipy.optimize' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "stability", "--config", cfg_path,
+             "--out", str(tmp_path / "out")],
+            env=env, check=True, capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == ["0", str(loaded)]
 
 
 class TestPredictCommand:

@@ -1,6 +1,8 @@
 """Integrator behavior, incidence observables, cumulative breakdowns, peaks."""
 
+import bisect
 import math
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -669,6 +671,49 @@ class TestDenseOutput:
         assert np.max(error) <= 1e-7 * n0
         whole_days = traj.day_boundary_indices()
         assert np.max(np.delete(error, whole_days)) <= 2.0 * np.max(error[whole_days])
+
+    @pytest.mark.parametrize("config", [
+        IntegratorConfig(t_end=365.0, sample_per_day=10),
+        IntegratorConfig(t0=0.5, t_end=40.7, sample_per_day=3),
+    ], ids=["614G-10-per-day", "3-per-day-off-grid"])
+    def test_interior_rows_are_each_steps_hermite_interpolant(self, config, monkeypatch):
+        # every interior row against the quintic Hermite formula evaluated
+        # afresh on its step: f and y'' of the step's two ends computed
+        # again, theta from the row's time, the basis in its plain (not
+        # increment) form.  The loop reuses one weight matrix for the steps
+        # that start on a sample with equal sample count and length, and
+        # keeps f and y'' in place; this pins both to the formula.  Each
+        # step with samples inside is read at the loop's search for them
+        steps = []
+
+        def recorded(grid, t_end, lo, hi):
+            inside = bisect.bisect_right(grid, t_end, lo, hi)
+            step = sys._getframe(1).f_locals
+            steps.append((step["t"], step["h"], step["y"].copy(), step["y5"].copy(),
+                          range(lo, inside)))
+            return inside
+
+        monkeypatch.setattr(simulate, "bisect_right", recorded)
+        p = VARIANT_614G
+        traj = integrate(p, seeded_state(p), config)
+        rows = np.concatenate([traj.states, traj.cumulative_inflows], axis=1)
+        f = extended_field(p)
+        basis = np.array(_HERMITE, dtype=float)
+        expected = {}
+        for t, h, y_start, y_end, samples in steps:
+            data = []
+            for y in (y_start, y_end):
+                fy = f(y)
+                data += [y, h * fy, h * h * f(y + 1j * fy).imag]
+            for i in samples:  # a refused step's samples are filled again
+                theta = (traj.times[i] - t) / h
+                expected[i] = (theta ** np.arange(6) @ basis.T) @ np.array(data)
+        whole_days = set(traj.day_boundary_indices().tolist()) | {len(traj.times) - 1}
+        interior = sorted(set(range(len(traj.times))) - whole_days)
+        assert sorted(expected) == interior
+        got = rows[interior]
+        want = np.array([expected[i] for i in interior])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
     @pytest.mark.parametrize("rate", [1.0, 3.0])
     def test_polynomial_solutions_are_stored_exactly(self, rate, monkeypatch):

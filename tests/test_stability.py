@@ -23,6 +23,7 @@ from seiar import (
     quartic_value,
 )
 from seiar import stability
+from seiar.errors import IntegrationError
 from seiar.model import COMPARTMENTS, extended_field, jacobian
 from seiar.presets import VARIANTS
 from seiar.simulate import NEGATIVITY_BAND, IntegratorConfig, integrate
@@ -422,6 +423,27 @@ class TestAuditStop:
         audits = lyapunov_audit(p, initials, horizon=300.0)
         assert chunks[0][1] == initials[0][2] < 0.0
         assert all(a.passed for a in audits)
+
+    @pytest.mark.parametrize("healthy_members", [0, 1])
+    def test_band_underflow_names_the_member_and_compartment(self, params_614g,
+                                                             healthy_members):
+        # a negative E1 seed grows through the generations and R collects it;
+        # a DOP853 run takes R out of the band near t = 26.8, so from there
+        # every step is refused for the band until the step underflows
+        p = scale_to_rc(params_614g, 0.8)
+        healthy = np.array([p.S0, 1e4, 0.0, 0.0, 0.0, 0.0, 0.0])
+        sinking = np.array([p.S0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        sinking[1] = -0.5 * NEGATIVITY_BAND * p.S0
+        band = NEGATIVITY_BAND * sinking.sum()
+        with pytest.raises(IntegrationError) as caught:
+            lyapunov_audit(p, [healthy] * healthy_members + [sinking], horizon=300.0)
+        error = caught.value
+        message = error.args[0]
+        assert message.startswith("step size underflow after repeated rejections: ")
+        assert f"R of member {healthy_members} to -" in message
+        assert message.endswith(f"below the band at {-band:.6e}")
+        assert error.member == healthy_members
+        assert 26.0 < error.t < 27.0
 
     @pytest.mark.parametrize("variant_name, rho", [("Omicron", 0.8), ("614G", 0.95)])
     def test_final_distances_match_dop853(self, variant_name, rho):

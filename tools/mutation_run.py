@@ -64,10 +64,14 @@ MUTANTS = (
     ("+inf not refused", "simulate", "ceiling = np.full(y.shape, huge)",
      "ceiling = np.full(y.shape, np.inf)"),
     ("interpolated block skips the band check", "simulate",
-     "admitted = (floor <= block).all() and (block <= ceiling).all()",
-     "admitted = (block <= ceiling).all()"),
+     "less_equal(floor, block, checks[:, 0])", "less_equal(-ceiling, block, checks[:, 0])"),
     ("stale y'' kept across a step without interior samples", "simulate",
-     "ypp_fresh = f_fresh", "ypp_fresh = True"),
+     "start_fresh = f_fresh", "start_fresh = True"),
+    ("end slot not handed to the next step", "simulate",
+     "start = 1 - start", "start = start"),
+    ("weight cache ignores h", "simulate", "key = n, h, start", "key = n, start"),
+    ("underflow forgets the band refusal", "simulate",
+     "refusal = t, _deepest_undershoot(reached, band)", "refusal = None"),
     ("h*h dropped from the y'' weights", "simulate",
      "weights *= (1.0, h, h * h, 1.0, h, h * h)", "weights *= (1.0, h, 1.0, 1.0, h, 1.0)"),
     ("interpolated increment reversed", "simulate",

@@ -9,11 +9,12 @@ imported from the checkout, and every operation of each workload (18 in all) is 
 ``seiar.cli.main`` under both source trees, each tree in its own subprocess
 with its own ``src`` first on ``sys.path``.  Every output file is compared
 by sha256.  Each file that differs or exists on one side only is printed;
-for a CSV also its first differing row and the largest relative difference
-between numeric cells.  Exit codes that differ are printed too.  Exits 0
-when every file is identical and every exit code equal, 1 otherwise.  The
-checkout is only read: inputs, outputs and the unpacked revision live in the
-temporary directory, and no bytecode is written.
+for a CSV also its first differing row, how many of its rows differ, and the
+largest relative difference between numeric cells.  Exit codes that differ
+are printed too.  Exits 0 when every file is identical and every exit code
+equal, 1 otherwise.  The checkout is only read: inputs, outputs and the
+unpacked revision live in the temporary directory, and no bytecode is
+written.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def _relative(a: str, b: str) -> float | None:
 
 
 def csv_difference(old: Path, new: Path) -> list[str]:
-    """The first differing row and the largest relative numeric difference."""
+    """The first differing row, the count of differing rows and the largest
+    relative numeric difference."""
     rows_old = list(csv.reader(old.read_text(encoding="utf-8").splitlines()))
     rows_new = list(csv.reader(new.read_text(encoding="utf-8").splitlines()))
     lines = []
@@ -101,6 +103,8 @@ def csv_difference(old: Path, new: Path) -> list[str]:
         if a != b:
             lines.append(f"  first differing row, line {k}: {a} -> {b}")
             break
+    differing = sum(a != b for a, b in zip(rows_old, rows_new))
+    lines.append(f"  {differing} of {min(len(rows_old), len(rows_new))} rows differ")
     if len(rows_old) != len(rows_new):
         lines.append(f"  {len(rows_old)} rows -> {len(rows_new)} rows")
     worst = max((r for a, b in zip(rows_old, rows_new) for x, y in zip(a, b)
