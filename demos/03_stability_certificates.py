@@ -34,8 +34,7 @@ coeffs = quartic_coefficients(params)
 print(f"quartic constant term a4 = {coeffs.a4:+.6e} "
       f"(negative, since R_c > 1)")
 cert = positive_root_certificate(coeffs)
-print(f"positive-root certificate: root at lambda = {cert.root:.6f} "
-      f"bracketed in [0, {cert.bracket[1]:g}]")
+print(f"positive-root certificate: largest real root at lambda = {cert.root:.6f}")
 print("that root IS the unstable eigenvalue:",
       np.isclose(cert.root, report.max_real_part, rtol=1e-8))
 

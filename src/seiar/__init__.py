@@ -64,7 +64,6 @@ from .stability import (
     lyapunov_values,
     positive_root_certificate,
     quartic_coefficients,
-    quartic_value,
 )
 
 __version__ = "0.1.0"

@@ -79,7 +79,6 @@ def cmd_stability(config: RunConfig, args) -> None:
     rows.append(("positive_root_exists", int(certificate.exists)))
     if certificate.exists:
         rows.append(("positive_root", certificate.root))
-        rows.append(("positive_root_bracket_hi", certificate.bracket[1]))
     rows.append(("endemic_present", int(endemic is not None)))
     if endemic is not None:
         for comp in COMPARTMENTS:

@@ -10,19 +10,21 @@ Three kinds of evidence are produced, none of them symbolic proofs:
   when R_c < 1, run as simulations from seeded initial conditions.
 
 Each reads what it certifies off the model rather than writing it out a
-second time: the quartic off :attr:`ModelParameters.rates`, V's infected
-weights off the F - V split of :func:`next_generation_matrices`, and the
-verdict margin off the Jacobian being classified.
+second time: the quartic off the field's own Jacobian at the disease-free
+point, V's infected weights off the F - V split of
+:func:`next_generation_matrices`, and the verdict margin off the Jacobian
+being classified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .model import (
+    COMPARTMENTS,
     ModelParameters,
     control_reproduction_number,
     disease_free_equilibrium,
@@ -53,14 +55,13 @@ class QuarticCoefficients:
 
 @dataclass(frozen=True)
 class PositiveRootCertificate:
-    """Bracketed positive real root of the quartic, when one must exist.
+    """Positive real root of the quartic G, when one must exist.
 
-    ``exists`` is True iff a4 < 0, in which case G(0) < 0 while G grows to
-    +infinity, forcing a sign change on (0, bracket_hi].
+    ``exists`` is True iff a4 < 0: then G(0) = a4 < 0 while G grows to
+    +infinity, so G's largest real root, ``root``, is positive.
     """
 
     exists: bool
-    bracket: Optional[tuple[float, float]] = None
     root: Optional[float] = None
 
 
@@ -85,67 +86,42 @@ class StabilityReport:
     verdict: str
 
 
+#: rows and columns of the quartic's block of the disease-free Jacobian: I1
+#: feeds no infected compartment, so its eigenvalue -k_I1 splits off, as -mu
+#: does for S and for R
+_QUARTIC_BLOCK = [COMPARTMENTS.index(name) for name in ("E1", "E2", "I2", "A")]
+
+
 def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
-    """Expand the quartic factor of the characteristic polynomial at the DFE.
+    """The quartic factor of the characteristic polynomial at the DFE.
 
-    The product form it expands is
-
-        (l + B1)(l + B2)(l + B3)(l + C1)
-          - D*(C2*(l + B2)(l + B3) + C3*(l + B3) + C4*(l + B1)(l + B2))
-
-    with B1 = alpha+mu, B2 = gamma2+phi2+mu, B3 = gamma3+mu,
-    C1 = sigma+epsilon+mu, C2 = sigma, C3 = sigma*(1-rho)*alpha,
-    C4 = epsilon*omega and D = beta*S0.  Raises ArithmeticError when a
-    coefficient overflows or is otherwise not finite.
+    Its coefficients are those of det(lambda*I - J) for the (E1, E2, I2, A)
+    block J of the field's own Jacobian at the disease-free point
+    (``np.poly``).  Raises ArithmeticError when a coefficient overflows or
+    is otherwise not finite.
     """
-    p = params
-    r = p.rates
-    B1, B2, B3, C1 = r.k_E2, r.k_I2, r.k_A, r.k_E1
-    C2 = p.sigma
-    C3 = p.sigma * r.in_I2
-    C4 = p.epsilon * p.omega
-    D = p.beta * p.S0
-    a1 = B1 + B2 + B3 + C1
-    a2 = (B1 * B2 + B1 * B3 + B2 * B3 + B1 * C1 + B2 * C1 + B3 * C1
-          - D * C2 - D * C4)
-    a3 = (B1 * B2 * B3 + B1 * B2 * C1 + B1 * B3 * C1 + B2 * B3 * C1
-          - D * B2 * C2 - D * B3 * C2 - D * C3 - D * B1 * C4 - D * B2 * C4)
-    a4 = B1 * B2 * B3 * C1 - D * B2 * B3 * C2 - D * B1 * B2 * C4 - D * B3 * C3
-    if not np.all(np.isfinite((a1, a2, a3, a4))):
+    J = jacobian(disease_free_equilibrium(params), params)
+    coeffs = np.poly(J[np.ix_(_QUARTIC_BLOCK, _QUARTIC_BLOCK)])[1:]
+    if not np.all(np.isfinite(coeffs)):
         raise ArithmeticError(
             "quartic coefficients are not finite; "
             "parameters are numerically degenerate")
-    return QuarticCoefficients(a1, a2, a3, a4)
-
-
-def quartic_value(coeffs: QuarticCoefficients, lam: float) -> float:
-    """Evaluate the quartic in coefficient form (Horner)."""
-    c = coeffs
-    return float((((lam + c.a1) * lam + c.a2) * lam + c.a3) * lam + c.a4)
+    return QuarticCoefficients(*coeffs.tolist())
 
 
 def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertificate:
     """Certify a positive real root of the quartic when a4 < 0.
 
-    The upper bracket end is found by doubling until the quartic turns
-    positive; the root inside is then refined by a standard bracketing
-    root finder.
+    The root reported is the largest real root of the quartic, from the
+    eigenvalues of its companion matrix (``np.roots``).
     """
     if not coeffs.a4 < 0.0:
         return PositiveRootCertificate(exists=False)
-    # imported here, as least_squares is in calibrate.fit: scipy.optimize is
-    # most of the package's import time, and only a certificate with a root
-    # to refine and the fit use it
-    from scipy.optimize import brentq
-
-    hi = max(1.0, coeffs.a1)
-    while quartic_value(coeffs, hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("failed to bracket the positive root")
-    root = float(brentq(lambda lam: quartic_value(coeffs, lam), 0.0, hi,
-                        xtol=1e-12, rtol=1e-14))
-    return PositiveRootCertificate(exists=True, bracket=(0.0, hi), root=root)
+    roots = np.roots((1.0, *astuple(coeffs)))
+    root = float(roots.real[roots.imag == 0.0].max(initial=-np.inf))
+    if not root > 0.0:
+        raise ArithmeticError("no positive real root although a4 < 0")
+    return PositiveRootCertificate(exists=True, root=root)
 
 
 def entropy_h(x):
@@ -289,8 +265,7 @@ def lyapunov_audit(params: ModelParameters, initials,
     p0 = disease_free_equilibrium(params).as_array()
     deviation = y - p0
     if t < horizon:
-        # imported here, as brentq is in positive_root_certificate: only the
-        # audit's tail uses scipy.linalg
+        # imported here: only the audit's tail uses scipy.linalg
         from scipy.linalg import expm
 
         deviation = deviation @ expm(jacobian(p0, params) * (horizon - t)).T

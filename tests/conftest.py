@@ -32,6 +32,23 @@ ORACLE_E1_STAR = {
 
 ORACLE_S_STAR_614G = 40619587.104852696
 
+#: The positive root of the disease-free quartic, from the unexpanded
+#: product form
+#:     (l + B1)(l + B2)(l + B3)(l + C1)
+#:       - D*(C2*(l + B2)(l + B3) + C3*(l + B3) + C4*(l + B1)(l + B2))
+#: with B1 = alpha+mu, B2 = gamma2+phi2+mu, B3 = gamma3+mu,
+#: C1 = sigma+epsilon+mu, C2 = sigma, C3 = sigma*(1-rho)*alpha,
+#: C4 = epsilon*omega and D = beta*Lambda/mu.  Each preset's float
+#: parameters were taken exactly as mpmath numbers and everything else was
+#: computed at 50 digits; the root is mpmath ``findroot`` (secant from 0.05),
+#: confirmed to 1e-57 by Anderson's bracketing method on [0, 1].
+ORACLE_DFE_ROOT = {
+    "614G": 0.061849330013434059749,
+    "Alpha": 0.11266578542592029792,
+    "Delta": 0.12697502523141339299,
+    "Omicron": 0.0064380751766257921099,
+}
+
 #: E|exp(0.05 Z) - 1| for standard normal Z (Gauss quadrature)
 ORACLE_LOGNORMAL_MAD_005 = 0.0399274898587
 

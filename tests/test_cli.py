@@ -785,25 +785,43 @@ class TestStartup:
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "False"
 
-    @pytest.mark.parametrize("beta_scale, loaded", [(0.45, False), (1.0, True)])
-    def test_subcritical_stability_leaves_scipy_optimize_unloaded(
-            self, tmp_path, beta_scale, loaded):
-        # below R_c = 1 the quartic has no positive root to refine, so
-        # brentq is never imported; above it, it is
-        cfg = base_config()
-        cfg["parameters"]["beta"] = P.beta * beta_scale  # R_c ~ 0.75 or 1.66
-        cfg["stability"] = {"audit_seeds": 3, "audit_horizon": 500.0, "seed": 1}
-        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+    @staticmethod
+    def run_fresh(*argv):
+        """``main(argv)`` in a fresh interpreter: its exit code, and whether
+        scipy.optimize was loaded by the end of the run."""
         src = str(Path(seiar.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys; from seiar.cli import main; "
                 "code = main(sys.argv[1:]); print(code, 'scipy.optimize' in sys.modules)")
-        out = subprocess.run(
-            [sys.executable, "-c", code, "stability", "--config", cfg_path,
-             "--out", str(tmp_path / "out")],
-            env=env, check=True, capture_output=True, text=True, timeout=120).stdout
-        assert out.split() == ["0", str(loaded)]
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        return out.split()
+
+    @pytest.mark.parametrize("beta_scale", [0.45, 1.0])
+    def test_stability_leaves_scipy_optimize_unloaded(self, tmp_path, beta_scale):
+        # on either side of R_c = 1: the quartic's root comes from numpy
+        cfg = base_config()
+        cfg["parameters"]["beta"] = P.beta * beta_scale  # R_c ~ 0.75 or 1.66
+        cfg["stability"] = {"audit_seeds": 3, "audit_horizon": 500.0, "seed": 1}
+        cfg_path = write_config(tmp_path / "run.yaml", cfg)
+        assert self.run_fresh("stability", "--config", cfg_path,
+                              "--out", str(tmp_path / "out")) == ["0", "False"]
+
+    def test_fit_loads_scipy_optimize(self, tmp_path):
+        # the probe's control: a fit with a free coordinate runs least_squares
+        cfg = base_config()
+        cfg["integrator"] = {"t0": 0.0, "t_end": 20.0, "sample_per_day": 1}
+        cfg_path = write_config(tmp_path / "sim.yaml", cfg)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
+        counts = [float(r[1]) for r in read_rows(tmp_path / "sim" / "incidence.csv")[1:]]
+        data_path = tmp_path / "cases.csv"
+        write_case_series(data_path, ObservedSeries(counts=np.array(counts)))
+        cfg["parameters"]["beta"] = {"free": {"lo": 1e-9, "hi": 1e-8, "guess": 5e-9}}
+        cfg["fit"] = {"restarts": 1}
+        cfg_path = write_config(tmp_path / "fit.yaml", cfg)
+        assert self.run_fresh("fit", "--config", cfg_path, "--data", str(data_path),
+                              "--out", str(tmp_path / "fit")) == ["0", "True"]
 
 
 class TestPredictCommand:

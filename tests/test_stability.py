@@ -5,7 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from conftest import audit_seedings, draw_params, draw_params_at_rc, scale_to_rc
+from conftest import (
+    ORACLE_DFE_ROOT,
+    audit_seedings,
+    draw_params,
+    draw_params_at_rc,
+    scale_to_rc,
+)
 
 from seiar import (
     classify_equilibrium,
@@ -20,7 +26,6 @@ from seiar import (
     lyapunov_values,
     positive_root_certificate,
     quartic_coefficients,
-    quartic_value,
 )
 from seiar import stability
 from seiar.errors import IntegrationError
@@ -36,8 +41,13 @@ def outflows(p):
             p.sigma + p.epsilon + p.mu)
 
 
+def quartic(c, lam):
+    """The quartic in coefficient form at lam."""
+    return np.polyval((1.0, c.a1, c.a2, c.a3, c.a4), lam)
+
+
 def product_form(p, lam):
-    """Unexpanded quartic, used as an independent check of the expansion."""
+    """Unexpanded quartic, an independent check of the coefficients."""
     B1, B2, B3, C1 = outflows(p)
     C2, C3, C4 = p.sigma, p.sigma * (1.0 - p.rho) * p.alpha, p.epsilon * p.omega
     D = p.beta * p.S0
@@ -79,7 +89,7 @@ class TestQuarticCoefficients:
             for lam in rng.uniform(0.0, 4.0 * scale, size=10):
                 magnitude = (lam ** 4 + abs(c.a1) * lam ** 3 + abs(c.a2) * lam ** 2
                              + abs(c.a3) * lam + abs(c.a4))
-                assert abs(quartic_value(c, lam) - product_form(p, lam)) \
+                assert abs(quartic(c, lam) - product_form(p, lam)) \
                     <= 1e-9 * magnitude
 
     def test_is_the_characteristic_polynomial_of_the_field(self, rng):
@@ -102,7 +112,7 @@ class TestQuarticCoefficients:
                 else:
                     scale = (lam ** 4 + abs(c.a1) * lam ** 3 + abs(c.a2) * lam ** 2
                              + abs(c.a3) * lam + abs(c.a4))
-                error = abs(Fraction(quartic_value(c, lam)) - det)
+                error = abs(Fraction(float(quartic(c, lam))) - det)
                 assert float(error) <= 1e-12 * scale, (lam, float(error) / scale)
 
     def test_overflowing_coefficients_raise(self, params_614g):
@@ -117,11 +127,6 @@ class TestQuarticCoefficients:
         B1, B2, B3, C1 = outflows(p)
         assert c.a4 == B1 * B2 * B3 * C1
         assert c.a4 > 0.0
-
-    def test_constant_term_is_value_at_zero(self, rng):
-        for _ in range(20):
-            c = quartic_coefficients(draw_params(rng))
-            assert quartic_value(c, 0.0) == c.a4
 
     def test_a4_factors_through_reproduction_number(self, rng):
         for _ in range(200):
@@ -148,22 +153,28 @@ class TestPositiveRootCertificate:
         c = quartic_coefficients(scale_to_rc(params_614g, 0.7))
         cert = positive_root_certificate(c)
         assert not cert.exists
-        assert cert.bracket is None and cert.root is None
+        assert cert.root is None
 
     def test_614g_root_matches_hand_bisection(self, params_614g):
         c = quartic_coefficients(params_614g)
         cert = positive_root_certificate(c)
         assert cert.exists
-        lo, hi = cert.bracket
-        assert quartic_value(c, lo) < 0.0 < quartic_value(c, hi)
+        lo, hi = 0.0, 4.0 * max(outflows(params_614g))
+        assert quartic(c, lo) < 0.0 < quartic(c, hi)
         # independent refinement by plain bisection
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if quartic_value(c, mid) < 0.0:
+            if quartic(c, mid) < 0.0:
                 lo = mid
             else:
                 hi = mid
         assert cert.root == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+
+    def test_root_matches_the_product_form_oracle(self, variant):
+        name, p = variant
+        cert = positive_root_certificate(quartic_coefficients(p))
+        assert cert.exists
+        assert cert.root == pytest.approx(ORACLE_DFE_ROOT[name], rel=1e-14, abs=0.0)
 
     def test_root_is_the_dominant_dfe_eigenvalue(self, params_614g):
         cert = positive_root_certificate(quartic_coefficients(params_614g))
@@ -509,6 +520,16 @@ class TestClassifyEquilibrium:
             report = classify_equilibrium(p, disease_free_equilibrium(p))
             expected = "stable" if target < 1.0 else "unstable"
             assert report.verdict == expected, (target, report.max_real_part)
+
+    @pytest.mark.parametrize("offset, expected", [
+        (-1e-6, "stable"), (-1e-9, "marginal"), (1e-9, "marginal"), (1e-6, "unstable")])
+    def test_dfe_verdict_band_on_both_sides(self, variant, offset, expected):
+        # at R_c = 1 -+ 1e-6, |max Re lambda| is about 9e-8, outside the margin
+        # of about 5e-9 on either side; at 1 -+ 1e-9 it is about 9e-11, inside
+        _, p = variant
+        p = scale_to_rc(p, 1.0 + offset)
+        report = classify_equilibrium(p, disease_free_equilibrium(p))
+        assert report.verdict == expected, report.max_real_part
 
     def test_subcritical_decay_confirmed_by_simulation(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)

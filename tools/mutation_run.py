@@ -45,8 +45,10 @@ MUTANTS = (
     ("S0 = Lambda*mu", "model", "return self.Lambda / self.mu", "return self.Lambda * self.mu"),
     ("E1* drops 1/R_c", "model", "(r.r_c - 1.0) / (r.k_E1 * r.r_c)", "(r.r_c - 1.0) / r.k_E1"),
     ("F misses E2", "model", "F[0, 1:] = J[0, 1:]", "F[0, 2:] = J[0, 2:]"),
-    ("a4 drops the I2 path", "stability", "- D * B1 * B2 * C4 - D * B3 * C3",
-     "- D * B1 * B2 * C4"),
+    ("quartic block takes I1 for I2", "stability", '("E1", "E2", "I2", "A")',
+     '("E1", "E2", "I1", "A")'),
+    ("root is the smallest real root", "stability", ".max(initial=-np.inf)",
+     ".min(initial=np.inf)"),
     ("root certified for a4 > 0", "stability", "if not coeffs.a4 < 0.0:", "if coeffs.a4 < 0.0:"),
     ("entropy sign", "stability", "return x - 1.0 - np.log(x)", "return x - 1.0 + np.log(x)"),
     ("V weights untransposed", "stability", "np.linalg.solve(V.T, F[0])", "np.linalg.solve(V, F[0])"),
