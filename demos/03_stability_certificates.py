@@ -12,6 +12,7 @@
 import numpy as np
 
 from seiar import (
+    COMPARTMENTS,
     classify_equilibrium,
     control_reproduction_number,
     disease_free_equilibrium,
@@ -33,17 +34,18 @@ print(f"\ndisease-free point: verdict = {report.verdict}, "
 coeffs = quartic_coefficients(params)
 print(f"quartic constant term a4 = {coeffs.a4:+.6e} "
       f"(negative, since R_c > 1)")
-cert = positive_root_certificate(coeffs)
-print(f"positive-root certificate: largest real root at lambda = {cert.root:.6f}")
+root = positive_root_certificate(coeffs)
+print(f"positive-root certificate: largest real root at lambda = {root:.6f}")
 print("that root IS the unstable eigenvalue:",
-      np.isclose(cert.root, report.max_real_part, rtol=1e-8))
+      np.isclose(root, report.max_real_part, rtol=1e-8))
 
-endemic = endemic_equilibrium(params)
+endemic = endemic_equilibrium(params)  # a (7,) array in COMPARTMENTS order
 endemic_report = classify_equilibrium(params, endemic)
-print(f"\nendemic point: E1* = {endemic.E1:.1f}, S* = {endemic.S:,.0f}")
+s_star, e1_star = (endemic[COMPARTMENTS.index(name)] for name in ("S", "E1"))
+print(f"\nendemic point: E1* = {e1_star:.1f}, S* = {s_star:,.0f}")
 print(f"endemic verdict = {endemic_report.verdict}, "
       f"max Re(lambda) = {endemic_report.max_real_part:+.3e}")
-print(f"threshold identity S0/S* = {params.S0 / endemic.S:.6f} = R_c")
+print(f"threshold identity S0/S* = {params.S0 / s_star:.6f} = R_c")
 
 # below threshold the disease-free point is globally attracting
 subcritical = params.with_updates(beta=params.beta * 0.8 / rc)

@@ -23,7 +23,6 @@ from .model import (
     COMPARTMENTS,
     PARAMETER_NAMES,
     ModelParameters,
-    StateVector,
     control_reproduction_number,
     disease_free_equilibrium,
     endemic_equilibrium,
@@ -52,7 +51,6 @@ from .simulate import (
 )
 from .stability import (
     LyapunovAudit,
-    PositiveRootCertificate,
     QuarticCoefficients,
     StabilityReport,
     classify_equilibrium,

@@ -37,7 +37,6 @@ from .model import (
     COMPARTMENTS,
     PARAMETER_NAMES,
     ModelParameters,
-    StateVector,
     control_reproduction_number,
 )
 from .simulate import IntegratorConfig, daily_incidence, integrate
@@ -219,11 +218,12 @@ class FitResult:
     the winning restart.  ``iterations`` counts accepted steps and
     ``n_evals`` residual evaluations, both of the winning restart; each
     evaluation is one ensemble run, its point and one copy per free
-    coordinate.  ``modeled`` is member 0 of the returned point's run.
+    coordinate.  ``modeled`` is member 0 of the returned point's run, and
+    ``initial`` its (7,) initial state, read-only.
     """
 
     params: ModelParameters
-    initial: StateVector
+    initial: np.ndarray
     objective: float
     loss: float
     residuals: np.ndarray
@@ -319,9 +319,10 @@ def fit(spec: ParameterSpec, data: ObservedSeries,
         log_residuals = np.log1p(model) - observed
         loss = float(log_residuals @ log_residuals)
         history = history or [loss]
+        run.initial.flags.writeable = False
         return FitResult(
             params=params,
-            initial=StateVector.from_array(run.initial),
+            initial=run.initial,
             objective=float(np.sum((model - data.counts) ** 2)),
             loss=loss,
             residuals=model - data.counts,
@@ -425,13 +426,11 @@ def synthesize_data(params: ModelParameters, initial, days: int,
         raise ValueError(f"days must be a whole number, at least 1; got {days!r}")
     traj = integrate(params, initial, _window(integrator, days))
     values = daily_incidence(traj)
-    if noise == "none":
-        pass
-    elif noise == "lognormal":
+    if noise == "lognormal":
         rng = np.random.default_rng(seed)
         values = values * np.exp(sigma * rng.standard_normal(len(values)))
     elif noise == "round":
         values = np.rint(values)
-    else:
+    elif noise != "none":
         raise ValueError(f"unknown noise model {noise!r}")
     return ObservedSeries(counts=values)

@@ -67,26 +67,23 @@ def cmd_stability(config: RunConfig, args) -> None:
     dfe = disease_free_equilibrium(params)
     dfe_report = stability_mod.classify_equilibrium(params, dfe)
     quartic = stability_mod.quartic_coefficients(params)
-    certificate = stability_mod.positive_root_certificate(quartic)
+    root = stability_mod.positive_root_certificate(quartic)
     endemic = endemic_equilibrium(params)
 
-    rows: list[tuple[str, object]] = [("R_c", r_c), ("S0", params.S0)]
-    rows.append(("dfe_verdict", dfe_report.verdict))
-    rows.append(("dfe_max_real_part", dfe_report.max_real_part))
-    rows.extend(_eigen_rows("dfe", dfe_report.eigenvalues))
-    for name in ("a1", "a2", "a3", "a4"):
-        rows.append((name, getattr(quartic, name)))
-    rows.append(("positive_root_exists", int(certificate.exists)))
-    if certificate.exists:
-        rows.append(("positive_root", certificate.root))
+    rows: list[tuple[str, object]] = [
+        ("R_c", r_c), ("S0", params.S0), ("dfe_verdict", dfe_report.verdict),
+        ("dfe_max_real_part", dfe_report.max_real_part),
+        *_eigen_rows("dfe", dfe_report.eigenvalues), *vars(quartic).items(),
+        ("positive_root_exists", int(root is not None))]
+    if root is not None:
+        rows.append(("positive_root", root))
     rows.append(("endemic_present", int(endemic is not None)))
     if endemic is not None:
-        for comp in COMPARTMENTS:
-            rows.append((f"endemic_{comp}", getattr(endemic, comp)))
         endemic_report = stability_mod.classify_equilibrium(params, endemic)
-        rows.append(("endemic_verdict", endemic_report.verdict))
-        rows.append(("endemic_max_real_part", endemic_report.max_real_part))
-        rows.extend(_eigen_rows("endemic", endemic_report.eigenvalues))
+        rows += [*zip([f"endemic_{comp}" for comp in COMPARTMENTS], endemic.tolist()),
+                 ("endemic_verdict", endemic_report.verdict),
+                 ("endemic_max_real_part", endemic_report.max_real_part),
+                 *_eigen_rows("endemic", endemic_report.eigenvalues)]
     if r_c < 1.0:
         audit_cfg = config.stability
         audits = stability_mod.global_stability_certificate(
@@ -116,8 +113,8 @@ def cmd_fit(config: RunConfig, args) -> None:
         return "derived" if name == "S(0)" and "S" not in config.spec.initial else "fixed"
 
     rows = [(name, status(name), getattr(result.params, name)) for name in PARAMETER_NAMES]
-    rows += [(f"{comp}(0)", status(f"{comp}(0)"), getattr(result.initial, comp))
-             for comp in COMPARTMENTS]
+    rows += [(f"{comp}(0)", status(f"{comp}(0)"), value)
+             for comp, value in zip(COMPARTMENTS, result.initial.tolist())]
     write_csv(out / "fit.csv", ("parameter", "status", "value"), rows)
     write_csv(out / "residuals.csv", ("day", "observed", "modeled", "residual"),
               ((d, data.counts[d], result.modeled[d], result.residuals[d])
@@ -168,12 +165,13 @@ def cmd_predict(config: RunConfig, args) -> None:
     })
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "stability": cmd_stability,
-    "fit": cmd_fit,
-    "sweep": cmd_sweep,
-    "predict": cmd_predict,
+#: each subcommand's handler and help line
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate a fixed configuration and write the trajectory"),
+    "stability": (cmd_stability, "reproduction number, equilibria and stability certificates"),
+    "fit": (cmd_fit, "calibrate free parameters against observed daily cases"),
+    "sweep": (cmd_sweep, "re-run the model across a grid of detection ratios"),
+    "predict": (cmd_predict, "fit, then extend the run past the data window"),
 }
 
 
@@ -184,14 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seven-compartment epidemic model: simulation, stability "
                     "analysis, calibration and detection-ratio scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "integrate a fixed configuration and write the trajectory",
-        "stability": "reproduction number, equilibria and stability certificates",
-        "fit": "calibrate free parameters against observed daily cases",
-        "sweep": "re-run the model across a grid of detection ratios",
-        "predict": "fit, then extend the run past the data window",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML run configuration")
         if name in ("fit", "predict"):
@@ -205,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        _HANDLERS[args.command](config, args)
+        _COMMANDS[args.command][0](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

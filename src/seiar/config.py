@@ -14,17 +14,21 @@ The YAML is parsed by libyaml's scanner and parser (PyYAML's
 ``CSafeLoader``) where PyYAML was built with it, several times faster, and
 by the pure-Python ``SafeLoader`` where not.  Both build values with the
 same ``SafeConstructor`` and resolver, so a plain or quoted scalar
-resolves to the same value under either.  Two kinds of document read
-differently: libyaml accepts a tab as separating space (after a key's colon,
-in a flow collection, at a line's end), where the pure-Python scanner
-refuses the file, and it reads an empty node tagged with the bare ``!`` as
-``''`` where the other reads ``None``.
+resolves to the same value under either.  What their scanners read
+differently is refused (exit 2), naming its line, so that a config loads or
+fails alike under either: a tab (a space to libyaml, an error to the other),
+the line breaks NEL, LS and PS, a byte-order mark past the start, an
+explicit tag (libyaml reads ``a: !`` as ``''``, the other as ``None``), a
+block scalar, and a plain scalar meeting a ``:`` right before one of
+``,?[]{}``.  Only a document holding ``!``, ``|``, ``>`` or such a ``:`` has
+its events scanned.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -37,6 +41,12 @@ from .model import COMPARTMENTS, PARAMETER_NAMES, ModelParameters
 from .simulate import IntegratorConfig
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+#: characters the two YAML builds read differently (see the module docstring)
+_UNPORTABLE_CHARACTER = re.compile("[\t\x85\u2028\u2029\ufeff]")
+_COLON_BEFORE_FLOW = re.compile(r":[,?\[\]{}]")
+#: what a document holds if a node in it may need refusing
+_EVENT_MARKERS = re.compile(r"[!|>]|" + _COLON_BEFORE_FLOW.pattern)
 
 
 @dataclass(frozen=True)
@@ -160,10 +170,8 @@ def _parse_spec(raw: Mapping) -> ParameterSpec:
     _reject_unknown(params_block, PARAMETER_NAMES, "parameters")
     params = {name: _entry(value, f"parameters.{name}")
               for name, value in params_block.items()}
-    initial_block = raw.get("initial", {})
-    if initial_block is None:
-        initial_block = {}
-    initial_block = _require_mapping(initial_block, "initial")
+    initial_block = raw.get("initial")
+    initial_block = _require_mapping({} if initial_block is None else initial_block, "initial")
     _reject_unknown(initial_block, COMPARTMENTS, "initial")
     initial = {name: _entry(value, f"initial.{name}")
                for name, value in initial_block.items()}
@@ -220,11 +228,43 @@ def parse_config(raw: Any) -> RunConfig:
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(_read_yaml(text, path))
+
+
+def _read_yaml(text: str, path) -> Any:
+    """The YAML document ``text`` of the config at ``path``; ConfigError,
+    naming the line, where the two YAML builds would read it differently."""
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        unportable = _unportable(text)
+        if unportable is None:
+            return yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return parse_config(raw)
+    line, what = unportable
+    raise ConfigError(f"config {path} line {line}: {what} is not allowed")
+
+
+def _unportable(text: str) -> tuple[int, str] | None:
+    """(line, description) of the first character or node of ``text`` the
+    two YAML builds read differently (see the module docstring), or None."""
+    bad = _UNPORTABLE_CHARACTER.search(text)
+    if bad:
+        return text.count("\n", 0, bad.start()) + 1, f"the character {bad.group()!r}"
+    if not _EVENT_MARKERS.search(text):
+        return None
+    for event in yaml.parse(text, Loader=_YAML_LOADER):
+        if getattr(event, "tag", None) is not None:
+            return event.start_mark.line + 1, f"the explicit tag {event.tag!r}"
+        if not isinstance(event, yaml.ScalarEvent):
+            continue
+        if event.style in ("|", ">"):
+            return event.start_mark.line + 1, "a block scalar"
+        # a plain scalar's style is None under one build and '' under the other
+        if not event.style and _COLON_BEFORE_FLOW.search(
+                text, event.start_mark.index, event.end_mark.index + 2):
+            return (event.start_mark.line + 1,
+                    f"a ':' right before one of ,?[]{{}} at the plain scalar {event.value!r}")
+    return None

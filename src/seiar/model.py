@@ -20,9 +20,10 @@ Dynamics (persons/day):
     dA  = epsilon*E1 - (gamma3 + mu)*A
     dR  = gamma1*I1 + gamma2*I2 + gamma3*A - mu*R
 
-This module holds the parameter and state containers, the table of grouped
-rates every closed form is built from (``ModelParameters.rates``), the vector
-field (``extended_field``: one product of a constant coefficient matrix, which
+A state is a (7,) float array in :data:`COMPARTMENTS` order.  This module
+holds the parameter container, the table of grouped rates every closed form
+is built from (``ModelParameters.rates``), the vector field
+(``extended_field``: one product of a constant coefficient matrix, which
 holds the births, the flows and the incidence term, with the features
 (y, S*E2, S*I1, S*I2, S*A, 1), for one parameter set or one per ensemble
 member), the Jacobian and the next-generation matrices read off that field
@@ -156,39 +157,11 @@ class ModelParameters:
         return {name: getattr(self, name) for name in PARAMETER_NAMES}
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """One point (S, E1, E2, I1, I2, A, R) of the compartment phase space."""
-
-    S: float
-    E1: float
-    E2: float
-    I1: float
-    I2: float
-    A: float
-    R: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.E1, self.E2, self.I1, self.I2, self.A, self.R])
-
-    @classmethod
-    def from_array(cls, y) -> "StateVector":
-        return cls(*state_array(y).tolist())
-
-
 def state_array(state) -> np.ndarray:
-    """Coerce a StateVector or length-7 array-like to a float array."""
-    if isinstance(state, StateVector):
-        return state.as_array()
+    """A length-7 array-like as a float array; ValueError unless finite."""
     y = np.asarray(state, dtype=float)
     if y.shape != (7,):
         raise ValueError(f"state must have 7 components, got shape {y.shape}")
-    return y
-
-
-def _finite_state(state) -> np.ndarray:
-    """:func:`state_array`, refusing non-finite components."""
-    y = state_array(state)
     if not np.all(np.isfinite(y)):
         raise ValueError("state components must be finite")
     return y
@@ -310,7 +283,7 @@ def rhs(state, params: ModelParameters) -> np.ndarray:
     componentwise sum telescopes to the population balance
     Lambda - mu*N - phi1*I1 - phi2*I2.
     """
-    return extended_field(params)(_finite_state(state))[:7]
+    return extended_field(params)(state_array(state))[:7]
 
 
 def population_balance(state, params: ModelParameters) -> float:
@@ -318,7 +291,7 @@ def population_balance(state, params: ModelParameters) -> float:
 
     Equals the componentwise sum of :func:`rhs`.
     """
-    y = _finite_state(state)
+    y = state_array(state)
     N = float(y.sum())
     return params.Lambda - params.mu * N - params.phi1 * y[3] - params.phi2 * y[4]
 
@@ -338,7 +311,7 @@ def jacobian(state, params: ModelParameters) -> np.ndarray:
     order, the order the field's values are summed in.  A unit step needs
     no rescaling, and no product of small rates underflows.
     """
-    y = _finite_state(state)
+    y = state_array(state)
     return extended_field(params)(y[:, None] + 1j * np.eye(7)).imag[:7]
 
 
@@ -383,12 +356,12 @@ def ngm_spectral_radius(F: np.ndarray, V: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def disease_free_equilibrium(params: ModelParameters) -> StateVector:
+def disease_free_equilibrium(params: ModelParameters) -> np.ndarray:
     """The always-present infection-free steady state (Lambda/mu, 0, ..., 0)."""
-    return StateVector(params.S0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return np.array([params.S0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def endemic_equilibrium(params: ModelParameters) -> Optional[StateVector]:
+def endemic_equilibrium(params: ModelParameters) -> Optional[np.ndarray]:
     """The unique positive steady state, or None when R_c <= 1.
 
     E1* = Lambda*(R_c - 1)/((sigma+epsilon+mu)*R_c) -- the simplified form of
@@ -409,7 +382,7 @@ def endemic_equilibrium(params: ModelParameters) -> Optional[StateVector]:
     a = p.epsilon / r.k_A * e1
     recovered = (p.gamma1 * i1 + p.gamma2 * i2 + p.gamma3 * a) / p.mu
     s = p.Lambda / (p.beta * e1 * r.bracket + p.mu)
-    point = StateVector(s, e1, e2, i1, i2, a, recovered)
+    point = np.array([s, e1, e2, i1, i2, a, recovered])
     residual = float(np.max(np.abs(rhs(point, p))))
     if residual > equilibrium_tolerance(p):
         raise ArithmeticError(

@@ -23,13 +23,14 @@ population balance.  The Fehlberg stepper rejects such a step, or one whose
 interpolated samples undershoot, and retries it at half the length, failing
 only when the step underflows, with an error that names the member and the
 compartment the last such rejection found below the band; RK4, whose step
-is fixed, aborts.
+is fixed, aborts with an error that names them likewise.
 An initial state may undershoot by as much, so a run can resume from a
 state it stored.
-Both abort on a non-finite state.  Both step a component-major state of shape
-(10,) for one run or (10, m) for an ensemble of m runs that share every step,
-and one :class:`Trajectory` holds either, the ensemble's with a trailing
-member axis.  An ensemble's members share one parameter set or carry one
+Both abort on a non-finite state.  An initial state is a (7,) float array,
+and m of them the rows of an (m, 7) array; both step a component-major state
+of shape (10,) for one run or (10, m) for an ensemble of m runs that share
+every step, and one :class:`Trajectory` holds either, the ensemble's with a
+trailing member axis.  An ensemble's members share one parameter set or carry one
 each; either way the field is one call per stage.
 """
 
@@ -44,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError, require_integers
-from .model import COMPARTMENTS, ModelParameters, StateVector, extended_field, state_array
+from .model import COMPARTMENTS, ModelParameters, extended_field
 
 #: undershoot tolerance band, relative to the initial total population
 NEGATIVITY_BAND = 1e-9
@@ -224,15 +225,11 @@ def _output_grid(config: IntegratorConfig) -> np.ndarray:
 def _check_state(y: np.ndarray, t: float, band) -> None:
     # a failure names its member: the first non-finite one, or the one
     # deepest below its own band (0 for a single run)
-    finite = np.isfinite(y).all(axis=0)
-    if not finite.all():
-        raise IntegrationError("state became non-finite", t, int(np.argmin(finite)))
-    low = y[:7].min(axis=0)
-    if (low < -band).any():
-        member = int(np.argmin(low + band))
-        raise IntegrationError(
-            f"compartment undershot the nonnegativity band by {-np.ravel(low)[member]:.3e}",
-            t, member)
+    _refuse_non_finite(y[None], (t,))
+    if (y[:7] < -band).any():
+        member, undershoot = _deepest_undershoot(y[None], band)
+        raise IntegrationError("compartment undershot the nonnegativity band: the step "
+                               f"took {undershoot}", t, member)
 
 
 def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
@@ -268,30 +265,28 @@ def _solve(params: ModelParameters | Sequence[ModelParameters], y0: np.ndarray,
     return out_times, out
 
 
-def _initial_block(initial) -> np.ndarray:
-    """(7,) compartments of one state, or (7, m) of a sequence of m states."""
-    if isinstance(initial, StateVector) or len(initial) and np.isscalar(initial[0]):
-        return state_array(initial)
-    return np.stack([state_array(s) for s in initial], axis=1)
+def _initial_states(initial) -> np.ndarray:
+    """``initial`` as one (7,) float state, or m states as (m, 7) rows."""
+    y0 = np.asarray(initial, dtype=float)
+    if y0.ndim not in (1, 2) or y0.shape[-1] != 7 or y0.size == 0:
+        raise ValueError(f"initial states must have 7 components, got shape {y0.shape}")
+    return y0
 
 
 def integrate(params: ModelParameters | Sequence[ModelParameters], initial,
               config: IntegratorConfig) -> Trajectory:
-    """Solve the model over ``[t0, t_end]`` from ``initial``: one state, or a
-    sequence of m states (StateVectors, or the rows of an (m, 7) array).
+    """Solve the model over ``[t0, t_end]`` from ``initial``: one (7,) state,
+    or m states as the rows of an (m, 7) array-like (a list of (7,) arrays,
+    say); any other shape is a ValueError that names it.
 
-    The three cumulative inflow counters start at zero and are integrated
-    alongside the compartments as extra quadrature states.  For m states,
-    ``params`` is one set for every member or one per member, and the
-    :class:`Trajectory` holds views of one stored (n, 10, m) block.  The
-    members share every step, which meets the worst member's tolerance.  A
-    step that leaves any member below its band is rejected and retried
-    shorter by the adaptive stepper and fails the whole call under RK4; a
-    member that turns non-finite fails the whole call under either, and
-    ``MAX_STEPS`` counts shared steps.  Such a failure's
-    :class:`IntegrationError` names the member it came from.
+    The inflow counters start at zero.  For m states, ``params`` is one set
+    for every member or one per member, and the :class:`Trajectory` holds
+    views of one stored (n, 10, m) block.  The members share every step,
+    which meets the worst member's tolerance, and a member that fails (see
+    the module docstring) fails the call, with an :class:`IntegrationError`
+    that names it.
     """
-    y0 = _initial_block(initial)
+    y0 = _initial_states(initial).T  # component-major, as the steppers take it
     if not isinstance(params, ModelParameters) and y0.shape[1:] != (len(params),):
         raise ValueError(f"{len(params)} parameter sets for {y0[0].size} initial states")
     times, out = _solve(params, y0, config)
@@ -523,15 +518,15 @@ def _hermite_weights(theta: np.ndarray, h: float, start: int) -> np.ndarray:
     return weights
 
 
-def _deepest_undershoot(states: np.ndarray, band) -> tuple[int, str, float, float]:
-    """(member, compartment, value, band) of the compartment deepest below
-    its member's band in ``states``, (n, 10) or (n, 10, m); member 0 for one
-    run."""
+def _deepest_undershoot(states: np.ndarray, band) -> tuple[int, str]:
+    """(member, description) of the compartment deepest below its member's
+    band in ``states``, (n, 10) or (n, 10, m); member 0 for one run."""
     margin = states[:, :7] + band
     index = np.unravel_index(np.argmin(margin), margin.shape)
     member = int(index[2]) if states.ndim == 3 else 0
-    return (member, COMPARTMENTS[index[1]], float(states[:, :7][index]),
-            float(np.ravel(band)[member]))
+    value, floor = float(states[:, :7][index]), -float(np.ravel(band)[member])
+    return member, (f"{COMPARTMENTS[index[1]]} of member {member} to {value:.6e}, "
+                    f"{floor - value:.3e} below the band at {floor:.6e}")
 
 
 def _underflow(t: float, refusal) -> IntegrationError:
@@ -540,11 +535,9 @@ def _underflow(t: float, refusal) -> IntegrationError:
     message = "step size underflow after repeated rejections"
     if refusal is None or refusal[0] != t:
         return IntegrationError(message, t)
-    member, name, value, band = refusal[1]
-    return IntegrationError(
-        f"{message}: the last step refused for the nonnegativity band took {name} "
-        f"of member {member} to {value:.6e}, {-band - value:.3e} below the band at "
-        f"{-band:.6e}", t, member)
+    member, undershoot = refusal[1]
+    return IntegrationError(f"{message}: the last step refused for the nonnegativity band "
+                            f"took {undershoot}", t, member)
 
 
 def _second_derivative(f, y, fy, probe, probe_f, into):

@@ -5,7 +5,8 @@ Three kinds of evidence are produced, none of them symbolic proofs:
 * eigenvalue classification of the 7x7 Jacobian at an equilibrium,
 * the quartic factor of the characteristic polynomial at the disease-free
   point, whose constant term changes sign exactly at R_c = 1 and certifies a
-  positive real root (hence instability) whenever it is negative,
+  positive real root (hence instability) whenever it is negative; the
+  certificate is that root, a float, or None,
 * a numeric audit of the energy function V that decreases along trajectories
   when R_c < 1, run as simulations from seeded initial conditions.
 
@@ -13,7 +14,7 @@ Each reads what it certifies off the model rather than writing it out a
 second time: the quartic off the field's own Jacobian at the disease-free
 point, V's infected weights off the F - V split of
 :func:`next_generation_matrices`, and the verdict margin off the Jacobian
-being classified.
+being classified.  States, the equilibria among them, are (7,) float arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import (
     rhs,
     state_array,
 )
-from .simulate import IntegratorConfig, _output_grid, integrate
+from .simulate import IntegratorConfig, _initial_states, _output_grid, integrate
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,6 @@ class QuarticCoefficients:
     a2: float
     a3: float
     a4: float
-
-
-@dataclass(frozen=True)
-class PositiveRootCertificate:
-    """Positive real root of the quartic G, when one must exist.
-
-    ``exists`` is True iff a4 < 0: then G(0) = a4 < 0 while G grows to
-    +infinity, so G's largest real root, ``root``, is positive.
-    """
-
-    exists: bool
-    root: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -109,19 +98,20 @@ def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
     return QuarticCoefficients(*coeffs.tolist())
 
 
-def positive_root_certificate(coeffs: QuarticCoefficients) -> PositiveRootCertificate:
-    """Certify a positive real root of the quartic when a4 < 0.
+def positive_root_certificate(coeffs: QuarticCoefficients) -> Optional[float]:
+    """The quartic G's largest real root when a4 < 0, or None when a4 >= 0.
 
-    The root reported is the largest real root of the quartic, from the
-    eigenvalues of its companion matrix (``np.roots``).
+    When a4 < 0, G(0) = a4 < 0 while G grows to +infinity, so that root
+    exists and is positive, which certifies the disease-free point unstable.
+    It is read off the eigenvalues of G's companion matrix (``np.roots``).
     """
     if not coeffs.a4 < 0.0:
-        return PositiveRootCertificate(exists=False)
+        return None
     roots = np.roots((1.0, *astuple(coeffs)))
     root = float(roots.real[roots.imag == 0.0].max(initial=-np.inf))
     if not root > 0.0:
         raise ArithmeticError("no positive real root although a4 < 0")
-    return PositiveRootCertificate(exists=True, root=root)
+    return root
 
 
 def entropy_h(x):
@@ -187,8 +177,7 @@ def lyapunov_derivative(state, params: ModelParameters) -> float:
 
     Nonpositive everywhere when R_c < 1.
     """
-    y = state_array(state)
-    S, _, E2, _, I2, A, _ = y
+    S, _, E2, _, I2, A, _ = state_array(state)
     if not S > 0:
         raise ValueError(f"lyapunov_derivative requires S > 0, got {S!r}")
     p = params
@@ -212,8 +201,8 @@ _AUDIT_EXTINCT = 1e-12
 
 def lyapunov_audit(params: ModelParameters, initials,
                    horizon: float) -> list[LyapunovAudit]:
-    """Simulate from each of ``initials`` and check V decreases and the state
-    reaches the disease-free point P0.
+    """Simulate from ``initials``, one (7,) state or (m, 7) rows of states,
+    and check that V decreases and each run reaches the disease-free point P0.
 
     Refuses (raises ValueError) when R_c >= 1, where no decrease is claimed,
     before any integration.  The runs are integrated together, as one
@@ -244,7 +233,7 @@ def lyapunov_audit(params: ModelParameters, initials,
             "the decrease property does not hold otherwise")
     config = IntegratorConfig(t0=0.0, t_end=horizon, rtol=1e-10, sample_per_day=1)
     _output_grid(config)  # the step-budget check, on the whole horizon's samples
-    y = np.stack([state_array(s) for s in initials])
+    y = np.atleast_2d(_initial_states(initials))
     n0 = np.maximum(y.sum(axis=1), 1.0)
     weights = _infected_weights(params)
     rise = np.zeros(len(y))
@@ -262,7 +251,7 @@ def lyapunov_audit(params: ModelParameters, initials,
         y, t = states[-1], t_end
         if np.all(np.abs(y[:, 1:6]).max(axis=1) < _AUDIT_EXTINCT * n0):
             break
-    p0 = disease_free_equilibrium(params).as_array()
+    p0 = disease_free_equilibrium(params)
     deviation = y - p0
     if t < horizon:
         # imported here: only the audit's tail uses scipy.linalg

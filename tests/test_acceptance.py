@@ -97,7 +97,7 @@ def test_criterion_3_equilibrium_correctness():
         worst_residual = max(
             worst_residual,
             float(np.max(np.abs(rhs(eq, p)))) / (1e-8 * p.Lambda))
-        worst_identity = max(worst_identity, abs(p.S0 / eq.S - rc) / rc)
+        worst_identity = max(worst_identity, abs(p.S0 / eq[0] - rc) / rc)
     ok = dfe_exact and worst_residual <= 1.0 and worst_identity <= 1e-10
     report(3, "equilibria: exact P0, residual-bounded P*, R_c = S0/S*", ok,
            f"P* residual at {worst_residual:.2e} of budget, "

@@ -216,6 +216,14 @@ class TestFit:
         assert result.params == truth
         assert result.converged
 
+    def test_initial_is_the_fitted_runs_read_only_state(self, truth, seeded_initial):
+        spec = fixed_spec(truth, {"S": truth.S0 - 1000.0, "E1": 1000.0})
+        result = fit(spec, synthesize_data(truth, seeded_initial, days=10))
+        assert result.initial.shape == (7,) and result.initial.dtype == float
+        assert np.array_equal(result.initial, seeded_initial)
+        with pytest.raises(ValueError):
+            result.initial[0] = 0.0
+
     @pytest.mark.parametrize("window", [(3.0, 5.0, 2), (0.0, 10.0, 1), (5.0, 35.0, 1)],
                              ids=["inside", "shorter", "shifted"])
     def test_window_is_the_data_window(self, truth, seeded_initial, window):

@@ -304,6 +304,35 @@ class TestYamlLoader:
         monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
         assert load_config(path) == loaded
 
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize("text, reason", [
+        ("a:\t1", r"character '\\t'"), ("a: 1\t", r"character '\\t'"),
+        ("a: [1,\t2]", r"character '\\t'"), ("a: 1\u2028b: 2", r"character '\\u2028'"),
+        ("a: !", "explicit tag '!'"), ("a: [!, 1]", "explicit tag '!,?'"),
+        ("forecast: {horizon: !!int 30}", "explicit tag"),
+        ("forecast: |\n  horizon: 30", "block scalar"),
+        # libyaml refuses this one as YAML, naming the line its own way
+        ("scenario: {rho_values: [0.5:]}", "(':' right before|unexpected ':')")])
+    def test_what_the_builds_read_differently_exits_2_naming_the_line(
+            self, tmp_path, monkeypatch, loader, text, reason):
+        # the text follows a loadable config, on its own line
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML without libyaml")
+        monkeypatch.setattr(config_module, "_YAML_LOADER", getattr(yaml, loader))
+        head = yaml.safe_dump(base_config())
+        path = tmp_path / "run.yaml"
+        path.write_text(head + text + "\n", encoding="utf-8")
+        line = head.count("\n") + 1
+        with pytest.raises(ConfigError, match=f"(?s)line {line}\\b.*{reason}"):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("\ufeff" + yaml.safe_dump(base_config()), encoding="utf-8")
+        assert load_config(path) == load_config(write_config(tmp_path / "plain.yaml",
+                                                             base_config()))
+
     def test_falls_back_to_the_pure_python_loader_without_libyaml(self, tmp_path,
                                                                    monkeypatch):
         # a fresh copy of the module, imported as if PyYAML had no libyaml

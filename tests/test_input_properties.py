@@ -4,7 +4,8 @@ parameter spec loads only if every point of its boxes assembles,
 ``seiar stability`` on a subcritical config exits 0, 2 or 4, never raising,
 over a range of ``stability`` blocks, and ``simulate``, ``sweep``, ``fit``
 and ``predict`` exit 0, 2, 3 or 4, never raising, on mutated configs and
-case-series files.
+case-series files, and libyaml and the pure-Python YAML loader read a config,
+or any text, to the same value or both refuse it.
 
 Examples are drawn deterministically (``derandomize=True``), so every run
 checks the same inputs.
@@ -13,10 +14,13 @@ checks the same inputs.
 import datetime
 import itertools
 import math
+from unittest import mock
 
+import pytest
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from seiar import config as config_module
 from seiar.calibrate import FreeValue, ObservedSeries, ParameterSpec
 from seiar.cli import main
 from seiar.config import RunConfig, load_config, parse_config
@@ -97,6 +101,70 @@ def test_config_file_loads_or_is_a_config_error(tmp_path_factory, content):
         assert isinstance(load_config(path), RunConfig)
     except ConfigError:
         pass
+
+
+#: pieces of YAML syntax, and the characters the two YAML builds read
+#: differently, for text that reaches past the first character
+yaml_pieces = st.sampled_from([
+    *"ab1 :-[]{},!&*#'\"\n.?|>%@`~\\+<=", "\t", "\r", "\x85", "\u2028", "\u2029",
+    "\ufeff", "\x00", "\x7f", "é", "---", "...", "%YAML 1.1\n", "%TAG ! a\n", "<<",
+    " #", ": ", "- ", "? ", "\n  ", "!!str", "!a", "0x1", "1e3", "~", "null", "\\x", "\\u12"])
+#: the pieces the two builds read differently where they stand in a config
+divergent_pieces = st.sampled_from([
+    "\t", "!", "! ", "!!int ", "!!str ", "|", "| ", ">-", ":", ":,", "\x85", "\u2028",
+    "\ufeff"])
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML without libyaml")
+
+
+def under_each_build(read):
+    """``read()`` under libyaml and under the pure-Python loader, each
+    outcome None when it is a ConfigError."""
+    outcomes = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        with mock.patch.object(config_module, "_YAML_LOADER", loader):
+            try:
+                outcomes.append(read())
+            except ConfigError:
+                outcomes.append(None)
+    return outcomes
+
+
+@needs_libyaml
+@settings(INPUTS, max_examples=1000)
+@given(st.one_of(st.text(max_size=60), st.lists(yaml_pieces, max_size=30).map("".join)))
+# one document of each kind the builds read differently, found by this test
+# run longer: a tab, a tag, a block scalar's header, a flow ':', a line break
+@example("a:\t1")
+@example("a: [!, 1]")
+@example("|1#")
+@example("{a:}")
+@example("[a:?]")
+@example("\x85\ufeff")
+def test_both_yaml_builds_read_any_text_alike_or_refuse_it(text):
+    # repr, so that a NaN read under both compares equal
+    libyaml, pure = under_each_build(lambda: repr(config_module._read_yaml(text, "text")))
+    assert libyaml == pure
+
+
+@needs_libyaml
+@INPUTS
+@given(st.one_of(st.builds(valid_config), mutated_configs()), st.booleans(),
+       st.lists(st.tuples(st.integers(0), st.one_of(divergent_pieces, yaml_pieces)),
+                max_size=3))
+def test_both_yaml_builds_load_a_mutated_config_alike_or_refuse_it(
+        tmp_path_factory, cfg, flow, insertions):
+    # a valid config, or a mutated one, with up to three pieces put in
+    # before or after a character of YAML syntax
+    text = yaml.safe_dump(cfg, default_flow_style=flow)
+    for which, piece in insertions:
+        syntax = [i + side for i, c in enumerate(text) if c in ":,[]{}\n" for side in (0, 1)]
+        at = syntax[which % len(syntax)]
+        text = text[:at] + piece + text[at:]
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(text, encoding="utf-8")
+    libyaml, pure = under_each_build(lambda: load_config(path))
+    assert libyaml == pure
 
 
 rows = st.one_of(

@@ -15,7 +15,7 @@ from conftest import (
 from fehlberg_reference import reference_field
 
 from seiar import (
-    StateVector,
+    COMPARTMENTS,
     control_reproduction_number,
     disease_free_equilibrium,
     endemic_equilibrium,
@@ -28,6 +28,9 @@ from seiar import (
 )
 from seiar.model import extended_field
 from seiar.presets import VARIANTS
+
+#: where S and E1 sit in a state array
+S_AT, E1_AT = COMPARTMENTS.index("S"), COMPARTMENTS.index("E1")
 
 
 def random_state(rng, scale=1e6):
@@ -112,10 +115,6 @@ class TestRhs:
         state[3] = float("inf")
         with pytest.raises(ValueError, match="finite"):
             rhs(state, params_614g)
-
-    def test_accepts_state_vector_instances(self, params_614g):
-        sv = StateVector(1e6, 10.0, 5.0, 1.0, 2.0, 3.0, 0.0)
-        assert np.array_equal(rhs(sv, params_614g), rhs(sv.as_array(), params_614g))
 
 
 class TestRateTable:
@@ -295,8 +294,8 @@ class TestDiseaseFreeEquilibrium:
     def test_oracle_s0(self):
         for name, expected in ORACLE_S0.items():
             dfe = disease_free_equilibrium(VARIANTS[name])
-            assert dfe.S == pytest.approx(expected, rel=1e-12)
-            assert dfe.as_array()[1:].sum() == 0.0
+            assert dfe[S_AT] == pytest.approx(expected, rel=1e-12)
+            assert dfe[1:].sum() == 0.0
 
     def test_rhs_vanishes(self, variant):
         _, p = variant
@@ -304,6 +303,11 @@ class TestDiseaseFreeEquilibrium:
 
 
 class TestEndemicEquilibrium:
+    def test_both_equilibria_are_float_arrays(self, params_614g):
+        for point in (disease_free_equilibrium(params_614g),
+                      endemic_equilibrium(params_614g)):
+            assert point.shape == (7,) and point.dtype == float
+
     def test_absent_below_threshold(self, rng):
         assert endemic_equilibrium(draw_params_at_rc(rng, 0.5)) is None
 
@@ -313,11 +317,11 @@ class TestEndemicEquilibrium:
     def test_e1_star_oracle(self, variant):
         name, p = variant
         eq = endemic_equilibrium(p)
-        assert eq.E1 == pytest.approx(ORACLE_E1_STAR[name], rel=1e-10)
+        assert eq[E1_AT] == pytest.approx(ORACLE_E1_STAR[name], rel=1e-10)
 
     def test_s_star_oracle_614g(self, params_614g):
         eq = endemic_equilibrium(params_614g)
-        assert eq.S == pytest.approx(ORACLE_S_STAR_614G, rel=1e-10)
+        assert eq[S_AT] == pytest.approx(ORACLE_S_STAR_614G, rel=1e-10)
 
     def test_simplified_root_equals_raw_expression(self, rng):
         # raw form: -(mu*beta*S0 - Lambda*beta*R_c) / (beta*(sigma+eps+mu)*R_c)
@@ -327,7 +331,7 @@ class TestEndemicEquilibrium:
             raw = -(p.mu * p.beta * p.S0 - p.Lambda * p.beta * rc) / (
                 p.beta * (p.sigma + p.epsilon + p.mu) * rc)
             eq = endemic_equilibrium(p)
-            assert eq.E1 == pytest.approx(raw, rel=1e-10)
+            assert eq[E1_AT] == pytest.approx(raw, rel=1e-10)
 
     def test_reproduction_number_identity_and_positivity(self, rng):
         for _ in range(100):
@@ -335,10 +339,9 @@ class TestEndemicEquilibrium:
             rc = control_reproduction_number(p)
             eq = endemic_equilibrium(p)
             assert eq is not None
-            state = eq.as_array()
-            assert np.all(state > 0.0)
-            assert abs(p.S0 / eq.S - rc) <= 1e-10 * rc
-            assert np.max(np.abs(rhs(state, p))) <= equilibrium_tolerance(p)
+            assert np.all(eq > 0.0)
+            assert abs(p.S0 / eq[S_AT] - rc) <= 1e-10 * rc
+            assert np.max(np.abs(rhs(eq, p))) <= equilibrium_tolerance(p)
 
     def test_existence_iff_threshold(self, rng):
         for _ in range(200):

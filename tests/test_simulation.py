@@ -25,7 +25,7 @@ from seiar import (
     population_balance,
     simulate,
 )
-from seiar.model import StateVector, extended_field
+from seiar.model import extended_field
 from seiar.presets import VARIANT_614G, VARIANTS
 from seiar.simulate import (
     _FEHLBERG_A,
@@ -185,7 +185,7 @@ class TestIntegrate:
         # at 3 and 10 samples a day the interpolation weights do not sum to
         # exactly 1; the increment form keeps the samples put all the same
         for p in VARIANTS.values():
-            dfe = disease_free_equilibrium(p).as_array()
+            dfe = disease_free_equilibrium(p)
             for method in ("adaptive", "rk4"):
                 for per_day in (2, 3, 10):
                     cfg = IntegratorConfig(t0=0.0, t_end=30.0, method=method, step=0.1,
@@ -428,7 +428,7 @@ class TestIntegrateEnsemble:
         # the idle member alone would stride a whole output interval per step
         p = fast_614g()
         cfg = IntegratorConfig(t_end=365.0 / 40.0, sample_per_day=1)
-        dfe = disease_free_equilibrium(p).as_array()
+        dfe = disease_free_equilibrium(p)
         solo = integrate(p, seeded_state(p), cfg)
         runs = integrate(p, [dfe, seeded_state(p)], cfg)
         assert np.all(runs.states[..., 0] == dfe)
@@ -440,7 +440,7 @@ class TestIntegrateEnsemble:
         # uninfected member has no A to oscillate and would finish alone
         p = VARIANT_614G.with_updates(gamma3=5.0)
         cfg = IntegratorConfig(t_end=30.0, method="rk4", step=1.0, sample_per_day=1)
-        dfe = disease_free_equilibrium(p).as_array()
+        dfe = disease_free_equilibrium(p)
         integrate(p, dfe, cfg)
         with pytest.raises(IntegrationError, match="undershot"):
             integrate(p, [dfe, seeded_state(p)], cfg)
@@ -499,16 +499,13 @@ class TestIntegrateEnsemble:
         with pytest.raises(IntegrationError, match="budget"):
             integrate(p, initials, budget)
 
-    @pytest.mark.parametrize("kind", ["array", "vectors", "mixed"])
+    @pytest.mark.parametrize("kind", ["array", "list"])
     def test_initial_state_i_is_member_i(self, kind):
         # a (7, 7) array is seven states, one per row, never one state per
         # column; the rows differ, so a transposed reading would show
         p = VARIANT_614G
         rows = np.array([seeded_state(p, 10.0 * (i + 1)) for i in range(7)])
-        initials = {"array": rows,
-                    "vectors": [StateVector.from_array(y) for y in rows],
-                    "mixed": [StateVector.from_array(y) if i % 2 else y
-                              for i, y in enumerate(rows)]}[kind]
+        initials = {"array": rows, "list": list(rows)}[kind]
         cfg = IntegratorConfig(t_end=3.0, sample_per_day=1)
         runs = integrate(p, initials, cfg)
         assert runs.states.shape == (4, 7, 7)
@@ -523,6 +520,53 @@ class TestIntegrateEnsemble:
         cfg = IntegratorConfig(t_end=3.0, sample_per_day=1)
         with pytest.raises(ValueError, match="7 components"):
             integrate(VARIANT_614G, [1.0] * 6, cfg)
+
+    @pytest.mark.parametrize("initial, shape", [
+        (np.ones((3, 6)), r"\(3, 6\)"), (np.ones((7, 1)), r"\(7, 1\)"),
+        ([np.ones(7), np.ones(6)], "inhomogeneous shape")], ids=["m-by-6", "7-by-1", "ragged"])
+    def test_initials_of_another_shape_are_refused_naming_it(self, initial, shape):
+        cfg = IntegratorConfig(t_end=3.0, sample_per_day=1)
+        with pytest.raises(ValueError, match=shape):
+            integrate(VARIANT_614G, initial, cfg)
+
+    def test_a_state_a_list_and_an_array_integrate_to_the_same_bytes(self):
+        p = VARIANT_614G
+        rows = np.array([seeded_state(p, e1) for e1 in (10.0, 100.0, 1000.0)])
+        cfg = IntegratorConfig(t_end=30.0, sample_per_day=2)
+        solo = integrate(p, rows[0], cfg)
+        for one in (integrate(p, [rows[0]], cfg), integrate(p, rows[:1], cfg)):
+            assert one.states[..., 0].tobytes() == solo.states.tobytes()
+            assert one.cumulative_inflows[..., 0].tobytes() == solo.cumulative_inflows.tobytes()
+        listed, stacked = integrate(p, list(rows), cfg), integrate(p, rows, cfg)
+        assert listed.states.tobytes() == stacked.states.tobytes()
+        assert listed.cumulative_inflows.tobytes() == stacked.cumulative_inflows.tobytes()
+
+    def test_members_of_a_square_input_each_equal_their_solo_run_bit_for_bit(self):
+        # one parameter set per member and fixed steps make each column its
+        # own member's run to the bit, so a (7, 7) input read by columns,
+        # whose every member would start on another's state, would show
+        p = VARIANT_614G
+        members = [p.with_updates(rho=0.1 * (i + 1)) for i in range(7)]
+        rows = np.array([seeded_state(p, 10.0 * (i + 1)) for i in range(7)])
+        cfg = IntegratorConfig(t_end=20.0, method="rk4", step=0.25, sample_per_day=2)
+        runs = integrate(members, rows, cfg)
+        for i, (q, y0) in enumerate(zip(members, rows)):
+            solo = integrate(q, y0, cfg)
+            for ensemble, alone in ((runs.states, solo.states),
+                                    (runs.cumulative_inflows, solo.cumulative_inflows)):
+                assert ensemble[..., i].tobytes() == alone.tobytes()
+
+    def test_rk4_undershoot_names_the_compartment_and_member(self):
+        # the run of test_one_undershooting_member_fails_the_call: A of the
+        # seeded member oscillates below the band at the first step
+        p = VARIANT_614G.with_updates(gamma3=5.0)
+        cfg = IntegratorConfig(t_end=30.0, method="rk4", step=1.0, sample_per_day=1)
+        with pytest.raises(IntegrationError) as info:
+            integrate(p, [disease_free_equilibrium(p), seeded_state(p)], cfg)
+        message = info.value.args[0]
+        assert message.startswith("compartment undershot the nonnegativity band: ")
+        assert "took A of member 1 to -1.01" in message
+        assert info.value.member == 1 and info.value.t == 1.0
 
 
 def reference_cases():
@@ -581,7 +625,7 @@ class TestFehlbergReference:
         # whole-day rows are compared with its block
         if max_steps is not None:
             monkeypatch.setattr(simulate, "MAX_STEPS", max_steps)
-        y0 = simulate._initial_block(initial)
+        y0 = simulate._initial_states(initial).T
 
         def reference_loop(f, y, out_times, out, rtol, atol, band, per_day):
             run_fehlberg_reference(f, y, out_times, out, rtol, atol, band)
@@ -808,7 +852,7 @@ def assert_member_observables(incidence, breakdown, i, solo, n0):
 class TestDailyIncidence:
     def test_zero_infection_run_is_all_zero(self):
         p = VARIANT_614G
-        dfe = disease_free_equilibrium(p).as_array()
+        dfe = disease_free_equilibrium(p)
         traj = integrate(p, dfe, IntegratorConfig(t_end=10.0))
         assert np.all(daily_incidence(traj) == 0.0)
 
@@ -854,7 +898,7 @@ class TestDailyIncidence:
 class TestCumulativeByClass:
     def test_zero_infection_run_is_undefined(self):
         p = VARIANT_614G
-        dfe = disease_free_equilibrium(p).as_array()
+        dfe = disease_free_equilibrium(p)
         breakdown = cumulative_by_class(integrate(p, dfe, IntegratorConfig(t_end=5.0)))
         assert breakdown.cum_total == 0.0
         assert np.all(np.isnan(breakdown.cum_proportions))

@@ -5,8 +5,9 @@
 
 Each mutant replaces one fragment of one line in ``src/seiar/{model,stability,
 simulate,calibrate,io}.py`` with a wrong one; the fragment must occur exactly
-once in its module.  For each mutant the checkout's ``src``, ``tests`` and
-``demos`` and its ``pyproject.toml`` are copied to a fresh temporary
+once in its module.  For each mutant the checkout's ``src``, ``tests``,
+``demos``, ``tools`` and ``perfbench`` (the tests load ``tools``, which load
+``perfbench``) and its ``pyproject.toml`` are copied to a fresh temporary
 directory, the substitution is made there, and ``pytest -x`` runs the tier-1
 tests without acceptance criterion 7 (eleven two-restart calibrations, the
 slowest test).  A mutant is
@@ -25,7 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "demos", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "tools", "perfbench", "pyproject.toml")
 DESELECTED = "tests/test_acceptance.py::test_criterion_7_synthetic_calibration_recovery"
 
 #: (name, module, fragment, replacement)
@@ -78,6 +79,8 @@ MUTANTS = (
      "weights *= (1.0, h, h * h, 1.0, h, h * h)", "weights *= (1.0, h, 1.0, 1.0, h, 1.0)"),
     ("interpolated increment reversed", "simulate",
      "subtract(y5, y, increment)", "subtract(y, y5, increment)"),
+    ("(m, 7) initials not transposed", "simulate", "y0 = _initial_states(initial).T",
+     "y0 = _initial_states(initial)"),
     ("incidence of I2", "simulate", "values = np.diff(traj.cum_I1[idx], axis=0)",
      "values = np.diff(traj.cum_I2[idx], axis=0)"),
     ("incidence differenced across members", "simulate",

@@ -10,7 +10,10 @@ imported from the checkout, and every operation of each workload (18 in all) is 
 with its own ``src`` first on ``sys.path``.  Every output file is compared
 by sha256.  Each file that differs or exists on one side only is printed;
 for a CSV also its first differing row, how many of its rows differ, and the
-largest relative difference between numeric cells.  Exit codes that differ
+largest relative difference between numeric cells.  Rows are paired by their
+first cell when the first cells are unique on both sides, as in a key-value
+file such as ``stability.csv``, and the keys found on one side only are
+listed; otherwise they are paired by position.  Exit codes that differ
 are printed too.  Exits 0 when every file is identical and every exit code
 equal, 1 otherwise.  The checkout is only read: inputs, outputs and the
 unpacked revision live in the temporary directory, and no bytecode is
@@ -93,21 +96,39 @@ def _relative(a: str, b: str) -> float | None:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _keyed(rows: list[list[str]]) -> dict[str, list[str]] | None:
+    """``rows`` by their first cell, or None when first cells repeat."""
+    keyed = {row[0] if row else "": row for row in rows}
+    return keyed if len(keyed) == len(rows) else None
+
+
 def csv_difference(old: Path, new: Path) -> list[str]:
-    """The first differing row, the count of differing rows and the largest
-    relative numeric difference."""
+    """The keys on one side only, the first differing row, the count of
+    differing rows and the largest relative numeric difference, rows paired
+    by first cell where that is a key, else by position."""
     rows_old = list(csv.reader(old.read_text(encoding="utf-8").splitlines()))
     rows_new = list(csv.reader(new.read_text(encoding="utf-8").splitlines()))
+    keyed_old, keyed_new = _keyed(rows_old), _keyed(rows_new)
     lines = []
-    for k, (a, b) in enumerate(zip(rows_old, rows_new), start=1):
+    if keyed_old is not None and keyed_new is not None:
+        for side, keys in (("REV", keyed_old.keys() - keyed_new.keys()),
+                           ("the checkout", keyed_new.keys() - keyed_old.keys())):
+            if keys:
+                lines.append(f"  keys only under {side}: {', '.join(sorted(keys))}")
+        pairs = [(row, keyed_new[key]) for key, row in keyed_old.items() if key in keyed_new]
+        paired = "rows paired by first cell"
+    else:
+        pairs = list(zip(rows_old, rows_new))
+        paired = "rows paired by position"
+    for a, b in pairs:
         if a != b:
-            lines.append(f"  first differing row, line {k}: {a} -> {b}")
+            lines.append(f"  first differing row: {a} -> {b}")
             break
-    differing = sum(a != b for a, b in zip(rows_old, rows_new))
-    lines.append(f"  {differing} of {min(len(rows_old), len(rows_new))} rows differ")
+    differing = sum(a != b for a, b in pairs)
+    lines.append(f"  {differing} of {len(pairs)} {paired} differ")
     if len(rows_old) != len(rows_new):
         lines.append(f"  {len(rows_old)} rows -> {len(rows_new)} rows")
-    worst = max((r for a, b in zip(rows_old, rows_new) for x, y in zip(a, b)
+    worst = max((r for a, b in pairs for x, y in zip(a, b)
                  if (r := _relative(x, y)) is not None), default=0.0)
     lines.append(f"  largest relative numeric difference: {worst:.3e}")
     return lines
