@@ -4,6 +4,7 @@
 2. The quartic factor of the characteristic polynomial at the disease-free
    point: its constant term a4 = B1 B2 B3 C1 (1 - R_c) goes negative exactly
    when R_c > 1, forcing a positive real root (instability certificate).
+   The coefficients and the root come from one eigen-decomposition.
 3. A Lyapunov-style audit: with transmission scaled so R_c = 0.8, the energy
    function V decreases along simulated trajectories and the state returns
    to the disease-free point.
@@ -16,10 +17,9 @@ from seiar import (
     classify_equilibrium,
     control_reproduction_number,
     disease_free_equilibrium,
+    disease_free_quartic,
     endemic_equilibrium,
     lyapunov_audit,
-    positive_root_certificate,
-    quartic_coefficients,
 )
 from seiar.presets import VARIANT_614G as params
 
@@ -31,10 +31,9 @@ report = classify_equilibrium(params, dfe)
 print(f"\ndisease-free point: verdict = {report.verdict}, "
       f"max Re(lambda) = {report.max_real_part:+.6f}")
 
-coeffs = quartic_coefficients(params)
-print(f"quartic constant term a4 = {coeffs.a4:+.6e} "
+coeffs, root = disease_free_quartic(params)  # (a1, a2, a3, a4) and the root
+print(f"quartic constant term a4 = {coeffs[3]:+.6e} "
       f"(negative, since R_c > 1)")
-root = positive_root_certificate(coeffs)
 print(f"positive-root certificate: largest real root at lambda = {root:.6f}")
 print("that root IS the unstable eigenvalue:",
       np.isclose(root, report.max_real_part, rtol=1e-8))

@@ -51,17 +51,15 @@ from .simulate import (
 )
 from .stability import (
     LyapunovAudit,
-    QuarticCoefficients,
+    StabilityConfig,
     StabilityReport,
     classify_equilibrium,
+    disease_free_quartic,
     entropy_h,
     global_stability_certificate,
     lyapunov_audit,
     lyapunov_derivative,
-    lyapunov_value,
     lyapunov_values,
-    positive_root_certificate,
-    quartic_coefficients,
 )
 
 __version__ = "0.1.0"

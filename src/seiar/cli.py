@@ -66,14 +66,14 @@ def cmd_stability(config: RunConfig, args) -> None:
     r_c = control_reproduction_number(params)
     dfe = disease_free_equilibrium(params)
     dfe_report = stability_mod.classify_equilibrium(params, dfe)
-    quartic = stability_mod.quartic_coefficients(params)
-    root = stability_mod.positive_root_certificate(quartic)
+    quartic, root = stability_mod.disease_free_quartic(params)
     endemic = endemic_equilibrium(params)
 
     rows: list[tuple[str, object]] = [
         ("R_c", r_c), ("S0", params.S0), ("dfe_verdict", dfe_report.verdict),
         ("dfe_max_real_part", dfe_report.max_real_part),
-        *_eigen_rows("dfe", dfe_report.eigenvalues), *vars(quartic).items(),
+        *_eigen_rows("dfe", dfe_report.eigenvalues),
+        *zip(("a1", "a2", "a3", "a4"), quartic.tolist()),
         ("positive_root_exists", int(root is not None))]
     if root is not None:
         rows.append(("positive_root", root))
@@ -85,11 +85,7 @@ def cmd_stability(config: RunConfig, args) -> None:
                  ("endemic_max_real_part", endemic_report.max_real_part),
                  *_eigen_rows("endemic", endemic_report.eigenvalues)]
     if r_c < 1.0:
-        audit_cfg = config.stability
-        audits = stability_mod.global_stability_certificate(
-            params, n_seeds=audit_cfg.audit_seeds,
-            horizon=audit_cfg.audit_horizon, seed=audit_cfg.seed,
-            seed_scale=audit_cfg.seed_scale)
+        audits = stability_mod.global_stability_certificate(params, config.stability)
         rows.append(("lyapunov_audit", "pass" if all(a.passed for a in audits) else "fail"))
         rows.append(("lyapunov_max_violation", max(a.max_violation for a in audits)))
         rows.append(("lyapunov_worst_final_distance", max(a.final_distance for a in audits)))

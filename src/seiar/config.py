@@ -19,9 +19,10 @@ differently is refused (exit 2), naming its line, so that a config loads or
 fails alike under either: a tab (a space to libyaml, an error to the other),
 the line breaks NEL, LS and PS, a byte-order mark past the start, an
 explicit tag (libyaml reads ``a: !`` as ``''``, the other as ``None``), a
-block scalar, and a plain scalar meeting a ``:`` right before one of
-``,?[]{}``.  Only a document holding ``!``, ``|``, ``>`` or such a ``:`` has
-its events scanned.
+block scalar, and inside a flow collection a ``?`` or a ``:`` right before
+one of ``,?[]{}`` (libyaml reads ``{a?}`` as ``{'a?': None}`` and refuses
+``{a:}``, ``{a :}`` and ``[?]``, the other the reverse).  Only a document
+holding ``!``, ``|``, ``>``, ``?`` or such a ``:`` has its events scanned.
 """
 
 from __future__ import annotations
@@ -39,14 +40,16 @@ from .calibrate import FitConfig, FreeValue, ParameterSpec
 from .errors import ConfigError, require_integers
 from .model import COMPARTMENTS, PARAMETER_NAMES, ModelParameters
 from .simulate import IntegratorConfig
+from .stability import StabilityConfig
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 #: characters the two YAML builds read differently (see the module docstring)
 _UNPORTABLE_CHARACTER = re.compile("[\t\x85\u2028\u2029\ufeff]")
-_COLON_BEFORE_FLOW = re.compile(r":[,?\[\]{}]")
+#: what the two builds read differently inside a flow collection
+_IN_FLOW = re.compile(r"\?|:[,?\[\]{}]")
 #: what a document holds if a node in it may need refusing
-_EVENT_MARKERS = re.compile(r"[!|>]|" + _COLON_BEFORE_FLOW.pattern)
+_EVENT_MARKERS = re.compile(r"[!|>]|" + _IN_FLOW.pattern)
 
 
 @dataclass(frozen=True)
@@ -62,26 +65,6 @@ class ScenarioConfig:
         if not 1.0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be at least one day and finite, "
                              f"got {self.horizon!r}")
-
-
-@dataclass(frozen=True)
-class StabilityConfig:
-    audit_seeds: int = 20
-    audit_horizon: float = 2000.0
-    seed: int = 0
-    seed_scale: float = 2e-6
-
-    def __post_init__(self):
-        require_integers(self, "audit_seeds", "seed")
-        if self.audit_seeds < 1:
-            raise ValueError(f"audit_seeds must be positive, got {self.audit_seeds!r}")
-        # each check of a float is written so that NaN fails it
-        for name in ("audit_horizon", "seed_scale"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -255,16 +238,17 @@ def _unportable(text: str) -> tuple[int, str] | None:
         return text.count("\n", 0, bad.start()) + 1, f"the character {bad.group()!r}"
     if not _EVENT_MARKERS.search(text):
         return None
+    flow_starts = []  # where each open flow collection starts
     for event in yaml.parse(text, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent) and event.flow_style:
+            flow_starts.append(event.start_mark.index)
+        elif isinstance(event, yaml.CollectionEndEvent) and flow_starts:
+            bad = _IN_FLOW.search(text, flow_starts.pop(), event.end_mark.index)
+            if bad:
+                return (text.count("\n", 0, bad.start()) + 1,
+                        f"{bad.group()!r} inside a flow collection")
         if getattr(event, "tag", None) is not None:
             return event.start_mark.line + 1, f"the explicit tag {event.tag!r}"
-        if not isinstance(event, yaml.ScalarEvent):
-            continue
-        if event.style in ("|", ">"):
+        if isinstance(event, yaml.ScalarEvent) and event.style in ("|", ">"):
             return event.start_mark.line + 1, "a block scalar"
-        # a plain scalar's style is None under one build and '' under the other
-        if not event.style and _COLON_BEFORE_FLOW.search(
-                text, event.start_mark.index, event.end_mark.index + 2):
-            return (event.start_mark.line + 1,
-                    f"a ':' right before one of ,?[]{{}} at the plain scalar {event.value!r}")
     return None

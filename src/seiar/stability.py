@@ -6,6 +6,7 @@ Three kinds of evidence are produced, none of them symbolic proofs:
 * the quartic factor of the characteristic polynomial at the disease-free
   point, whose constant term changes sign exactly at R_c = 1 and certifies a
   positive real root (hence instability) whenever it is negative; the
+  coefficients and the root come from one eigen-decomposition, and the
   certificate is that root, a float, or None,
 * a numeric audit of the energy function V that decreases along trajectories
   when R_c < 1, run as simulations from seeded initial conditions.
@@ -15,15 +16,18 @@ second time: the quartic off the field's own Jacobian at the disease-free
 point, V's infected weights off the F - V split of
 :func:`next_generation_matrices`, and the verdict margin off the Jacobian
 being classified.  States, the equilibria among them, are (7,) float arrays.
+The audit's settings, and their defaults, are one :class:`StabilityConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .errors import require_integers
 from .model import (
     COMPARTMENTS,
     ModelParameters,
@@ -39,19 +43,27 @@ from .simulate import IntegratorConfig, _initial_states, _output_grid, integrate
 
 
 @dataclass(frozen=True)
-class QuarticCoefficients:
-    """Coefficients of the quartic factor lambda^4 + a1 l^3 + a2 l^2 + a3 l + a4.
+class StabilityConfig:
+    """Settings of :func:`global_stability_certificate`: the number of
+    seeded runs, the horizon each is audited to, the random seed of their
+    draws and the largest seed as a fraction of N(0)."""
 
-    The quartic is det(lambda*I - J) of the (E1, E2, I2, A) block J of the
-    disease-free Jacobian.  With the outflow rates k_E2, k_I2, k_A, k_E1 of
-    :attr:`ModelParameters.rates`, a1 is their sum and the constant term is
-    a4 = k_E2*k_I2*k_A*k_E1*(1 - R_c), so sign(a4) = sign(1 - R_c).
-    """
+    audit_seeds: int = 20
+    audit_horizon: float = 2000.0
+    seed: int = 0
+    seed_scale: float = 2e-6
 
-    a1: float
-    a2: float
-    a3: float
-    a4: float
+    def __post_init__(self):
+        require_integers(self, "audit_seeds", "seed")
+        if self.audit_seeds < 1:
+            raise ValueError(f"audit_seeds must be positive, got {self.audit_seeds!r}")
+        # each check of a float is written so that NaN fails it
+        for name in ("audit_horizon", "seed_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -81,37 +93,30 @@ class StabilityReport:
 _QUARTIC_BLOCK = [COMPARTMENTS.index(name) for name in ("E1", "E2", "I2", "A")]
 
 
-def quartic_coefficients(params: ModelParameters) -> QuarticCoefficients:
-    """The quartic factor of the characteristic polynomial at the DFE.
+def disease_free_quartic(params: ModelParameters) -> tuple[np.ndarray, Optional[float]]:
+    """(a, root) of the quartic det(lambda*I - J) = lambda^4 + a1 l^3 + a2 l^2
+    + a3 l + a4 of the (E1, E2, I2, A) block J of the field's own Jacobian at
+    the disease-free point, from one eigen-decomposition of J.
 
-    Its coefficients are those of det(lambda*I - J) for the (E1, E2, I2, A)
-    block J of the field's own Jacobian at the disease-free point
-    (``np.poly``).  Raises ArithmeticError when a coefficient overflows or
-    is otherwise not finite.
+    ``a`` is the (4,) array (a1, a2, a3, a4), ``np.poly`` of J's eigenvalues;
+    a4 = k_E2*k_I2*k_A*k_E1*(1 - R_c) with the outflow rates of
+    :attr:`ModelParameters.rates`.  ``root`` is the largest real eigenvalue
+    when a4 < 0, which their product being negative makes positive and so
+    certifies the point unstable, and None when a4 >= 0.  ArithmeticError
+    when a coefficient is not finite or no real eigenvalue is positive.
     """
     J = jacobian(disease_free_equilibrium(params), params)
-    coeffs = np.poly(J[np.ix_(_QUARTIC_BLOCK, _QUARTIC_BLOCK)])[1:]
-    if not np.all(np.isfinite(coeffs)):
-        raise ArithmeticError(
-            "quartic coefficients are not finite; "
-            "parameters are numerically degenerate")
-    return QuarticCoefficients(*coeffs.tolist())
-
-
-def positive_root_certificate(coeffs: QuarticCoefficients) -> Optional[float]:
-    """The quartic G's largest real root when a4 < 0, or None when a4 >= 0.
-
-    When a4 < 0, G(0) = a4 < 0 while G grows to +infinity, so that root
-    exists and is positive, which certifies the disease-free point unstable.
-    It is read off the eigenvalues of G's companion matrix (``np.roots``).
-    """
-    if not coeffs.a4 < 0.0:
-        return None
-    roots = np.roots((1.0, *astuple(coeffs)))
-    root = float(roots.real[roots.imag == 0.0].max(initial=-np.inf))
+    eigenvalues = np.linalg.eigvals(J[np.ix_(_QUARTIC_BLOCK, _QUARTIC_BLOCK)])
+    a = np.poly(eigenvalues)[1:]
+    if not np.all(np.isfinite(a)):
+        raise ArithmeticError("quartic coefficients are not finite; "
+                              "parameters are numerically degenerate")
+    if not a[3] < 0.0:
+        return a, None
+    root = float(eigenvalues.real[eigenvalues.imag == 0.0].max(initial=-np.inf))
     if not root > 0.0:
         raise ArithmeticError("no positive real root although a4 < 0")
-    return root
+    return a, root
 
 
 def entropy_h(x):
@@ -121,18 +126,24 @@ def entropy_h(x):
     return x - 1.0 - np.log(x)
 
 
-def lyapunov_values(states, params: ModelParameters) -> np.ndarray:
-    """Energy function V at every state of an array whose last axis holds
-    the seven compartments (S, E1, E2, I1, I2, A, R); see
-    :func:`lyapunov_value` for the formula.
+def lyapunov_values(states, params: ModelParameters):
+    """Energy function V of the global-stability argument at one state, a
+    float, or at every state of an array whose last axis holds the seven
+    compartments (S, E1, E2, I1, I2, A, R), an array of the leading shape.
 
-    V = S0*h(S/S0) + w . (E1, E2, I1, I2, A).  The infected weights are
-    w^T = f^T T^-1: the new-infection row f of F taken through the
-    transition matrix T (the V of the F - V split) that
-    :func:`next_generation_matrices` returns (Shuai & van den Driessche
-    2013).  They are solved once per call, so pass every state in one array.
+    V = S0*h(S/S0) + R_c*E1 + beta*S0/(alpha+mu)*E2
+        + omega*beta*S0/(gamma3+mu)*A
+        + beta*S0/(gamma2+phi2+mu)*((1-rho)*E2 + I2)
+        - beta*S0*(1-rho)*mu/((alpha+mu)*(gamma2+phi2+mu))*E2
 
-    Raises ValueError if any state has S <= 0.
+    The three E2 terms combine to a strictly positive net coefficient, so V
+    vanishes only at the disease-free point.  I1 is isolated and transmits
+    nothing, so it has no term.  The infected weights are read off the
+    F - V split of :func:`next_generation_matrices`: w^T = f^T T^-1, F's
+    new-infection row f through the transition matrix T (Shuai & van den
+    Driessche 2013), solved once per call, so pass every state in one array.
+    Raises ValueError unless the last axis has 7 entries, each of them
+    finite, and S > 0.
     """
     return _lyapunov_values(states, params, _infected_weights(params))
 
@@ -144,30 +155,19 @@ def _infected_weights(params: ModelParameters) -> np.ndarray:
     return np.linalg.solve(V.T, F[0])
 
 
-def _lyapunov_values(states, params: ModelParameters, weights: np.ndarray) -> np.ndarray:
+def _lyapunov_values(states, params: ModelParameters, weights: np.ndarray):
     """:func:`lyapunov_values` with the infected weights given."""
     states = np.asarray(states, dtype=float)
+    if states.shape[-1:] != (7,):
+        raise ValueError(f"states must have 7 components on the last axis, "
+                         f"got shape {states.shape}")
+    if not np.all(np.isfinite(states)):
+        raise ValueError("state components must be finite")
     S = states[..., 0]
     if not np.all(S > 0):
-        raise ValueError(f"lyapunov_value requires S > 0, got {float(np.min(S))!r}")
+        raise ValueError(f"V requires S > 0, got {float(np.min(S))!r}")
     S0 = params.S0
     return S0 * entropy_h(S / S0) + states[..., 1:6] @ weights
-
-
-def lyapunov_value(state, params: ModelParameters) -> float:
-    """Energy function V of the global-stability argument at ``state``.
-
-    V = S0*h(S/S0) + R_c*E1 + beta*S0/(alpha+mu)*E2
-        + omega*beta*S0/(gamma3+mu)*A
-        + beta*S0/(gamma2+phi2+mu)*((1-rho)*E2 + I2)
-        - beta*S0*(1-rho)*mu/((alpha+mu)*(gamma2+phi2+mu))*E2
-
-    The three E2 terms combine to a strictly positive net coefficient, so V
-    vanishes only at the disease-free point.  I1 is isolated and transmits
-    nothing, so it has no term.  :func:`lyapunov_values` reads these weights
-    off the next-generation split rather than typing them.
-    """
-    return float(lyapunov_values(state_array(state), params))
 
 
 def lyapunov_derivative(state, params: ModelParameters) -> float:
@@ -278,21 +278,22 @@ def lyapunov_audit(params: ModelParameters, initials,
     return audits
 
 
-def global_stability_certificate(params: ModelParameters, n_seeds: int = 20,
-                                 horizon: float = 2000.0, seed: int = 0,
-                                 seed_scale: float = 2e-6) -> list[LyapunovAudit]:
-    """Run :func:`lyapunov_audit` from ``n_seeds`` random infection seedings.
+def global_stability_certificate(
+        params: ModelParameters, settings: StabilityConfig = StabilityConfig()
+) -> list[LyapunovAudit]:
+    """Run :func:`lyapunov_audit` from ``settings.audit_seeds`` random
+    infection seedings to ``settings.audit_horizon``.
 
     Each seeding starts at the disease-free susceptible level with the five
-    infected compartments drawn uniformly from [0, seed_scale * N(0)];
-    seedings are kept small enough that the slow (rate mu) demographic
-    relaxation of S and R back to the disease-free point fits the horizon.
+    infected compartments drawn uniformly from [0, seed_scale * N(0)] with
+    ``settings.seed``; seedings are kept small enough that the slow (rate
+    mu) relaxation of S and R back to the disease-free point fits the horizon.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(settings.seed)
     s0 = params.S0
-    initials = [np.array([s0, *rng.uniform(0.0, seed_scale * s0, size=5), 0.0])
-                for _ in range(n_seeds)]
-    return lyapunov_audit(params, initials, horizon)
+    initials = [np.array([s0, *rng.uniform(0.0, settings.seed_scale * s0, size=5), 0.0])
+                for _ in range(settings.audit_seeds)]
+    return lyapunov_audit(params, initials, settings.audit_horizon)
 
 
 #: verdict margin as a fraction of the largest |entry| of the Jacobian classified

@@ -23,9 +23,11 @@ from seiar import (
     FitConfig,
     FreeValue,
     ParameterSpec,
+    StabilityConfig,
     control_reproduction_number,
     decline_percentages,
     disease_free_equilibrium,
+    disease_free_quartic,
     endemic_equilibrium,
     fit,
     global_stability_certificate,
@@ -33,7 +35,6 @@ from seiar import (
     next_generation_matrices,
     ngm_spectral_radius,
     population_balance,
-    quartic_coefficients,
     rho_sweep,
     rhs,
     synthesize_data,
@@ -120,11 +121,11 @@ def test_criterion_4_stability_certificates():
         eigs = np.linalg.eigvals(jacobian(disease_free_equilibrium(p), p))
         stable = bool(np.max(eigs.real) < 0.0)
         verdicts_ok &= stable == (rc < 1.0)
-        c = quartic_coefficients(p)
+        a4 = disease_free_quartic(p)[0][3]
         r = p.rates
         factored = r.k_E2 * r.k_I2 * r.k_A * r.k_E1 * (1.0 - rc)
-        a4_ok &= abs(c.a4 - factored) <= 1e-10 * abs(factored)
-        a4_ok &= np.sign(c.a4) == np.sign(1.0 - rc)
+        a4_ok &= abs(a4 - factored) <= 1e-10 * abs(factored)
+        a4_ok &= np.sign(a4) == np.sign(1.0 - rc)
     endemic_ok = True
     for p in VARIANTS.values():
         eq = endemic_equilibrium(p)
@@ -138,7 +139,8 @@ def test_criterion_4_stability_certificates():
 
 def test_criterion_5_lyapunov_audit():
     p = scale_to_rc(VARIANTS["614G"], 0.8)
-    audits = global_stability_certificate(p, n_seeds=20, horizon=2000.0, seed=55)
+    audits = global_stability_certificate(
+        p, StabilityConfig(audit_seeds=20, audit_horizon=2000.0, seed=55))
     worst_violation = max(a.max_violation for a in audits)
     worst_distance = max(a.final_distance for a in audits)
     ok = all(a.passed for a in audits) and worst_violation <= 1e-9 \

@@ -311,8 +311,11 @@ class TestYamlLoader:
         ("a: !", "explicit tag '!'"), ("a: [!, 1]", "explicit tag '!,?'"),
         ("forecast: {horizon: !!int 30}", "explicit tag"),
         ("forecast: |\n  horizon: 30", "block scalar"),
-        # libyaml refuses this one as YAML, naming the line its own way
-        ("scenario: {rho_values: [0.5:]}", "(':' right before|unexpected ':')")])
+        # one build refuses each of these as YAML, naming the line its own way
+        ("scenario: {rho_values: [0.5:]}", "(':]' inside a flow|unexpected ':')"),
+        ("scenario: {rho_values: [0.5 :]}", "(':]' inside a flow|unexpected ':')"),
+        ("scenario: {rho_values: [0.5?]}", r"('\?' inside a flow|got '\?')"),
+        ("scenario: {rho_values: [?]}", r"('\?' inside a flow|did not find expected)")])
     def test_what_the_builds_read_differently_exits_2_naming_the_line(
             self, tmp_path, monkeypatch, loader, text, reason):
         # the text follows a loadable config, on its own line

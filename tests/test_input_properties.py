@@ -113,6 +113,20 @@ yaml_pieces = st.sampled_from([
 divergent_pieces = st.sampled_from([
     "\t", "!", "! ", "!!int ", "!!str ", "|", "| ", ">-", ":", ":,", "\x85", "\u2028",
     "\ufeff"])
+#: YAML's indicators, a space and a line break; arbitrary text draws half its
+#: characters from these, so that a short text meets what the two builds
+#: read differently, such as a block scalar's header right before a '#'
+yaml_indicators = st.sampled_from("|>!:{}[],?# \n")
+#: the two constructs whose reading the builds' scanners disagree on, drawn
+#: whole because random text seldom forms them: a block scalar's header, and
+#: a flow collection of short entries spelt from a letter, a digit, ':', '?'
+#: and a space
+yaml_constructs = st.one_of(
+    st.builds(str.__add__, st.sampled_from("|>"), st.text(st.sampled_from("1-+# a\n"),
+                                                         max_size=4)),
+    st.builds(lambda brackets, entries: brackets[0] + ", ".join(entries) + brackets[1],
+              st.sampled_from(("[]", "{}")),
+              st.lists(st.text(st.sampled_from("a1:? "), max_size=3), max_size=4)))
 needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                                    reason="PyYAML without libyaml")
 
@@ -132,14 +146,18 @@ def under_each_build(read):
 
 @needs_libyaml
 @settings(INPUTS, max_examples=1000)
-@given(st.one_of(st.text(max_size=60), st.lists(yaml_pieces, max_size=30).map("".join)))
-# one document of each kind the builds read differently, found by this test
-# run longer: a tab, a tag, a block scalar's header, a flow ':', a line break
+@given(st.one_of(st.text(st.one_of(yaml_indicators, st.characters()), max_size=60),
+                 st.lists(yaml_pieces, max_size=30).map("".join), yaml_constructs))
+# one document of each kind the builds read differently: a tab, a tag, a
+# block scalar's header, a flow ':' or '?', a line break
 @example("a:\t1")
 @example("a: [!, 1]")
 @example("|1#")
 @example("{a:}")
 @example("[a:?]")
+@example("{a :}")
+@example("{a?}")
+@example("[?]")
 @example("\x85\ufeff")
 def test_both_yaml_builds_read_any_text_alike_or_refuse_it(text):
     # repr, so that a NaN read under both compares equal

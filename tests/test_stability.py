@@ -1,5 +1,6 @@
 """Quartic certificates, energy function checks, eigenvalue verdicts."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,20 +15,19 @@ from conftest import (
 )
 
 from seiar import (
+    StabilityConfig,
     classify_equilibrium,
     control_reproduction_number,
     disease_free_equilibrium,
+    disease_free_quartic,
     endemic_equilibrium,
     entropy_h,
     global_stability_certificate,
     lyapunov_audit,
     lyapunov_derivative,
-    lyapunov_value,
     lyapunov_values,
-    positive_root_certificate,
-    quartic_coefficients,
 )
-from seiar import stability
+from seiar import config, stability
 from seiar.errors import IntegrationError
 from seiar.model import COMPARTMENTS, extended_field, jacobian
 from seiar.presets import VARIANTS
@@ -41,9 +41,15 @@ def outflows(p):
             p.sigma + p.epsilon + p.mu)
 
 
-def quartic(c, lam):
-    """The quartic in coefficient form at lam."""
-    return np.polyval((1.0, c.a1, c.a2, c.a3, c.a4), lam)
+def quartic(a, lam):
+    """The quartic in coefficient form at lam, from a = (a1, a2, a3, a4)."""
+    return np.polyval((1.0, *a), lam)
+
+
+def magnitude(a, lam):
+    """The size of the quartic's terms at lam >= 0, a scale for its error."""
+    a1, a2, a3, a4 = np.abs(a)
+    return lam ** 4 + a1 * lam ** 3 + a2 * lam ** 2 + a3 * lam + a4
 
 
 def product_form(p, lam):
@@ -84,13 +90,11 @@ class TestQuarticCoefficients:
     def test_matches_product_form_at_random_points(self, rng):
         for _ in range(50):
             p = draw_params(rng)
-            c = quartic_coefficients(p)
+            a, _ = disease_free_quartic(p)
             scale = max(*outflows(p), 1.0)
             for lam in rng.uniform(0.0, 4.0 * scale, size=10):
-                magnitude = (lam ** 4 + abs(c.a1) * lam ** 3 + abs(c.a2) * lam ** 2
-                             + abs(c.a3) * lam + abs(c.a4))
-                assert abs(quartic(c, lam) - product_form(p, lam)) \
-                    <= 1e-9 * magnitude
+                assert abs(quartic(a, lam) - product_form(p, lam)) \
+                    <= 1e-9 * magnitude(a, lam)
 
     def test_is_the_characteristic_polynomial_of_the_field(self, rng):
         # det(lambda*I - J) of the (E1, E2, I2, A) block of the field's own
@@ -98,7 +102,7 @@ class TestQuarticCoefficients:
         block = [COMPARTMENTS.index(name) for name in ("E1", "E2", "I2", "A")]
         for _ in range(100):
             p = draw_params(rng)
-            c = quartic_coefficients(p)
+            a, _ = disease_free_quartic(p)
             J = jacobian(disease_free_equilibrium(p), p)
             exact = [[Fraction(float(J[i, j])) for j in block] for i in block]
             outflow_product = np.prod(outflows(p))
@@ -110,59 +114,61 @@ class TestQuarticCoefficients:
                 if lam == 0.0:
                     scale = outflow_product
                 else:
-                    scale = (lam ** 4 + abs(c.a1) * lam ** 3 + abs(c.a2) * lam ** 2
-                             + abs(c.a3) * lam + abs(c.a4))
-                error = abs(Fraction(float(quartic(c, lam))) - det)
+                    scale = magnitude(a, lam)
+                error = abs(Fraction(float(quartic(a, lam))) - det)
                 assert float(error) <= 1e-12 * scale, (lam, float(error) / scale)
 
     def test_overflowing_coefficients_raise(self, params_614g):
         p = params_614g.with_updates(sigma=1e80, epsilon=1e80, alpha=1e80,
                                      gamma2=1e80, gamma3=1e80)
         with pytest.raises(ArithmeticError, match="degenerate"):
-            quartic_coefficients(p)
+            disease_free_quartic(p)
 
     def test_no_transmission_constant_term(self, params_614g):
         p = params_614g.with_updates(beta=0.0)
-        c = quartic_coefficients(p)
+        a, _ = disease_free_quartic(p)
         B1, B2, B3, C1 = outflows(p)
-        assert c.a4 == B1 * B2 * B3 * C1
-        assert c.a4 > 0.0
+        assert a[3] == B1 * B2 * B3 * C1
+        assert a[3] > 0.0
 
     def test_a4_factors_through_reproduction_number(self, rng):
         for _ in range(200):
             p = draw_params(rng)
             rc = control_reproduction_number(p)
-            c = quartic_coefficients(p)
+            a, _ = disease_free_quartic(p)
             B1, B2, B3, C1 = outflows(p)
             factored = B1 * B2 * B3 * C1 * (1.0 - rc)
-            assert c.a4 == pytest.approx(factored, rel=1e-10, abs=1e-300)
-            assert np.sign(c.a4) == np.sign(1.0 - rc)
+            assert a[3] == pytest.approx(factored, rel=1e-10, abs=1e-300)
+            assert np.sign(a[3]) == np.sign(1.0 - rc)
 
     def test_a4_vanishes_at_threshold(self, params_614g):
         critical = scale_to_rc(params_614g, 1.0)
-        c = quartic_coefficients(critical)
+        a, _ = disease_free_quartic(critical)
         B1, B2, B3, C1 = outflows(critical)
-        assert abs(c.a4) <= 1e-10 * (B1 * B2 * B3 * C1)
+        assert abs(a[3]) <= 1e-10 * (B1 * B2 * B3 * C1)
 
     def test_614g_negative_constant_term(self, params_614g):
-        assert quartic_coefficients(params_614g).a4 < 0.0
+        assert disease_free_quartic(params_614g)[0][3] < 0.0
+
+    def test_coefficients_are_a_float_array(self, params_614g):
+        a, _ = disease_free_quartic(params_614g)
+        assert a.dtype == float and a.shape == (4,)
+        assert a[0] == pytest.approx(sum(outflows(params_614g)), rel=1e-14)
 
 
 class TestPositiveRootCertificate:
     def test_positive_constant_term_refuses(self, params_614g):
-        c = quartic_coefficients(scale_to_rc(params_614g, 0.7))
-        assert positive_root_certificate(c) is None
+        assert disease_free_quartic(scale_to_rc(params_614g, 0.7))[1] is None
 
     def test_614g_root_matches_hand_bisection(self, params_614g):
-        c = quartic_coefficients(params_614g)
-        root = positive_root_certificate(c)
+        a, root = disease_free_quartic(params_614g)
         assert type(root) is float
         lo, hi = 0.0, 4.0 * max(outflows(params_614g))
-        assert quartic(c, lo) < 0.0 < quartic(c, hi)
+        assert quartic(a, lo) < 0.0 < quartic(a, hi)
         # independent refinement by plain bisection
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if quartic(c, mid) < 0.0:
+            if quartic(a, mid) < 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -170,14 +176,29 @@ class TestPositiveRootCertificate:
 
     def test_root_matches_the_product_form_oracle(self, variant):
         name, p = variant
-        root = positive_root_certificate(quartic_coefficients(p))
+        _, root = disease_free_quartic(p)
         assert root == pytest.approx(ORACLE_DFE_ROOT[name], rel=1e-14, abs=0.0)
 
     def test_root_is_the_dominant_dfe_eigenvalue(self, params_614g):
-        root = positive_root_certificate(quartic_coefficients(params_614g))
+        _, root = disease_free_quartic(params_614g)
         report = classify_equilibrium(params_614g,
                                       disease_free_equilibrium(params_614g))
         assert root == pytest.approx(report.max_real_part, rel=1e-8)
+
+    def test_root_exactly_when_a4_is_negative_at_the_threshold(self, rng):
+        # R_c within a few ulps of 1, where a4 is rounding noise: a root is
+        # certified exactly when a4 < 0, it is positive, and nothing raises
+        draws = [*VARIANTS.values(), *(draw_params(rng) for _ in range(300))]
+        offsets = (0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13, -1e-13)
+        certified = 0
+        for p in draws:
+            for offset in offsets:
+                a, root = disease_free_quartic(scale_to_rc(p, 1.0 + offset))
+                assert (root is not None) == (a[3] < 0.0), (offset, a[3])
+                assert root is None or root > 0.0
+                certified += root is not None
+        # both sides of the threshold are reached
+        assert 0 < certified < len(draws) * len(offsets)
 
 
 class TestEntropyH:
@@ -200,7 +221,7 @@ class TestEntropyH:
 class TestLyapunovValue:
     def test_zero_at_disease_free_point(self, variant):
         _, p = variant
-        assert lyapunov_value(disease_free_equilibrium(p), p) == 0.0
+        assert lyapunov_values(disease_free_equilibrium(p), p) == 0.0
 
     def test_net_e2_coefficient(self, rng):
         # the three E2 terms recombine to
@@ -208,7 +229,7 @@ class TestLyapunovValue:
         for _ in range(50):
             p = draw_params(rng)
             state = np.array([p.S0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-            value = lyapunov_value(state, p)
+            value = lyapunov_values(state, p)
             bS0 = p.beta * p.S0
             b2 = p.gamma2 + p.phi2 + p.mu
             expected = bS0 * (b2 + (1.0 - p.rho) * p.alpha) / ((p.alpha + p.mu) * b2)
@@ -236,7 +257,7 @@ class TestLyapunovValue:
             for name in ("E1", "E2", "I1", "I2", "A"):
                 state = disease_free_equilibrium(p)
                 state[COMPARTMENTS.index(name)] = 1.0
-                weights[name] = lyapunov_value(state, p)
+                weights[name] = lyapunov_values(state, p)
             for name, coefficient in typed.items():
                 assert ulps_apart(weights[name], coefficient) <= 8, name
             assert weights["I1"] == 0.0
@@ -247,12 +268,33 @@ class TestLyapunovValue:
         for _ in range(100):
             state = rng.uniform(0.0, 1e5, size=7)
             state[0] = rng.uniform(0.1 * p.S0, 2.0 * p.S0)
-            assert lyapunov_value(state, p) > 0.0
+            assert lyapunov_values(state, p) > 0.0
 
     def test_rejects_nonpositive_s(self, params_614g):
         state = np.zeros(7)
         with pytest.raises(ValueError, match="S > 0"):
-            lyapunov_value(state, params_614g)
+            lyapunov_values(state, params_614g)
+
+    def test_one_state_gives_a_float(self, params_614g):
+        state = disease_free_equilibrium(params_614g)
+        state[1] = 1.0
+        assert isinstance(lyapunov_values(state, params_614g), float)
+        assert isinstance(lyapunov_values(state.tolist(), params_614g), float)
+
+    @pytest.mark.parametrize("shape", [(6,), (9,), (3, 6), (7, 1), ()])
+    def test_rejects_any_last_axis_but_seven_naming_the_shape(self, params_614g, shape):
+        states = np.full(shape, params_614g.S0)
+        with pytest.raises(ValueError, match=f"7 components.*{re.escape(str(shape))}"):
+            lyapunov_values(states, params_614g)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, params_614g, value):
+        states = np.tile(disease_free_equilibrium(params_614g), (3, 1))
+        states[1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            lyapunov_values(states, params_614g)
+        with pytest.raises(ValueError, match="finite"):
+            lyapunov_values(states[1], params_614g)
 
     def test_array_form_matches_state_by_state(self, rng):
         for _ in range(20):
@@ -263,7 +305,7 @@ class TestLyapunovValue:
             assert values.shape == (30, 4)
             for index in np.ndindex(values.shape):
                 assert values[index] == pytest.approx(
-                    lyapunov_value(states[index], p), rel=1e-13)
+                    lyapunov_values(states[index], p), rel=1e-13)
 
     def test_array_form_rejects_any_nonpositive_s(self, params_614g):
         p = params_614g
@@ -302,7 +344,7 @@ class TestLyapunovDerivative:
         # does not set the step
         traj = integrate(p, y0, IntegratorConfig(t_end=5.0, sample_per_day=spd,
                                                  rtol=1e-11, atol=1e-12 * y0.sum()))
-        v = np.array([lyapunov_value(s, p) for s in traj.states])
+        v = np.array([lyapunov_values(s, p) for s in traj.states])
         fd = (v[2:] - v[:-2]) * (spd / 2.0)
         closed = np.array([lyapunov_derivative(s, p) for s in traj.states[1:-1]])
         mask = np.abs(closed) > 1e-3 * np.max(np.abs(closed))
@@ -372,9 +414,19 @@ class TestLyapunovAudit:
             assert audit.max_violation == solo.max_violation
             assert audit.final_distance == pytest.approx(solo.final_distance, rel=1e-9)
 
+    def test_settings_are_one_validated_record(self):
+        # the config's ``stability`` block fills the record the certificate
+        # takes, which refuses what the certificate once took unchecked
+        assert config.StabilityConfig is StabilityConfig
+        with pytest.raises(ValueError, match="audit_seeds must be positive"):
+            StabilityConfig(audit_seeds=0)
+        with pytest.raises(ValueError, match="seed_scale must be positive"):
+            StabilityConfig(seed_scale=float("nan"))
+
     def test_certificate_over_seeded_initials(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
-        audits = global_stability_certificate(p, n_seeds=5, horizon=2000.0, seed=3)
+        audits = global_stability_certificate(
+            p, StabilityConfig(audit_seeds=5, audit_horizon=2000.0, seed=3))
         assert len(audits) == 5
         assert all(a.passed for a in audits)
 
@@ -400,7 +452,8 @@ class TestAuditStop:
     def test_criterion_5_audit_stops_early(self, chunks):
         # measured: 850 of 2000 days
         p = scale_to_rc(VARIANTS["614G"], 0.8)
-        audits = global_stability_certificate(p, n_seeds=20, horizon=2000.0, seed=55)
+        audits = global_stability_certificate(
+            p, StabilityConfig(audit_seeds=20, audit_horizon=2000.0, seed=55))
         assert all(a.passed for a in audits)
         assert integrated_days(chunks) <= 1000.0
 
@@ -422,7 +475,8 @@ class TestAuditStop:
         # with fast exits from E2 and A, a chunk ends with a compartment just
         # below zero, inside the integrator's band, and the next starts there
         p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=20.0), 0.8)
-        audits = global_stability_certificate(p, n_seeds=3, horizon=300.0)
+        audits = global_stability_certificate(
+            p, StabilityConfig(audit_seeds=3, audit_horizon=300.0))
         assert min(low for _, low in chunks) < 0.0
         assert all(a.passed for a in audits)
 

@@ -48,10 +48,12 @@ MUTANTS = (
     ("F misses E2", "model", "F[0, 1:] = J[0, 1:]", "F[0, 2:] = J[0, 2:]"),
     ("quartic block takes I1 for I2", "stability", '("E1", "E2", "I2", "A")',
      '("E1", "E2", "I1", "A")'),
-    ("root is the smallest real root", "stability", ".max(initial=-np.inf)",
-     ".min(initial=np.inf)"),
-    ("root certified for a4 > 0", "stability", "if not coeffs.a4 < 0.0:", "if coeffs.a4 < 0.0:"),
+    ("root is the smallest real root", "stability",
+     "eigenvalues.real[eigenvalues.imag == 0.0].max(initial=-np.inf)",
+     "eigenvalues.real[eigenvalues.imag == 0.0].min(initial=np.inf)"),
+    ("root certified for a4 > 0", "stability", "if not a[3] < 0.0:", "if a[3] < 0.0:"),
     ("entropy sign", "stability", "return x - 1.0 - np.log(x)", "return x - 1.0 + np.log(x)"),
+    ("V accepts any last axis", "stability", "if states.shape[-1:] != (7,):", "if False:"),
     ("V weights untransposed", "stability", "np.linalg.solve(V.T, F[0])", "np.linalg.solve(V, F[0])"),
     ("audit ignores V", "stability", "monotone_ok = violation <= AUDIT_WIGGLE", "monotone_ok = True"),
     ("audit ignores the infection", "stability", "converged = infection_left < AUDIT_DISTANCE",
