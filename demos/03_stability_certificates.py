@@ -51,7 +51,7 @@ subcritical = params.with_updates(beta=params.beta * 0.8 / rc)
 print(f"\nscaling beta so R_c = "
       f"{control_reproduction_number(subcritical):.2f} and seeding 500 exposed:")
 start = np.array([subcritical.S0, 500.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-[audit] = lyapunov_audit(subcritical, [start], horizon=2000.0)
-print(f"audit passed = {audit.passed}; V never rose by more than "
-      f"{audit.max_violation:.1e} (relative); final distance to P0 = "
-      f"{audit.final_distance:.2e} of N(0)")
+audit = lyapunov_audit(subcritical, start, horizon=2000.0)  # one run, at index 0
+print(f"audit passed = {audit.passed[0]}; V never rose by more than "
+      f"{audit.max_violation[0]:.1e} (relative); final distance to P0 = "
+      f"{audit.final_distance[0]:.2e} of N(0)")

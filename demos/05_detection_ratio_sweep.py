@@ -19,9 +19,10 @@ for name, params in VARIANTS.items():
                       horizon=365.0)
     print(f"\n=== {name} ===")
     print("rho    R_c     cumulative infections    asymptomatic share")
-    for s in sweep:
-        print(f"{s.rho:3.1f} {s.r_c:7.3f} {s.cum_total:20,.0f} "
-              f"{s.cum_proportions[2]:18.4f}")
+    # one record of arrays, member i at index i of each
+    for rho, r_c, total, share in zip(sweep.rho, sweep.r_c, sweep.cum_total,
+                                      sweep.cum_proportions[2]):
+        print(f"{rho:3.1f} {r_c:7.3f} {total:20,.0f} {share:18.4f}")
     decline = decline_percentages(sweep)
     print(f"decline from rho=0.2 to rho=0.8: total {decline.total_pct:.2f}%, "
           f"asymptomatic count {decline.asymptomatic_pct:.2f}%")

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FitError, IntegrationError, require_integers
+from .errors import FitError, IntegrationError, require_integers, whole_days
 from .model import (
     COMPARTMENTS,
     PARAMETER_NAMES,
@@ -418,13 +418,11 @@ def synthesize_data(params: ModelParameters, initial, days: int,
                     integrator: IntegratorConfig | None = None) -> ObservedSeries:
     """Simulate days 0 to ``days`` of daily incidence and apply a noise model.
 
-    ``days`` must be a whole number, at least 1.  ``noise`` is "none",
+    ``days`` must be a whole number, at least 1, and not a bool.  ``noise`` is "none",
     "lognormal" (multiplicative exp(sigma*Z)) or "round" (nearest integer).
     Deterministic for a fixed seed.
     """
-    if not (days >= 1 and float(days).is_integer()):
-        raise ValueError(f"days must be a whole number, at least 1; got {days!r}")
-    traj = integrate(params, initial, _window(integrator, days))
+    traj = integrate(params, initial, _window(integrator, whole_days(days, "days")))
     values = daily_incidence(traj)
     if noise == "lognormal":
         rng = np.random.default_rng(seed)

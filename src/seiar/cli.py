@@ -85,10 +85,10 @@ def cmd_stability(config: RunConfig, args) -> None:
                  ("endemic_max_real_part", endemic_report.max_real_part),
                  *_eigen_rows("endemic", endemic_report.eigenvalues)]
     if r_c < 1.0:
-        audits = stability_mod.global_stability_certificate(params, config.stability)
-        rows.append(("lyapunov_audit", "pass" if all(a.passed for a in audits) else "fail"))
-        rows.append(("lyapunov_max_violation", max(a.max_violation for a in audits)))
-        rows.append(("lyapunov_worst_final_distance", max(a.final_distance for a in audits)))
+        audit = stability_mod.global_stability_certificate(params, config.stability)
+        rows += [("lyapunov_audit", "pass" if audit.passed.all() else "fail"),
+                 ("lyapunov_max_violation", audit.max_violation.max()),
+                 ("lyapunov_worst_final_distance", audit.final_distance.max())]
     else:
         rows.append(("lyapunov_audit", "skipped (R_c >= 1)"))
     write_csv(_out_dir(args) / "stability.csv", ("name", "value"), rows)
@@ -138,9 +138,9 @@ def cmd_sweep(config: RunConfig, args) -> None:
     write_csv(out / "sweep.csv",
               ("rho", "cum_total", "cum_I1", "cum_I2", "cum_A",
                "prop_A_cumulative", "prop_A_prevalence"),
-              ((s.rho, s.cum_total, s.cum_I1, s.cum_I2, s.cum_A,
-                s.cum_proportions[2], s.prevalence_proportions[2])
-               for s in sweep))
+              np.column_stack((sweep.rho, sweep.cum_total, sweep.cum_I1, sweep.cum_I2,
+                               sweep.cum_A, sweep.cum_proportions[2],
+                               sweep.prevalence_proportions[2])))
     write_csv(out / "decline.csv", ("metric", "percent"),
               [("total", decline.total_pct),
                ("asymptomatic", decline.asymptomatic_pct)])

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check of the
-settings records."""
+"""Exception types shared across the package, the integer check of the
+settings records and the check of a count of days."""
 
 from __future__ import annotations
 
@@ -48,3 +48,12 @@ def require_integers(record, *names: str) -> None:
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def whole_days(value, name: str) -> int:
+    """``value`` as an int when it is a whole number, at least 1, and not a
+    bool; a ValueError naming ``name`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value >= 1 and float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number, at least 1; got {value!r}")
+    return int(value)

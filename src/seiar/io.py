@@ -115,7 +115,8 @@ def read_case_series(path) -> ObservedSeries:
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # a leading byte-order mark, as spreadsheets write, is dropped
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _parse_case_series(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read case series {path}: {exc}") from exc

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import FitResult
-from .errors import IntegrationError
+from .errors import IntegrationError, whole_days
 from .model import ModelParameters, control_reproduction_number
 from .simulate import (
     ClassBreakdown,
@@ -31,11 +31,12 @@ from .simulate import (
 
 
 @dataclass(frozen=True)
-class RhoScenario(ClassBreakdown):
-    """Outcome of one sweep member: its endpoint breakdown, rho and R_c."""
+class RhoSweep(ClassBreakdown):
+    """Outcome of a sweep: the ensemble's endpoint breakdown and the (m,) arrays
+    ``rho`` and ``r_c``, member i (on the last axis) being the i-th swept rho."""
 
-    rho: float
-    r_c: float
+    rho: np.ndarray
+    r_c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,8 @@ class Forecast:
 def rho_sweep(base: tuple[ModelParameters, object],
               rho_values: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
               horizon: float = 365.0,
-              integrator: IntegratorConfig | None = None
-              ) -> tuple[RhoScenario, ...]:
-    """One ensemble member per rho over ``horizon`` days, one scenario each.
+              integrator: IntegratorConfig | None = None) -> RhoSweep:
+    """One ensemble member per rho over ``horizon`` days, in one record.
 
     ``base`` is the baseline (parameters, initial state).  All rho values
     are integrated as one ensemble, one parameter set per member, with
@@ -76,13 +76,14 @@ def rho_sweep(base: tuple[ModelParameters, object],
     for bit, while adding or removing a value moves the others within the
     tolerance.  The metrics read only the endpoint, and the runs are stored
     at 1 sample/day.  A horizon under one day is integrated like any other.
-    The scenarios follow the input order of ``rho_values``.  A failure names
+    The members follow the input order of ``rho_values``.  A failure names
     the rho of the member that failed, or the first rho when the failure is
     shared (step budget, step underflow).
     """
     params, initial = base
+    rho = np.array(rho_values, dtype=float)
     # every rho is validated by ModelParameters before the run
-    members = [params.with_updates(rho=float(rho)) for rho in rho_values]
+    members = [params.with_updates(rho=value) for value in rho.tolist()]
     if not members:
         raise ValueError("rho_values must be nonempty")
     window = integrator or IntegratorConfig()
@@ -90,48 +91,44 @@ def rho_sweep(base: tuple[ModelParameters, object],
     try:
         runs = integrate(members, [initial] * len(members), config)
     except IntegrationError as exc:
-        rho = members[exc.member or 0].rho
-        raise IntegrationError(f"scenario rho={rho:g} failed: {exc.args[0]}",
-                               exc.t, exc.member) from exc
-    breakdown = vars(cumulative_by_class(runs))
-    return tuple(RhoScenario(rho=p.rho, r_c=control_reproduction_number(p),
-                             **{name: value[..., i] for name, value in breakdown.items()})
-                 for i, p in enumerate(members))
+        raise IntegrationError(f"scenario rho={rho[exc.member or 0]:g} failed: "
+                               f"{exc.args[0]}", exc.t, exc.member) from exc
+    return RhoSweep(rho=rho, r_c=np.array([control_reproduction_number(p) for p in members]),
+                    **vars(cumulative_by_class(runs)))
 
 
-def decline_percentages(scenarios: Sequence[RhoScenario]) -> DeclinePercentages:
+def decline_percentages(sweep: RhoSweep) -> DeclinePercentages:
     """100 * (metric(rho_min) - metric(rho_max)) / metric(rho_min).
 
-    Computed over a sweep's scenarios for the total and asymptomatic counts.
+    Computed over a sweep's members for the total and asymptomatic counts;
+    of equal extreme rhos the first is read.
     Since cum_I1 + cum_I2 + alpha/(alpha+mu)*E2(T) =
     alpha*sigma/((alpha+mu)*epsilon)*cum_A along every run started with
     E2 = 0, the two declines differ only by the E2 still in flight at the
     horizon.
     """
-    if len(scenarios) < 2:
+    if len(sweep.rho) < 2:
         raise ValueError("decline percentages need at least two rho values")
-    low = min(scenarios, key=lambda s: s.rho)
-    high = max(scenarios, key=lambda s: s.rho)
+    low, high = np.argmin(sweep.rho), np.argmax(sweep.rho)
 
     def pct(a: float, b: float) -> float:
         if a == 0.0:
             return float("nan")
         return 100.0 * (a - b) / a
 
-    return DeclinePercentages(total_pct=pct(low.cum_total, high.cum_total),
-                              asymptomatic_pct=pct(low.cum_A, high.cum_A))
+    return DeclinePercentages(total_pct=pct(sweep.cum_total[low], sweep.cum_total[high]),
+                              asymptomatic_pct=pct(sweep.cum_A[low], sweep.cum_A[high]))
 
 
 def forecast(fit: FitResult, horizon: int) -> Forecast:
-    """Extend the fitted run ``horizon`` whole days past its data window.
+    """Extend the fitted run ``horizon`` whole days past its data window: an
+    integer or a whole float, at least 1, and not a bool.
 
     The returned incidence covers only the extension, which starts on day
     ``fit.n_days`` of the fitted window's numbering, so the reported peak
     is directly comparable with the observed series.
     """
-    if not (horizon >= 1 and float(horizon).is_integer()):
-        raise ValueError(f"horizon must be a whole number of days, at least 1; got {horizon!r}")
-    horizon = int(horizon)
+    horizon = whole_days(horizon, "horizon")
     window = fit.integrator
     config = replace(window, t_end=window.t0 + fit.n_days + horizon)
     traj = integrate(fit.params, fit.initial, config)

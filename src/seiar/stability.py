@@ -68,16 +68,17 @@ class StabilityConfig:
 
 @dataclass(frozen=True)
 class LyapunovAudit:
-    """Outcome of one decrease-and-converge check along a simulated run.
+    """Outcome of the decrease-and-converge checks along m simulated runs:
+    (m,) arrays, run i at index i, and an m-tuple of reasons, None for a pass.
 
     ``final_distance`` is the whole state's ||y(T) - P0||_inf / N(0) at the
     horizon.  It is reported, not judged: S and R relax at rate mu.
     """
 
-    passed: bool
-    max_violation: float
-    final_distance: float
-    reason: Optional[str] = None
+    passed: np.ndarray
+    max_violation: np.ndarray
+    final_distance: np.ndarray
+    reason: tuple[Optional[str], ...]
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,9 @@ _AUDIT_CHUNK = 50.0
 _AUDIT_EXTINCT = 1e-12
 
 
-def lyapunov_audit(params: ModelParameters, initials,
-                   horizon: float) -> list[LyapunovAudit]:
-    """Simulate from ``initials``, one (7,) state or (m, 7) rows of states,
-    and check that V decreases and each run reaches the disease-free point P0.
+def lyapunov_audit(params: ModelParameters, initials, horizon: float) -> LyapunovAudit:
+    """Simulate from ``initials``, one (7,) state (one run) or (m, 7) rows of
+    states, and check that V decreases and each run reaches the disease-free point P0.
 
     Refuses (raises ValueError) when R_c >= 1, where no decrease is claimed,
     before any integration.  The runs are integrated together, as one
@@ -259,28 +259,24 @@ def lyapunov_audit(params: ModelParameters, initials,
 
         deviation = deviation @ expm(jacobian(p0, params) * (horizon - t)).T
     max_violation = rise / v_scale
-    final_distances = np.abs(deviation).max(axis=1) / n0
-    infections_left = np.abs(deviation[:, 1:6]).max(axis=1) / n0
-    audits = []
-    for violation, final_distance, infection_left in zip(
-            max_violation.tolist(), final_distances.tolist(), infections_left.tolist()):
-        monotone_ok = violation <= AUDIT_WIGGLE
-        converged = infection_left < AUDIT_DISTANCE
-        reason = None
-        if not monotone_ok:
-            reason = f"V increased by {violation:.3e} (relative) between samples"
-        elif not converged:
-            reason = (f"infected compartments ended {infection_left:.3e} * N(0) "
-                      "away from zero; horizon may be too short")
-        audits.append(LyapunovAudit(passed=monotone_ok and converged,
-                                    max_violation=violation,
-                                    final_distance=final_distance, reason=reason))
-    return audits
+    infection_left = np.abs(deviation[:, 1:6]).max(axis=1) / n0
+    monotone = max_violation <= AUDIT_WIGGLE
+    converged = infection_left < AUDIT_DISTANCE
+    passed = monotone & converged
+    reason = tuple(
+        None if ok else
+        f"V increased by {violation:.3e} (relative) between samples" if not decreasing else
+        f"infected compartments ended {left:.3e} * N(0) away from zero; "
+        "horizon may be too short"
+        for ok, decreasing, violation, left in zip(
+            passed.tolist(), monotone.tolist(), max_violation.tolist(), infection_left.tolist()))
+    return LyapunovAudit(passed=passed, max_violation=max_violation,
+                         final_distance=np.abs(deviation).max(axis=1) / n0, reason=reason)
 
 
 def global_stability_certificate(
         params: ModelParameters, settings: StabilityConfig = StabilityConfig()
-) -> list[LyapunovAudit]:
+) -> LyapunovAudit:
     """Run :func:`lyapunov_audit` from ``settings.audit_seeds`` random
     infection seedings to ``settings.audit_horizon``.
 
@@ -289,10 +285,9 @@ def global_stability_certificate(
     ``settings.seed``; seedings are kept small enough that the slow (rate
     mu) relaxation of S and R back to the disease-free point fits the horizon.
     """
-    rng = np.random.default_rng(settings.seed)
-    s0 = params.S0
-    initials = [np.array([s0, *rng.uniform(0.0, settings.seed_scale * s0, size=5), 0.0])
-                for _ in range(settings.audit_seeds)]
+    s0, m = params.S0, settings.audit_seeds
+    infected = np.random.default_rng(settings.seed).uniform(0.0, settings.seed_scale * s0, (m, 5))
+    initials = np.column_stack((np.full(m, s0), infected, np.zeros(m)))
     return lyapunov_audit(params, initials, settings.audit_horizon)
 
 

@@ -139,12 +139,11 @@ def test_criterion_4_stability_certificates():
 
 def test_criterion_5_lyapunov_audit():
     p = scale_to_rc(VARIANTS["614G"], 0.8)
-    audits = global_stability_certificate(
+    audit = global_stability_certificate(
         p, StabilityConfig(audit_seeds=20, audit_horizon=2000.0, seed=55))
-    worst_violation = max(a.max_violation for a in audits)
-    worst_distance = max(a.final_distance for a in audits)
-    ok = all(a.passed for a in audits) and worst_violation <= 1e-9 \
-        and worst_distance < 1e-4
+    worst_violation = audit.max_violation.max()
+    worst_distance = audit.final_distance.max()
+    ok = audit.passed.all() and worst_violation <= 1e-9 and worst_distance < 1e-4
     report(5, "V nonincreasing and state -> P0 for 20 seeded runs at R_c = 0.8",
            ok, f"worst violation {worst_violation:.2e}, "
                f"worst final distance {worst_distance:.2e}")
@@ -222,12 +221,12 @@ def test_criterion_8_detection_ratio_sweep_properties():
     for name, p in VARIANTS.items():
         sweep = rho_sweep((p, seeded(p)), rho_values=(0.2, 0.4, 0.6, 0.8),
                           horizon=365.0)
-        totals = [s.cum_total for s in sweep]
+        totals = sweep.cum_total.tolist()
         strict = all(a > b for a, b in zip(totals, totals[1:]))
         # share floor: the asymptomatic branching ratio, exceeded only by the
         # E2 still in flight at the horizon
         s0 = p.epsilon / (p.epsilon + p.sigma * p.alpha / (p.alpha + p.mu))
-        shares = [s.cum_proportions[2] for s in sweep]
+        shares = sweep.cum_proportions[2].tolist()
         floor = min(shares) >= s0 * (1.0 - 1e-12)
         share_pct = 100.0 * (shares[0] - shares[-1]) / shares[0]
         decline = decline_percentages(sweep)

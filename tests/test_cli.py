@@ -66,6 +66,17 @@ class TestCaseSeriesIO:
         back = read_case_series(target)
         assert np.array_equal(back.counts, series.counts)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        text = "date,new_confirmed\n2020-01-01,5\n2020-01-02,6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        back, reference = read_case_series(marked), read_case_series(plain)
+        assert np.array_equal(back.counts, reference.counts)
+        assert back.start_date == reference.start_date
+
     def test_header_must_match(self, tmp_path):
         f = tmp_path / "cases.csv"
         f.write_text("day,count\n2020-01-01,5\n")
@@ -771,9 +782,10 @@ class TestSweepCommand:
         expected = rho_sweep(base, (0.2, 0.4, 0.6, 0.8), 60.0, window)
         rows = [[float(v) for v in row]
                 for row in read_rows(tmp_path / "rk4" / "sweep.csv")[1:]]
-        assert rows == [[s.rho, s.cum_total, s.cum_I1, s.cum_I2, s.cum_A,
-                         s.cum_proportions[2], s.prevalence_proportions[2]]
-                        for s in expected]
+        assert rows == np.column_stack((
+            expected.rho, expected.cum_total, expected.cum_I1, expected.cum_I2,
+            expected.cum_A, expected.cum_proportions[2],
+            expected.prevalence_proportions[2])).tolist()
         assert ((tmp_path / "rk4" / "sweep.csv").read_bytes()
                 != (tmp_path / "default" / "sweep.csv").read_bytes())
 

@@ -14,6 +14,7 @@ checks the same inputs.
 import datetime
 import itertools
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -165,20 +166,36 @@ def test_both_yaml_builds_read_any_text_alike_or_refuse_it(text):
     assert libyaml == pure
 
 
-@needs_libyaml
-@INPUTS
-@given(st.one_of(st.builds(valid_config), mutated_configs()), st.booleans(),
-       st.lists(st.tuples(st.integers(0), st.one_of(divergent_pieces, yaml_pieces)),
-                max_size=3))
-def test_both_yaml_builds_load_a_mutated_config_alike_or_refuse_it(
-        tmp_path_factory, cfg, flow, insertions):
-    # a valid config, or a mutated one, with up to three pieces put in
-    # before or after a character of YAML syntax
+@st.composite
+def config_texts(draw) -> str:
+    """A config's YAML text in block or flow style: a valid or mutated config
+    with up to three pieces put in before or after a character of YAML
+    syntax, or a valid config with a piece in place of the value of
+    ``integrator.method`` or ``integrator.atol``.  Those are the only entries
+    that take a string or null, so only there can a piece the two builds
+    read differently leave a config that validates under one of them, as
+    ``atol: !`` does: None under the pure-Python loader, '' under libyaml."""
+    flow = draw(st.booleans())
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(("method", "atol")))
+        piece = draw(st.one_of(divergent_pieces, yaml_constructs))
+        text = yaml.safe_dump(valid_config(), default_flow_style=flow)
+        return re.sub(rf"\b{key}: [^,\n}}]*", lambda _: f"{key}: {piece}", text, count=1)
+    cfg = draw(st.one_of(st.builds(valid_config), mutated_configs()))
     text = yaml.safe_dump(cfg, default_flow_style=flow)
-    for which, piece in insertions:
+    insertions = st.tuples(st.integers(0), st.one_of(divergent_pieces, yaml_pieces))
+    for which, piece in draw(st.lists(insertions, max_size=3)):
         syntax = [i + side for i, c in enumerate(text) if c in ":,[]{}\n" for side in (0, 1)]
         at = syntax[which % len(syntax)]
         text = text[:at] + piece + text[at:]
+    return text
+
+
+@needs_libyaml
+@INPUTS
+@given(config_texts())
+@example(yaml.safe_dump(valid_config()).replace("atol: null", "atol: !"))
+def test_both_yaml_builds_load_a_mutated_config_alike_or_refuse_it(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
     path.write_text(text, encoding="utf-8")
     libyaml, pure = under_each_build(lambda: load_config(path))

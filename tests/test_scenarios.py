@@ -18,7 +18,7 @@ from seiar import (
 from seiar.calibrate import ParameterSpec
 from seiar.errors import IntegrationError
 from seiar.model import extended_field
-from seiar.scenarios import RhoScenario
+from seiar.scenarios import RhoSweep
 from seiar.presets import VARIANT_614G, VARIANTS
 from seiar.simulate import (
     IntegratorConfig,
@@ -34,11 +34,14 @@ def seeded(params, e1=100.0):
     return y0
 
 
-def make_scenario(rho, total, asym):
-    return RhoScenario(rho=rho, r_c=1.0, cum_I1=0.0,
-                       cum_I2=total - asym, cum_A=asym,
-                       cum_proportions=np.full(3, np.nan),
-                       prevalence_proportions=np.full(3, np.nan))
+def make_sweep(*members):
+    """A sweep record of (rho, total, asymptomatic) members, in order."""
+    rho, total, asym = np.array(members, dtype=float).T
+    m = len(rho)
+    return RhoSweep(rho=rho, r_c=np.ones(m), cum_I1=np.zeros(m),
+                    cum_I2=total - asym, cum_A=asym,
+                    cum_proportions=np.full((3, m), np.nan),
+                    prevalence_proportions=np.full((3, m), np.nan))
 
 
 def assert_exposed_chain_identity(q, inflows, state):
@@ -65,16 +68,17 @@ class TestRhoSweep:
         default = rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0)
         other = rho_sweep((p, seeded(p)), (0.2, 0.8), 365.0,
                           IntegratorConfig(t_end=100.0, sample_per_day=10))
-        assert [s.cum_total for s in other] == [s.cum_total for s in default]
+        assert other.cum_total.tolist() == default.cum_total.tolist()
 
     def test_sub_day_horizon_reads_the_endpoint(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), (0.2, 0.8), horizon=0.5)
-        for s in sweep:
-            traj = integrate(p.with_updates(rho=s.rho), seeded(p),
+        for i, rho in enumerate(sweep.rho.tolist()):
+            traj = integrate(p.with_updates(rho=rho), seeded(p),
                              IntegratorConfig(t_end=0.5, sample_per_day=1))
-            assert [s.cum_I1, s.cum_I2, s.cum_A] == traj.cumulative_inflows[-1].tolist()
-            assert s.cum_total > 0.0
+            assert ([sweep.cum_I1[i], sweep.cum_I2[i], sweep.cum_A[i]]
+                    == traj.cumulative_inflows[-1].tolist())
+            assert sweep.cum_total[i] > 0.0
 
     def test_failure_names_scenario_and_time_once(self, monkeypatch):
         p = VARIANT_614G
@@ -124,26 +128,34 @@ class TestRhoSweep:
         assert together <= 1.5 * max(alone)
         assert together <= 0.5 * sum(alone)
 
+    def test_sweep_is_one_record_of_member_arrays(self):
+        p = VARIANT_614G
+        sweep = rho_sweep((p, seeded(p)), (0.8, 0.2, 0.5), horizon=30.0)
+        assert sweep.rho.tolist() == [0.8, 0.2, 0.5]
+        for name in ("rho", "r_c", "cum_I1", "cum_I2", "cum_A", "cum_total"):
+            assert getattr(sweep, name).shape == (3,)
+        assert sweep.cum_proportions.shape == sweep.prevalence_proportions.shape == (3, 3)
+        assert sweep.r_c.tolist() == [control_reproduction_number(p.with_updates(rho=rho))
+                                      for rho in (0.8, 0.2, 0.5)]
+
     def test_repeated_rho_gives_identical_metrics(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), rho_values=(0.4, 0.4), horizon=60.0)
-        a, b = sweep
-        assert a.cum_total == b.cum_total
-        assert a.cum_A == b.cum_A
+        assert sweep.cum_total[0] == sweep.cum_total[1]
+        assert sweep.cum_A[0] == sweep.cum_A[1]
 
     def test_permuting_the_grid_permutes_results(self):
         p = VARIANT_614G
         fwd = rho_sweep((p, seeded(p)), rho_values=(0.2, 0.5, 0.8), horizon=50.0)
         rev = rho_sweep((p, seeded(p)), rho_values=(0.8, 0.5, 0.2), horizon=50.0)
-        for s_f, s_r in zip(fwd, reversed(rev)):
-            assert s_f.rho == s_r.rho
-            assert s_f.cum_total == s_r.cum_total
-            assert s_f.cum_A == s_r.cum_A
+        assert fwd.rho.tolist() == rev.rho[::-1].tolist()
+        assert fwd.cum_total.tolist() == rev.cum_total[::-1].tolist()
+        assert fwd.cum_A.tolist() == rev.cum_A[::-1].tolist()
 
     def test_scenario_reproduction_numbers_decrease(self):
         p = VARIANT_614G
         sweep = rho_sweep((p, seeded(p)), horizon=30.0)
-        rcs = [s.r_c for s in sweep]
+        rcs = sweep.r_c.tolist()
         assert all(a > b for a, b in zip(rcs, rcs[1:]))
         assert rcs[0] == pytest.approx(
             control_reproduction_number(p.with_updates(rho=0.2)), rel=1e-15)
@@ -151,7 +163,7 @@ class TestRhoSweep:
     def test_cumulative_totals_strictly_decrease_in_rho(self, variant):
         _, p = variant
         sweep = rho_sweep((p, seeded(p)), horizon=365.0)
-        totals = [s.cum_total for s in sweep]
+        totals = sweep.cum_total.tolist()
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
     def test_asymptomatic_share_drifts_only_slightly(self, variant):
@@ -159,7 +171,7 @@ class TestRhoSweep:
         # asymptomatic share of cumulative infections
         _, p = variant
         sweep = rho_sweep((p, seeded(p)), horizon=365.0)
-        shares = np.array([s.cum_proportions[2] for s in sweep])
+        shares = sweep.cum_proportions[2]
         assert np.ptp(shares) <= 0.02 * shares[0]
 
     @pytest.mark.parametrize("rho", [0.2, 0.4, 0.6, 0.8])
@@ -204,42 +216,45 @@ class TestRhoSweep:
             p = draw_params_at_rc(rng, float(rng.uniform(1.2, 2.5)))
             sweep = rho_sweep((p, seeded(p, e1=1e-5 * p.S0)),
                               rho_values=(0.1, 0.5, 0.9), horizon=200.0)
-            totals = [s.cum_total for s in sweep]
+            totals = sweep.cum_total.tolist()
             assert all(a >= b for a, b in zip(totals, totals[1:]))
 
 
 class TestDeclinePercentages:
     def test_needs_two_scenarios(self):
-        sweep = (make_scenario(0.2, 10.0, 5.0),)
+        sweep = make_sweep((0.2, 10.0, 5.0))
         with pytest.raises(ValueError, match="two"):
             decline_percentages(sweep)
 
     def test_constant_metric_is_zero_decline(self):
-        sweep = (make_scenario(0.2, 10.0, 5.0),
-                 make_scenario(0.8, 10.0, 5.0))
+        sweep = make_sweep((0.2, 10.0, 5.0), (0.8, 10.0, 5.0))
         decline = decline_percentages(sweep)
         assert decline.total_pct == 0.0
         assert decline.asymptomatic_pct == 0.0
 
     def test_halved_metric_is_fifty_percent(self):
-        sweep = (make_scenario(0.2, 10.0, 4.0),
-                 make_scenario(0.8, 5.0, 2.0))
+        sweep = make_sweep((0.2, 10.0, 4.0), (0.8, 5.0, 2.0))
         decline = decline_percentages(sweep)
         assert decline.total_pct == 50.0
         assert decline.asymptomatic_pct == 50.0
 
     def test_zero_baseline_is_undefined(self):
-        sweep = (make_scenario(0.2, 0.0, 0.0),
-                 make_scenario(0.8, 0.0, 0.0))
+        sweep = make_sweep((0.2, 0.0, 0.0), (0.8, 0.0, 0.0))
         decline = decline_percentages(sweep)
         assert np.isnan(decline.total_pct)
         assert np.isnan(decline.asymptomatic_pct)
 
     def test_uses_extreme_rhos_not_listing_order(self):
-        sweep = (make_scenario(0.8, 5.0, 2.0),
-                 make_scenario(0.2, 10.0, 4.0))
+        sweep = make_sweep((0.8, 5.0, 2.0), (0.2, 10.0, 4.0))
         decline = decline_percentages(sweep)
         assert decline.total_pct == 50.0
+
+    def test_repeated_extreme_rho_reads_its_first_member(self):
+        sweep = make_sweep((0.2, 10.0, 4.0), (0.8, 5.0, 2.0), (0.2, 20.0, 4.0),
+                           (0.8, 10.0, 1.0))
+        decline = decline_percentages(sweep)
+        assert decline.total_pct == 50.0
+        assert decline.asymptomatic_pct == 50.0
 
     @pytest.mark.parametrize("name", ["614G", "Alpha", "Delta"])
     def test_total_declines_at_least_as_fast_as_asymptomatic(self, name):
@@ -278,6 +293,17 @@ class TestForecast:
         _, _, result = truth_fit
         with pytest.raises(ValueError, match="horizon must be a whole number"):
             forecast(result, horizon)
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "np.True_"])
+    @pytest.mark.parametrize("name", ["days", "horizon"])
+    def test_refuses_a_bool_as_a_count_of_days(self, truth_fit, name, flag):
+        # a bool is an int to Python, and True once made a one-day series
+        p, y0, result = truth_fit
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            if name == "days":
+                synthesize_data(p, y0, days=flag)
+            else:
+                forecast(result, flag)
 
     def test_whole_float_horizon_is_whole_days(self, truth_fit):
         _, _, result = truth_fit

