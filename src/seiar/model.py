@@ -25,10 +25,10 @@ holds the parameter container, the table of grouped rates every closed form
 is built from (``ModelParameters.rates``), the vector field
 (``extended_field``: one product of a constant coefficient matrix, which
 holds the births, the flows and the incidence term, with the features
-(y, S*E2, S*I1, S*I2, S*A, 1), for one parameter set or one per ensemble
-member), the Jacobian and the next-generation matrices read off that field
-rather than written out a second time, the control reproduction number R_c,
-and both equilibria (disease-free and endemic).
+(y, S*E2, S*I1, S*I2, S*A, 1), into which an integrator writes its states,
+for one parameter set or one per ensemble member), the Jacobian and the
+next-generation matrices read off that field rather than written out a
+second time, the control reproduction number R_c, and both equilibria.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def _coefficient_matrix(p: ModelParameters) -> np.ndarray:
 
 
 def extended_field(params: ModelParameters | Sequence[ModelParameters]
-                   ) -> Callable[..., np.ndarray]:
-    """The model's vector field, as a function f(y, out=None) of a state array.
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The model's vector field, as a function f(y) of a state array.
 
     f returns 10 components: the derivatives of the seven compartments, then
     the inflows rho*alpha*E2 into I1, (1-rho)*alpha*E2 into I2 and
@@ -230,11 +230,13 @@ def extended_field(params: ModelParameters | Sequence[ModelParameters]
     multiplying its own column: that column's field is then the bytes of
     its member's one-set field.
 
-    ``out`` is an output buffer, not an option: a C-contiguous array of the
-    field's shape, (10,) or (10, m), and of ``y``'s dtype promoted to at
-    least float (complex for a complex probe), that must not overlap ``y``.  f
-    writes the field into it and returns it, the same values as f(y) returns
-    in a new array; an integrator's stage buffer saves the allocation.
+    ``f.stage(out)``, for a C-contiguous (10,) or (10, m) float or complex
+    buffer ``out``, is the integrators' way in.  It returns ``(state,
+    evaluate)``: ``state`` is rows 0-9 of the field's own phi for out's
+    shape and dtype, which every such stage shares, and ``evaluate()``
+    computes the products from the state written there, whose counters in
+    rows 7-9 it overwrites unread, and writes the field into ``out``.  f(y)
+    writes y[:7] into a stage of its own and returns a copy of its field.
     """
     shared = isinstance(params, ModelParameters)
     if shared:
@@ -242,37 +244,51 @@ def extended_field(params: ModelParameters | Sequence[ModelParameters]
     else:
         coefficients = np.stack([_coefficient_matrix(p) for p in params])
 
-    # for each state shape and dtype f meets, phi and the views f uses, and
-    # C, in the field's dtype (at least float), so that a complex probe
-    # casts nothing: phi's constant row is set once, and S is read through a
-    # stride-0 view that repeats row 0 in the products' own shape, since a
-    # multiply of equal shapes costs less than one that broadcasts
+    # for each output shape and dtype, phi and the views the products use,
+    # and C in phi's dtype, so that a complex probe casts nothing: phi's
+    # constant row is set once, and S is read through a stride-0 view that
+    # repeats row 0 in the products' own shape, since a multiply of equal
+    # shapes costs less than one that broadcasts
     features = {}
     dot, matmul, multiply = np.dot, np.matmul, np.multiply
 
-    def f(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        key = y.shape, y.dtype
+    def stage(out: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        key = out.shape, out.dtype
         views = features.get(key)
         if views is None:
-            dtype = np.promote_types(y.dtype, float)
-            phi = np.empty((12,) + y.shape[1:], dtype)
+            phi = np.empty((12,) + out.shape[1:], out.dtype)
             phi[11] = 1.0
             views = features[key] = (
-                phi[:7], np.broadcast_to(phi[:1], (4,) + y.shape[1:]), phi[2:6],
-                phi[7:11], coefficients.astype(dtype, copy=False),
-                phi if shared else phi.T[:, :, None])
-        linear, susceptible, infected, products, c, operand = views
-        linear[...] = y[:7]
-        multiply(susceptible, infected, products)
-        if out is None:
-            out = np.empty((10,) + y.shape[1:], c.dtype)
+                phi, np.broadcast_to(phi[:1], (4,) + out.shape[1:]), phi[2:6],
+                phi[7:11], coefficients.astype(out.dtype, copy=False))
+        phi, susceptible, infected, products, c = views
         if shared:
-            return dot(c, operand, out)
-        # member j's column is c[j] @ phi[:, j]: the operand is phi's
-        # (m, 12, 1) transposed view, and out is written through its own
-        matmul(c, operand, out.T[:, :, None])
-        return out
+            def evaluate() -> np.ndarray:
+                multiply(susceptible, infected, products)
+                return dot(c, phi, out)
+        else:
+            # member j's column is c[j] @ phi[:, j], through phi's and out's
+            # (m, 12, 1) and (m, 10, 1) transposed views
+            operand, target = phi.T[:, :, None], out.T[:, :, None]
 
+            def evaluate() -> np.ndarray:
+                multiply(susceptible, infected, products)
+                matmul(c, operand, target)
+                return out
+        return phi[:10], evaluate
+
+    # f(y)'s own stage for each shape and dtype of y, and so its one path
+    calls = {}
+
+    def f(y: np.ndarray) -> np.ndarray:
+        key = y.shape, y.dtype
+        if key not in calls:
+            calls[key] = stage(np.empty((10,) + y.shape[1:], np.promote_types(y.dtype, float)))
+        state, evaluate = calls[key]
+        state[:7] = y[:7]
+        return evaluate().copy()
+
+    f.stage = stage
     return f
 
 

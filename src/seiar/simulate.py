@@ -31,7 +31,8 @@ and m of them the rows of an (m, 7) array; both step a component-major state
 of shape (10,) for one run or (10, m) for an ensemble of m runs that share
 every step, and one :class:`Trajectory` holds either, the ensemble's with a
 trailing member axis.  An ensemble's members share one parameter set or carry one
-each; either way the field is one call per stage.
+each; either way the field is one call per stage, which the Fehlberg stepper
+makes on a state it wrote straight into the field's own feature buffer.
 """
 
 from __future__ import annotations
@@ -288,7 +289,8 @@ def integrate(params: ModelParameters | Sequence[ModelParameters], initial,
     """
     y0 = _initial_states(initial).T  # component-major, as the steppers take it
     if not isinstance(params, ModelParameters) and y0.shape[1:] != (len(params),):
-        raise ValueError(f"{len(params)} parameter sets for {y0[0].size} initial states")
+        raise ValueError(f"a sequence of {len(params)} parameter sets needs "
+                         f"({len(params)}, 7) initial states, got shape {y0.T.shape}")
     times, out = _solve(params, y0, config)
     return Trajectory(times, out[:, :7], out[:, 7:], config.sample_per_day)
 
@@ -334,10 +336,13 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     # ``y`` and ``y5`` are two buffers that trade places on every accepted
     # step, and so are ``ay`` and ``ay5``, which carry |y| over to the next
     # step; ``y`` starts as the caller's initial state and is overwritten.
-    # The field writes each stage straight into its row of ``k`` through its
-    # ``out`` buffer.  ``out[next_out] = y`` copies, so a stored row keeps
-    # its values when its buffer is reused.  Only the samples inside a step
-    # may differ from the formula written out afresh, in their last bits:
+    # Each state the field is evaluated at, a stage's, a step's end or a
+    # complex probe, is written straight into the field's own feature buffer
+    # (``f.stage``, see ``extended_field``), and the field straight into its
+    # row of ``k``, its slot of ``ends`` or ``probe_f``.  ``out[next_out] =
+    # y`` copies, so a stored row keeps its values when its buffer is
+    # reused.  Only the samples inside a step may differ from the formula
+    # written out afresh, in their last bits:
     # their weights' columns follow the slots' order, and a step that starts
     # on a sample reads theta off the sample indices.
     grid = out_times.tolist()
@@ -351,7 +356,8 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     # one matrix-vector product into a preallocated buffer for any m
     k = np.empty((6,) + y.shape)
     k_flat = k.reshape(6, -1)
-    k0, stages = k[0], [(_A_ROWS[s], k_flat[:s], k[s]) for s in range(1, 6)]
+    k0, (y_state, y_field) = k[0], f.stage(k[0])
+    stages = [(_A_ROWS[s], k_flat[:s]) + f.stage(k[s]) for s in range(1, 6)]
     comb = np.empty(y.shape)
     comb_flat = comb.reshape(-1)
     y5, ay, ay5, scale = np.empty(y.shape), np.abs(y), np.empty(y.shape), np.empty(y.shape)
@@ -372,18 +378,23 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
     admissible = b"\x01" * ok.size
     # the Hermite data of a step in increment form (see ``_HERMITE_WEIGHTS``),
     # flat like ``k``: y at its start in row 0, y_end - y_start in row 3,
-    # and f and y'' of its two ends in two slots, rows 1-2 and 4-5.  When a
-    # step with samples inside is accepted, its end's slot becomes the next
-    # step's start, so only f(y_end) is copied, into k0.  ``start`` is the
-    # start's slot, and ``_SLOT_WEIGHTS[start]`` orders the weights' columns
+    # and f and y'' of its two ends in two slots, rows 1-2 and 4-5, each
+    # slot with the field's stage into its f.  When a step with samples
+    # inside is accepted, its end's slot becomes the next step's start, so
+    # only f(y_end) is copied, into k0.  ``start`` is the start's slot, and
+    # ``_SLOT_WEIGHTS[start]`` orders the weights' columns
     # to match.  ``f_fresh``: k0 already holds f(y); ``start_fresh``: the
     # start's slot holds f and y'' at y
     ends = np.empty((6,) + y.shape)
     ends_flat = ends.reshape(6, -1)
     y_start, increment = ends[0], ends[3]
-    slots = ((ends[1], ends[2]), (ends[4], ends[5]))
+    slots = tuple((ends[i], ends[i + 1]) + f.stage(ends[i]) for i in (1, 4))
     start = 0
-    probe, probe_f = np.empty(y.shape, complex), np.empty(y.shape, complex)
+    # y'' = J*f at a state y with f(y) = fy is the imaginary part of f at
+    # the complex probe y + i*fy, exact for this quadratic field
+    probe_f = np.empty(y.shape, complex)
+    probe, probe_field = f.stage(probe_f)
+    probe_curvature = probe_f.imag
     f_fresh = start_fresh = False
     # a step that starts on stored sample i0 takes its samples at theta =
     # (i - i0) / (per_day * h), so its weights depend only on the number of
@@ -410,11 +421,13 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
             h = h_prop
         hs.fill(h)
         if not f_fresh:
-            f(y, k0)
+            copyto(y_state, y)
+            y_field()  # k0 = f(y)
         f_fresh = False
-        for a_row, k_prev, k_s in stages:
+        for a_row, k_prev, state, evaluate in stages:
             dot(a_row, k_prev, comb_flat)
-            f(add(y, multiply(comb, hs, comb), comb), k_s)  # k_s = f(y + h * comb)
+            add(y, multiply(comb, hs, comb), state)
+            evaluate()  # k_s = f(y + h * comb)
         dot(_B5, k_flat, comb_flat)
         add(y, multiply(comb, hs, comb), y5)  # y5 = y + h * comb
         dot(_ERR, k_flat, comb_flat)
@@ -438,15 +451,21 @@ def _run_fehlberg(f, y, out_times, out, rtol, atol, band, per_day):
                     # fill the samples inside the step, which must pass the
                     # endpoint's rule: out[filled:inside] = W @ ends, W the
                     # Hermite weights at theta = (t_i - t) / h
-                    f_start, ypp_start = slots[start]
-                    f_end, ypp_end = slots[1 - start]
+                    f_start, ypp_start, _, _ = slots[start]
+                    f_end, ypp_end, end_state, end_field = slots[1 - start]
                     if not start_fresh:
                         copyto(f_start, k0)
-                        _second_derivative(f, y, k0, probe, probe_f, ypp_start)
+                        add(multiply(k0, 1j, probe), y, probe)
+                        probe_field()
+                        copyto(ypp_start, probe_curvature)  # y'' = J*f at y
                         start_fresh = True
                     copyto(y_start, y)
                     subtract(y5, y, increment)
-                    _second_derivative(f, y5, f(y5, f_end), probe, probe_f, ypp_end)
+                    copyto(end_state, y5)
+                    end_field()  # f_end = f(y5)
+                    add(multiply(f_end, 1j, probe), y5, probe)
+                    probe_field()
+                    copyto(ypp_end, probe_curvature)  # y'' = J*f at y5
                     n = inside - filled
                     if t == grid[filled - 1]:
                         key = n, h, start
@@ -538,14 +557,6 @@ def _underflow(t: float, refusal) -> IntegrationError:
     member, undershoot = refusal[1]
     return IntegrationError(f"{message}: the last step refused for the nonnegativity band "
                             f"took {undershoot}", t, member)
-
-
-def _second_derivative(f, y, fy, probe, probe_f, into):
-    """y'' = J*f at ``y``, with ``fy`` = f(y), written into ``into``: the
-    imaginary part of f at the complex probe y + i*fy, exact for this
-    quadratic field; ``probe`` and ``probe_f`` are complex buffers."""
-    f(np.add(np.multiply(fy, 1j, probe), y, probe), probe_f)  # f(y + 1j * fy)
-    np.copyto(into, probe_f.imag)
 
 
 def _refuse_non_finite(block: np.ndarray, times: Sequence[float]) -> None:

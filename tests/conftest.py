@@ -93,6 +93,26 @@ def scale_to_rc(params: ModelParameters, rc_target: float) -> ModelParameters:
     return params.with_updates(beta=params.beta * rc_target / rc)
 
 
+def field_double(g):
+    """A stand-in for the field ``model.extended_field`` returns, evaluated
+    as ``g``: f(y) is g(y), and f.stage(out), the integrators' way in, gives
+    a stage buffer of ``out``'s shape and dtype and an ``evaluate()`` that
+    writes g of the state found there into ``out``, so g sees, and may
+    alter, every real and complex evaluation a run makes."""
+    def stage(out):
+        state = np.empty(out.shape, out.dtype)
+
+        def evaluate():
+            out[...] = g(state)
+            return out
+        return state, evaluate
+
+    def f(y):
+        return g(y)
+    f.stage = stage
+    return f
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)

@@ -181,20 +181,53 @@ class TestRateTable:
             assert value.dtype == float
             assert value.tobytes() == extended_field(params)(y.astype(float)).tobytes()
 
-    def test_field_writes_the_reference_bytes_into_out(self, rng):
-        # f(y, out) returns out itself, holding the bytes of f(y) and of the
-        # field as written before it took a buffer; out is a row of a larger
-        # buffer, as an integrator's stage is, and starts as NaN
+    @staticmethod
+    def stage_cases(rng):
+        """(params, state) for a (10,) state, a (10, 4) block of one shared
+        set, a (10, 4) block of one set per member, and the complex probe
+        y + i*f(y) of a (10,) state, counters random."""
+        p, members = draw_params(rng), [draw_params(rng) for _ in range(4)]
+        one = np.concatenate([random_state(rng), rng.uniform(size=3)])
+        ys = np.stack([np.concatenate([random_state(rng), rng.uniform(size=3)])
+                       for _ in members], axis=1)
+        probe = one + 1j * reference_field(p)(one)
+        return ((p, one), (p, ys), (members, ys), (p, probe))
+
+    def test_stage_writes_the_reference_bytes(self, rng):
+        # a state written into the stage buffer evaluates into out, a row
+        # of a larger buffer that starts as NaN, as an integrator's stage is
         for _ in range(20):
-            p, members = draw_params(rng), [draw_params(rng) for _ in range(4)]
-            one = np.concatenate([random_state(rng), rng.uniform(size=3)])
-            ys = np.stack([np.concatenate([random_state(rng), rng.uniform(size=3)])
-                           for _ in members], axis=1)
-            for params, y in ((p, one), (p, ys), (members, ys)):
+            for params, y in self.stage_cases(rng):
                 f = extended_field(params)
-                out = np.full((2,) + y.shape, np.nan)[1]
-                assert f(y, out) is out
-                assert out.tobytes() == f(y).tobytes() == reference_field(params)(y).tobytes()
+                out = np.full((2,) + y.shape, np.nan, y.dtype)[1]
+                state, evaluate = f.stage(out)
+                assert state.shape == y.shape and state.dtype == y.dtype
+                state[...] = y
+                assert evaluate() is out
+                assert out.tobytes() == reference_field(params)(y).tobytes()
+                assert f(y).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("stale", [np.nan, np.inf, -1e300])
+    def test_stale_counters_and_products_do_not_leak(self, rng, stale):
+        # rows 7:11 of phi hold the counters of the state written last and
+        # the products of the last evaluation: an evaluation at a state full
+        # of ``stale`` leaves it in all of them, and a state whose counters
+        # are ``stale`` evaluates as the reference, which reads y[:7] only
+        for _ in range(10):
+            for params, y in self.stage_cases(rng):
+                f = extended_field(params)
+                out = np.empty(y.shape, y.dtype)
+                state, evaluate = f.stage(out)
+                state.fill(stale)
+                with np.errstate(all="ignore"):
+                    evaluate()
+                state[...] = y
+                state[7:] = stale
+                evaluate()
+                assert out.tobytes() == reference_field(params)(y).tobytes()
+                # every stage of a shape and dtype shares one buffer
+                other, _ = f.stage(np.empty_like(out))
+                assert np.shares_memory(other, state)
 
 
 class TestPopulationBalance:

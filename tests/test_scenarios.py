@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import draw_params
+from conftest import draw_params, field_double
 from scipy.integrate import solve_ivp
 
 from seiar import (
@@ -109,10 +109,10 @@ class TestRhoSweep:
         def counted(params):
             f = field(params)
 
-            def g(y, out=None):
+            def g(y):
                 calls[0] += 1
-                return f(y, out)
-            return g
+                return f(y)
+            return field_double(g)
 
         monkeypatch.setattr("seiar.simulate.extended_field", counted)
         _, p = variant

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import audit_seedings, draw_params, scale_to_rc
+from conftest import audit_seedings, draw_params, field_double, scale_to_rc
 from fehlberg_reference import reference_field, run_fehlberg_reference
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
@@ -64,18 +64,11 @@ def dop853_reference(params, y0, times):
 
 def wrapped_field(wrap, field=extended_field):
     """A stand-in for ``extended_field`` whose f(y) is ``wrap(f, y)``, with f
-    ``field``'s field, the model's by default.  f(y, out) copies that into
-    ``out``, as the model's field writes into its buffer."""
+    ``field``'s field, the model's by default, at every state a run
+    evaluates (see ``conftest.field_double``)."""
     def make(params):
         f = field(params)
-
-        def g(y, out=None):
-            value = wrap(f, y)
-            if out is None:
-                return value
-            out[...] = value
-            return out
-        return g
+        return field_double(lambda y: wrap(f, y))
     return make
 
 
@@ -270,9 +263,7 @@ class TestIntegrate:
 
     def test_window_beyond_step_budget_fails_before_stepping(self, monkeypatch):
         def unevaluable_field(params):
-            def f(y, out=None):
-                pytest.fail("the field was evaluated")
-            return f
+            return field_double(lambda y: pytest.fail("the field was evaluated"))
 
         monkeypatch.setattr("seiar.simulate.extended_field", unevaluable_field)
         monkeypatch.setattr(simulate, "MAX_STEPS", 5000)
@@ -286,9 +277,7 @@ class TestIntegrate:
     def test_rk4_steps_beyond_budget_fail_before_stepping(self, step, monkeypatch):
         # RK4's steps are known in advance: 10 days at 1e-6 take 1e7 of them
         def unevaluable_field(params):
-            def f(y, out=None):
-                pytest.fail("the field was evaluated")
-            return f
+            return field_double(lambda y: pytest.fail("the field was evaluated"))
 
         monkeypatch.setattr("seiar.simulate.extended_field", unevaluable_field)
         p = VARIANT_614G
@@ -356,10 +345,10 @@ class TestIntegrate:
         def counted(params):
             f = field(params)
 
-            def g(y, out=None):
+            def g(y):
                 calls[0] += 1
-                return f(y, out)
-            return g
+                return f(y)
+            return field_double(g)
 
         monkeypatch.setattr(simulate, "extended_field", counted)
         p = fast_614g()
@@ -500,8 +489,18 @@ class TestIntegrateEnsemble:
             assert np.max(np.abs(runs.cumulative_inflows[..., i]
                                  - solo.cumulative_inflows)) <= 1e-9 * n0
             assert_member_observables(incidence, breakdown, i, solo, n0)
-        with pytest.raises(ValueError, match="2 parameter sets for 3 initial states"):
+        with pytest.raises(ValueError, match=r"2 parameter sets needs \(2, 7\) initial "
+                                              r"states, got shape \(3, 7\)"):
             integrate(members, [seeded_state(p)] * 3, cfg)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_parameter_sets_against_one_state_name_both_shapes(self, count):
+        # one (7,) state is not a sequence of states, even for one set
+        p = VARIANT_614G
+        with pytest.raises(ValueError) as info:
+            integrate([p] * count, seeded_state(p), IntegratorConfig(t_end=1.0))
+        assert str(info.value) == (f"a sequence of {count} parameter sets needs "
+                                   f"({count}, 7) initial states, got shape (7,)")
 
     def test_max_steps_counts_shared_steps(self, monkeypatch):
         p = VARIANT_614G
@@ -810,10 +809,10 @@ class TestDenseOutput:
             def make(params):
                 g = field(params)
 
-                def h(y, out=None):
+                def h(y):
                     calls.append(np.iscomplexobj(y))
-                    return g(y, out)
-                return h
+                    return g(y)
+                return field_double(h)
             return make
 
         cfg = IntegratorConfig(t_end=30.0, sample_per_day=10)

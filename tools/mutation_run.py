@@ -40,7 +40,9 @@ MUTANTS = (
     ("half the incidence enters E1", "model", "incidence[1, :4] = p.beta, 0.0, p.beta, bw",
      "incidence[1, :4] = 0.5 * p.beta, 0.0, 0.5 * p.beta, 0.5 * bw"),
     ("births dropped", "model", "-bw, p.Lambda", "-bw, 0.0"),
-    ("field ignores out", "model", "if out is None:", "if True:"),
+    ("constant feature row not 1", "model", "phi[11] = 1.0", "phi[11] = 1.0 + 2.0 ** -52"),
+    ("products not recomputed after the stage state is written", "model",
+     "phi[7:11], coefficients", "phi[7:11].copy(), coefficients"),
     ("R recovers I2 at gamma1", "model", "p.gamma1,  p.gamma2,  p.gamma3,  -p.mu",
      "p.gamma1,  p.gamma1,  p.gamma3,  -p.mu"),
     ("S0 = Lambda*mu", "model", "return self.Lambda / self.mu", "return self.Lambda * self.mu"),
@@ -61,6 +63,8 @@ MUTANTS = (
      "converged = np.full(len(y), True)"),
     ("tail expm untransposed", "stability", "* (horizon - t)).T", "* (horizon - t))"),
     ("verdict band one-sided", "stability", "if max_real < -margin:", "if max_real < margin:"),
+    ("stage state not written into the field's buffer", "simulate",
+     "add(y, multiply(comb, hs, comb), state)", "add(y, multiply(comb, hs, comb), comb)"),
     ("controller exponent", "simulate", "0.9 * err ** -0.2)", "0.9 * err ** -0.25)"),
     ("4th-order solution propagated", "simulate", "_B5 = np.array(_FEHLBERG_B5, dtype=float)",
      "_B5 = np.array(_FEHLBERG_B4, dtype=float)"),
