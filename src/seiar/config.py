@@ -10,26 +10,15 @@ dominant user error this layer exists to prevent.  Numeric fields reject
 booleans, strings and non-finite values.  Integration windows are not set
 here: each library call derives its own from the ``integrator`` block.
 
-The YAML is parsed by libyaml's scanner and parser (PyYAML's
-``CSafeLoader``) where PyYAML was built with it, several times faster, and
-by the pure-Python ``SafeLoader`` where not.  Both build values with the
-same ``SafeConstructor`` and resolver, so a plain or quoted scalar
-resolves to the same value under either.  What their scanners read
-differently is refused (exit 2), naming its line, so that a config loads or
-fails alike under either: a tab (a space to libyaml, an error to the other),
-the line breaks NEL, LS and PS, a byte-order mark past the start, an
-explicit tag (libyaml reads ``a: !`` as ``''``, the other as ``None``), a
-block scalar, and inside a flow collection a ``?`` or a ``:`` right before
-one of ``,?[]{}`` (libyaml reads ``{a?}`` as ``{'a?': None}`` and refuses
-``{a:}``, ``{a :}`` and ``[?]``, the other the reverse).  Only a document
-holding ``!``, ``|``, ``>``, ``?`` or such a ``:`` has its events scanned.
+The YAML is read by PyYAML's pure-Python ``SafeLoader`` on every build.  A
+mapping that writes one key twice is refused, naming the key and its line,
+and so is a document nested too deeply to read (exit 2 for each).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -41,15 +30,6 @@ from .errors import ConfigError, require_integers
 from .model import COMPARTMENTS, PARAMETER_NAMES, ModelParameters
 from .simulate import IntegratorConfig
 from .stability import StabilityConfig
-
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-#: characters the two YAML builds read differently (see the module docstring)
-_UNPORTABLE_CHARACTER = re.compile("[\t\x85\u2028\u2029\ufeff]")
-#: what the two builds read differently inside a flow collection
-_IN_FLOW = re.compile(r"\?|:[,?\[\]{}]")
-#: what a document holds if a node in it may need refusing
-_EVENT_MARKERS = re.compile(r"[!|>]|" + _IN_FLOW.pattern)
 
 
 @dataclass(frozen=True)
@@ -140,9 +120,8 @@ def _entry(value, where: str):
             if key not in block:
                 raise ConfigError(f"{where}.free is missing {key!r}")
         try:
-            return FreeValue(lo=_number(block["lo"], f"{where}.free.lo"),
-                             hi=_number(block["hi"], f"{where}.free.hi"),
-                             guess=_number(block["guess"], f"{where}.free.guess"))
+            return FreeValue(**{key: _number(block[key], f"{where}.free.{key}")
+                                for key in ("lo", "hi", "guess")})
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return _number(value, where)
@@ -217,38 +196,28 @@ def load_config(path) -> RunConfig:
     return parse_config(_read_yaml(text, path))
 
 
+class _Loader(yaml.SafeLoader):
+    """``SafeLoader`` refusing a mapping that writes one key twice."""
+
+    def construct_mapping(self, node, deep=False):
+        # the keys are hashable now, and node.value holds those merged in by '<<' too
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node)  # built already, so read from the cache
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def _read_yaml(text: str, path) -> Any:
-    """The YAML document ``text`` of the config at ``path``; ConfigError,
-    naming the line, where the two YAML builds would read it differently."""
+    """The YAML document ``text`` of the config at ``path``."""
     try:
-        unportable = _unportable(text)
-        if unportable is None:
-            return yaml.load(text, Loader=_YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an over-long integer
+        return yaml.load(text, Loader=_Loader)
+    # ValueError: an over-long integer; RecursionError: deep nesting; LookupError
+    # and AttributeError: PyYAML's reading of a malformed !!bool, !!int, !!float
+    # or !!timestamp scalar
+    except (yaml.YAMLError, ValueError, RecursionError, LookupError, AttributeError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    line, what = unportable
-    raise ConfigError(f"config {path} line {line}: {what} is not allowed")
-
-
-def _unportable(text: str) -> tuple[int, str] | None:
-    """(line, description) of the first character or node of ``text`` the
-    two YAML builds read differently (see the module docstring), or None."""
-    bad = _UNPORTABLE_CHARACTER.search(text)
-    if bad:
-        return text.count("\n", 0, bad.start()) + 1, f"the character {bad.group()!r}"
-    if not _EVENT_MARKERS.search(text):
-        return None
-    flow_starts = []  # where each open flow collection starts
-    for event in yaml.parse(text, Loader=_YAML_LOADER):
-        if isinstance(event, yaml.CollectionStartEvent) and event.flow_style:
-            flow_starts.append(event.start_mark.index)
-        elif isinstance(event, yaml.CollectionEndEvent) and flow_starts:
-            bad = _IN_FLOW.search(text, flow_starts.pop(), event.end_mark.index)
-            if bad:
-                return (text.count("\n", 0, bad.start()) + 1,
-                        f"{bad.group()!r} inside a flow collection")
-        if getattr(event, "tag", None) is not None:
-            return event.start_mark.line + 1, f"the explicit tag {event.tag!r}"
-        if isinstance(event, yaml.ScalarEvent) and event.style in ("|", ">"):
-            return event.start_mark.line + 1, "a block scalar"
-    return None

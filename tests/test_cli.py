@@ -300,46 +300,103 @@ def configs_the_tests_write() -> dict:
 
 
 class TestYamlLoader:
-    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
-    def test_libyaml_parses_where_pyyaml_has_it(self):
-        assert config_module._YAML_LOADER is yaml.CSafeLoader
-
-    @pytest.mark.parametrize("flow", [False, True], ids=["block", "flow"])
     @pytest.mark.parametrize("name", sorted(configs_the_tests_write()))
-    def test_same_config_under_the_pure_python_loader(self, tmp_path, monkeypatch, name,
-                                                      flow):
-        path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(configs_the_tests_write()[name],
-                                       default_flow_style=flow), encoding="utf-8")
-        loaded = load_config(path)
-        monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
-        assert load_config(path) == loaded
+    def test_block_and_flow_style_load_to_the_same_config(self, tmp_path, name):
+        loaded = []
+        for flow in (False, True):
+            path = tmp_path / f"run-{flow}.yaml"
+            path.write_text(yaml.safe_dump(configs_the_tests_write()[name],
+                                           default_flow_style=flow), encoding="utf-8")
+            loaded.append(load_config(path))
+        assert loaded[0] == loaded[1]
 
-    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
-    @pytest.mark.parametrize("text, reason", [
-        ("a:\t1", r"character '\\t'"), ("a: 1\t", r"character '\\t'"),
-        ("a: [1,\t2]", r"character '\\t'"), ("a: 1\u2028b: 2", r"character '\\u2028'"),
-        ("a: !", "explicit tag '!'"), ("a: [!, 1]", "explicit tag '!,?'"),
-        ("forecast: {horizon: !!int 30}", "explicit tag"),
-        ("forecast: |\n  horizon: 30", "block scalar"),
-        # one build refuses each of these as YAML, naming the line its own way
-        ("scenario: {rho_values: [0.5:]}", "(':]' inside a flow|unexpected ':')"),
-        ("scenario: {rho_values: [0.5 :]}", "(':]' inside a flow|unexpected ':')"),
-        ("scenario: {rho_values: [0.5?]}", r"('\?' inside a flow|got '\?')"),
-        ("scenario: {rho_values: [?]}", r"('\?' inside a flow|did not find expected)")])
-    def test_what_the_builds_read_differently_exits_2_naming_the_line(
-            self, tmp_path, monkeypatch, loader, text, reason):
-        # the text follows a loadable config, on its own line
-        if not hasattr(yaml, loader):
-            pytest.skip("PyYAML without libyaml")
-        monkeypatch.setattr(config_module, "_YAML_LOADER", getattr(yaml, loader))
+    @pytest.mark.parametrize("text, refusal", [
+        # YAML refuses these, naming their line (LINE)
+        ("a:\t1", r"found character '\\t' that cannot start any token.*line LINE,"),
+        ("a: 1\t", r"found character '\\t' that cannot start any token.*line LINE,"),
+        ("a: [1,\t2]", r"found character '\\t' that cannot start any token.*line LINE,"),
+        ("a: [!, 1]", "could not determine a constructor for the tag '!,'.*line LINE,"),
+        ("scenario: {rho_values: [0.5?]}", r"expected ',' or '\]', but got '\?'.*line LINE,"),
+        # YAML reads these, and the schema refuses what they hold
+        ("a: 1\u2028b: 2", "unknown keys in configuration: a, b$"),
+        ("a: !", "unknown keys in configuration: a$"),
+        ("forecast: |\n  horizon: 30", "forecast must be a mapping, got str"),
+        ("scenario: {rho_values: [0.5:]}",
+         r"rho_values must be a finite number, got \{0.5: None\}"),
+        ("scenario: {rho_values: [0.5 :]}",
+         r"rho_values must be a finite number, got \{0.5: None\}"),
+        ("scenario: {rho_values: [?]}",
+         r"rho_values must be a finite number, got \{None: None\}")])
+    def test_what_the_two_builds_read_differently_exits_2(self, tmp_path, text, refusal):
+        # the text follows a loadable config, on its own line; libyaml and the
+        # pure-Python loader read each of these differently
         head = yaml.safe_dump(base_config())
         path = tmp_path / "run.yaml"
         path.write_text(head + text + "\n", encoding="utf-8")
-        line = head.count("\n") + 1
-        with pytest.raises(ConfigError, match=f"(?s)line {line}\\b.*{reason}"):
+        line = str(head.count("\n") + 1)
+        with pytest.raises(ConfigError, match="(?s)" + refusal.replace("LINE", line)):
             load_config(path)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_an_explicit_tag_is_read_by_the_yaml_rules(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_config()) + "forecast: {horizon: !!int 30}\n",
+                        encoding="utf-8")
+        assert load_config(path).forecast == ForecastConfig(horizon=30)
+
+    @pytest.mark.parametrize("value", ["!!int", "!!int -", "!!float", "!!float _",
+                                       "!!bool x", "!!timestamp x"])
+    def test_a_malformed_tagged_scalar_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_config()) + f"forecast: {{horizon: {value}}}\n",
+                        encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {path} is not valid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nesting", [
+        "[" * 50_000 + "]" * 50_000, "{a: " * 50_000 + "}" * 50_000,
+        "\n" + "- " * sys.getrecursionlimit() + "1"], ids=["flow", "flow mapping", "block"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, nesting):
+        path = tmp_path / "run.yaml"
+        path.write_text("parameters: " + nesting + "\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {path} is not valid YAML: maximum recursion depth exceeded" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["beta", "initial", "t_end"],
+                             ids=["rate", "block", "setting"])
+    def test_a_key_written_twice_exits_2_naming_it_and_its_line(self, tmp_path, key):
+        lines = yaml.safe_dump(base_config()).splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.lstrip().startswith(f"{key}:"))
+        lines.insert(at + 1, lines[at])  # the key's line written again right below it
+        path = tmp_path / "run.yaml"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"(?s)duplicate key '{key}'.*line {at + 2},"):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @staticmethod
+    def merged_parameters(merged, own: str = "") -> str:
+        """The CLI tests' base config with its rates merged in by '<<' from
+        ``merged``, a mapping or a list of them, then the entries ``own``."""
+        merged = yaml.safe_dump(merged, default_flow_style=True, width=math.inf)
+        rest = {key: value for key, value in base_config().items() if key != "parameters"}
+        return f"parameters:\n  <<: {merged}{own}{yaml.safe_dump(rest)}"
+
+    def test_mappings_merged_by_a_merge_key_read_as_one(self, tmp_path):
+        rates = list(P.as_dict().items())
+        path = tmp_path / "run.yaml"
+        path.write_text(self.merged_parameters([dict(rates[:6]), dict(rates[6:])]),
+                        encoding="utf-8")
+        assert load_config(path) == load_config(write_config(tmp_path / "plain.yaml",
+                                                             base_config()))
+
+    def test_a_merged_key_written_again_exits_2(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(self.merged_parameters(P.as_dict(), f"  beta: {2 * P.beta}\n"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="(?s)duplicate key 'beta'.*line 3,"):
+            load_config(path)
 
     def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -347,8 +404,8 @@ class TestYamlLoader:
         assert load_config(path) == load_config(write_config(tmp_path / "plain.yaml",
                                                              base_config()))
 
-    def test_falls_back_to_the_pure_python_loader_without_libyaml(self, tmp_path,
-                                                                   monkeypatch):
+    @pytest.mark.parametrize("config", sorted(configs_the_tests_write()))
+    def test_loads_on_pyyaml_without_libyaml(self, tmp_path, monkeypatch, config):
         # a fresh copy of the module, imported as if PyYAML had no libyaml
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         name = "seiar._config_without_libyaml"
@@ -356,8 +413,7 @@ class TestYamlLoader:
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
-        assert module._YAML_LOADER is yaml.SafeLoader
-        path = write_config(tmp_path / "run.yaml", configs_the_tests_write()["every block"])
+        path = write_config(tmp_path / "run.yaml", configs_the_tests_write()[config])
         assert dataclasses.asdict(module.load_config(path)) == \
             dataclasses.asdict(load_config(path))
 

@@ -4,8 +4,8 @@ parameter spec loads only if every point of its boxes assembles,
 ``seiar stability`` on a subcritical config exits 0, 2 or 4, never raising,
 over a range of ``stability`` blocks, and ``simulate``, ``sweep``, ``fit``
 and ``predict`` exit 0, 2, 3 or 4, never raising, on mutated configs and
-case-series files, and libyaml and the pure-Python YAML loader read a config,
-or any text, to the same value or both refuse it.
+case-series files, and any text, or a config's text with pieces of YAML
+syntax put in, reads or is a ConfigError.
 
 Examples are drawn deterministically (``derandomize=True``), so every run
 checks the same inputs.
@@ -15,9 +15,7 @@ import datetime
 import itertools
 import math
 import re
-from unittest import mock
 
-import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -128,29 +126,14 @@ yaml_constructs = st.one_of(
     st.builds(lambda brackets, entries: brackets[0] + ", ".join(entries) + brackets[1],
               st.sampled_from(("[]", "{}")),
               st.lists(st.text(st.sampled_from("a1:? "), max_size=3), max_size=4)))
-needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
-                                   reason="PyYAML without libyaml")
 
 
-def under_each_build(read):
-    """``read()`` under libyaml and under the pure-Python loader, each
-    outcome None when it is a ConfigError."""
-    outcomes = []
-    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        with mock.patch.object(config_module, "_YAML_LOADER", loader):
-            try:
-                outcomes.append(read())
-            except ConfigError:
-                outcomes.append(None)
-    return outcomes
-
-
-@needs_libyaml
 @settings(INPUTS, max_examples=1000)
 @given(st.one_of(st.text(st.one_of(yaml_indicators, st.characters()), max_size=60),
                  st.lists(yaml_pieces, max_size=30).map("".join), yaml_constructs))
 # one document of each kind the builds read differently: a tab, a tag, a
-# block scalar's header, a flow ':' or '?', a line break
+# block scalar's header, a flow ':' or '?', a line break; and nesting deeper
+# than the recursion limit
 @example("a:\t1")
 @example("a: [!, 1]")
 @example("|1#")
@@ -160,10 +143,12 @@ def under_each_build(read):
 @example("{a?}")
 @example("[?]")
 @example("\x85\ufeff")
-def test_both_yaml_builds_read_any_text_alike_or_refuse_it(text):
-    # repr, so that a NaN read under both compares equal
-    libyaml, pure = under_each_build(lambda: repr(config_module._read_yaml(text, "text")))
-    assert libyaml == pure
+@example("parameters: " + "[" * 50_000 + "]" * 50_000)
+def test_any_yaml_text_reads_or_is_a_config_error(text):
+    try:
+        config_module._read_yaml(text, "text")
+    except ConfigError:
+        pass
 
 
 @st.composite
@@ -172,9 +157,8 @@ def config_texts(draw) -> str:
     with up to three pieces put in before or after a character of YAML
     syntax, or a valid config with a piece in place of the value of
     ``integrator.method`` or ``integrator.atol``.  Those are the only entries
-    that take a string or null, so only there can a piece the two builds
-    read differently leave a config that validates under one of them, as
-    ``atol: !`` does: None under the pure-Python loader, '' under libyaml."""
+    that take a string or null, so only there can such a piece leave a
+    config that validates, as ``atol: !`` (null) does."""
     flow = draw(st.booleans())
     if draw(st.booleans()):
         key = draw(st.sampled_from(("method", "atol")))
@@ -191,15 +175,17 @@ def config_texts(draw) -> str:
     return text
 
 
-@needs_libyaml
 @INPUTS
 @given(config_texts())
 @example(yaml.safe_dump(valid_config()).replace("atol: null", "atol: !"))
-def test_both_yaml_builds_load_a_mutated_config_alike_or_refuse_it(tmp_path_factory, text):
+@example(yaml.safe_dump(valid_config()).replace("method: rk4", "method: !!int "))
+def test_config_text_loads_or_is_a_config_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
     path.write_text(text, encoding="utf-8")
-    libyaml, pure = under_each_build(lambda: load_config(path))
-    assert libyaml == pure
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except ConfigError:
+        pass
 
 
 rows = st.one_of(

@@ -4,8 +4,8 @@
     python tools/mutation_run.py exponent   # only mutants whose name contains "exponent"
 
 Each mutant replaces one fragment of one line in ``src/seiar/{model,stability,
-simulate,calibrate,io,scenarios}.py`` with a wrong one; the fragment must occur exactly
-once in its module.  For each mutant the checkout's ``src``, ``tests``,
+simulate,calibrate,io,scenarios,config}.py`` with a wrong one; the fragment
+must occur exactly once in its module.  For each mutant the checkout's ``src``, ``tests``,
 ``demos``, ``tools`` and ``perfbench`` (the tests load ``tools``, which load
 ``perfbench``) and its ``pyproject.toml`` are copied to a fresh temporary
 directory, the substitution is made there, and ``pytest -x`` runs the tier-1
@@ -117,6 +117,13 @@ MUTANTS = (
     ("sweep R_c of the base parameters", "scenarios",
      "control_reproduction_number(p) for p in members",
      "control_reproduction_number(params) for p in members"),
+    ("RecursionError escapes the YAML read", "config",
+     "(yaml.YAMLError, ValueError, RecursionError, LookupError, AttributeError)",
+     "(yaml.YAMLError, ValueError, LookupError, AttributeError)"),
+    ("a malformed tagged scalar escapes the YAML read", "config",
+     "(yaml.YAMLError, ValueError, RecursionError, LookupError, AttributeError)",
+     "(yaml.YAMLError, ValueError, RecursionError)"),
+    ("a duplicate key is accepted", "config", "if key in seen:", "if False:"),
     ("CSV loses a digit", "io", 'return "%.17g"', 'return "%.16g"'),
     ("bool written as True", "io", "if issubclass(kind, str):",
      "if issubclass(kind, (str, bool, np.bool_)):"),
